@@ -13,12 +13,9 @@ it.  The check fails when any counter regresses by more than
 ``TOLERANCE`` (counters may also *drop* freely — improvements only ratchet
 the baseline down when it is regenerated).
 
-A dedicated 64-qubit line instance additionally pins the incremental-BDIR
-contract: every annealing iteration goes through exactly one
-delta-evaluator proposal, and the Python-level cone walk stays bounded by
-the per-call budget — ``evaluate.delta_cone_nodes`` must remain far below
-``delta_calls × kernel nodes``, i.e. per-move evaluate cost is sub-linear
-in problem size (heavy repairs hand off to the vectorized full pass).
+A 64-qubit line instance additionally pins the op counters of a large
+sparse-interconnect compile (relay scheduling, BDIR re-route moves, one
+kernel evaluation per annealing iteration).
 
 Usage::
 
@@ -46,14 +43,8 @@ QFT_SIZES = (8, 12)
 NUM_QPUS = 8
 SEED = 0
 
-#: Instance size for the incremental-BDIR sub-linearity pin (figure-10's
-#: largest tier-1 row; big enough that a cone-budget regression is loud).
-SUBLINEAR_QUBITS = 64
-#: ``evaluate.delta_cone_nodes`` may not exceed ``delta_calls`` times this
-#: fraction of the kernel's node count.  The delta evaluator's own budget is
-#: ``max(64, nodes // 64)`` per call; 1/16 leaves headroom while still being
-#: decisively sub-linear.
-SUBLINEAR_FRACTION = 16
+#: Instance size of the large line pin (figure-10's largest tier-1 row).
+LINE_PIN_QUBITS = 64
 
 
 def collect_counters() -> dict:
@@ -123,68 +114,22 @@ def collect_counters() -> dict:
         if value
     }
 
-    # Incremental-BDIR sub-linearity instance: a 64-qubit QFT on the same
-    # 4-QPU line.  Alongside the op counters the row records the evaluation
-    # kernel's node count, so the baseline (and check_delta_sublinearity)
-    # can relate per-move cone work to problem size.
-    computation = build_computation("QFT", SUBLINEAR_QUBITS, SEED)
+    # Large line instance: a 64-qubit QFT on the same 4-QPU line.
+    computation = build_computation("QFT", LINE_PIN_QUBITS, SEED)
     config = DCMBQCConfig(
         num_qpus=4,
-        grid_size=paper_grid_size(SUBLINEAR_QUBITS),
+        grid_size=paper_grid_size(LINE_PIN_QUBITS),
         topology="line",
         seed=SEED,
     )
     before = OP_COUNTERS.snapshot()
-    result, _ = DCMBQCCompiler(config).compile_run(
-        computation, store=None, use_cache=False
-    )
-    row = {
+    DCMBQCCompiler(config).compile_run(computation, store=None, use_cache=False)
+    table[f"qft-{LINE_PIN_QUBITS}-line"] = {
         name.replace(".", "_"): value
         for name, value in sorted(OP_COUNTERS.delta_since(before).items())
         if value
     }
-    row["kernel_nodes"] = result.problem.delta_evaluator().present_count
-    table[f"qft-{SUBLINEAR_QUBITS}-line"] = row
     return table
-
-
-def check_delta_sublinearity(current: dict) -> list:
-    """Pin per-move evaluate cost sub-linear in problem size.
-
-    On the 64-qubit line row, every BDIR iteration must make exactly one
-    delta-evaluator proposal, and the total Python-level cone walk across
-    all proposals must stay far below ``delta_calls × kernel_nodes`` — the
-    evaluator either finishes inside its ``max(64, nodes // 64)`` budget or
-    bails out to the vectorized full pass *before* walking a linear cone.
-    """
-    instance = f"qft-{SUBLINEAR_QUBITS}-line"
-    row = current.get(instance)
-    if row is None:
-        return [f"{instance}: missing from current run"]
-    problems = []
-    nodes = row.get("kernel_nodes", 0)
-    iterations = row.get("bdir_iterations", 0)
-    calls = row.get("evaluate_delta_calls", 0)
-    cone = row.get("evaluate_delta_cone_nodes", 0)
-    if nodes <= 0 or iterations <= 0:
-        problems.append(
-            f"{instance}: no kernel nodes ({nodes}) or BDIR iterations "
-            f"({iterations}) recorded — the pin has nothing to measure"
-        )
-        return problems
-    if calls != iterations:
-        problems.append(
-            f"{instance}: evaluate.delta_calls = {calls} != bdir.iterations "
-            f"= {iterations} — an iteration bypassed the delta evaluator"
-        )
-    limit = calls * max(64, nodes // SUBLINEAR_FRACTION)
-    if cone > limit:
-        problems.append(
-            f"{instance}: evaluate.delta_cone_nodes = {cone} exceeds "
-            f"{limit} (= delta_calls x nodes/{SUBLINEAR_FRACTION}, "
-            f"nodes = {nodes}) — per-move cone work is no longer sub-linear"
-        )
-    return problems
 
 
 def check_zero_overhead(reference: dict) -> list:
@@ -245,14 +190,6 @@ def main(argv=None) -> int:
 
     current = collect_counters()
     if args.update:
-        # Never commit a baseline that already violates the sub-linearity
-        # contract: a regenerated baseline must not grandfather in a cone
-        # blow-up.
-        sublinearity = check_delta_sublinearity(current)
-        for line in sublinearity:
-            print(f"SUBLINEARITY {line}", file=sys.stderr)
-        if sublinearity:
-            return 1
         BASELINE_PATH.write_text(
             json.dumps(
                 {"qft_sizes": list(QFT_SIZES), "num_qpus": NUM_QPUS, "seed": SEED,
@@ -274,11 +211,6 @@ def main(argv=None) -> int:
     for line in regressions:
         print(f"REGRESSION {line}", file=sys.stderr)
     if regressions:
-        return 1
-    sublinearity = check_delta_sublinearity(current)
-    for line in sublinearity:
-        print(f"SUBLINEARITY {line}", file=sys.stderr)
-    if sublinearity:
         return 1
     overhead = check_zero_overhead(current)
     for line in overhead:

@@ -103,12 +103,11 @@ class BDIRScheduler:
             current = (
                 initial.copy() if initial is not None else list_schedule(self.problem)
             )
-            # The delta evaluator keeps the accepted schedule's full kernel
-            # state and re-propagates only the cone a move actually touches;
-            # the priming pass below is the one authoritative full evaluate.
-            evaluator = self.problem.delta_evaluator()
+            # Each candidate gets one full kernel pass; a rejected move
+            # simply keeps ``current_eval``.
+            kernel = self.problem.delta_evaluator()
             with TRACER.span("schedule.evaluate"):
-                current_eval = evaluator.prime(current)
+                current_eval = kernel.evaluate(current)
             if self._sparse:
                 self._build_link_loads(current)
             best = current.copy()
@@ -126,7 +125,7 @@ class BDIRScheduler:
                         step_span.set(outcome="exhausted")
                         break
                     with TRACER.span("schedule.evaluate"):
-                        neighbour_eval = evaluator.propose(neighbour)
+                        neighbour_eval = kernel.evaluate(neighbour)
                     delta = (
                         float(neighbour_eval.tau_photon)
                         - float(current_eval.tau_photon)
@@ -135,7 +134,6 @@ class BDIRScheduler:
                         -delta / max(temperature, 1e-9)
                     )
                     if accepted:
-                        evaluator.accept()
                         if self._sparse:
                             self._update_link_loads(
                                 neighbour,
@@ -143,7 +141,6 @@ class BDIRScheduler:
                             )
                         current, current_eval = neighbour, neighbour_eval
                     else:
-                        evaluator.reject()
                         OP_COUNTERS.add("bdir.rollbacks")
                         if undo_route is not None:
                             # Rejected route moves must not leak into later

@@ -2,8 +2,8 @@
 
 BDIR (Algorithm 3) is a simulated-annealing descent from one initial
 schedule; like any annealer it can park in a local minimum whose depth
-depends on the initial priority order and the RNG stream.  With the
-incremental inner loop (delta evaluation, active-set repair scheduling) a
+depends on the initial priority order and the RNG stream.  With one
+vectorised kernel evaluation per move and active-set repair scheduling, a
 refinement start is cheap enough to afford several of them: the portfolio
 runs ``N`` independently seeded starts under a *shared* move budget and
 keeps the best schedule found by any of them.

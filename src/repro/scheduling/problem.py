@@ -36,8 +36,6 @@ fully-connected systems are unaffected by the choice.
 
 from __future__ import annotations
 
-import heapq
-import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -593,16 +591,15 @@ class LayerSchedulingProblem:
             self._evaluation_kernel = kernel
         return kernel
 
-    def delta_evaluator(self) -> "_DeltaEvaluator":
-        """A fresh incremental evaluator bound to this problem's kernel.
+    def delta_evaluator(self) -> "_EvaluationKernel":
+        """This problem's evaluation kernel, built on first use.
 
-        The evaluator keeps the last accepted schedule's state (task starts,
-        MTime propagation, fusee waits, sync gaps, running argmaxes) and
-        re-propagates only the affected cone of the frozen topological order
-        per proposed move, with an exact rollback on rejection.  It produces
-        bit-identical :class:`ScheduleEvaluation` objects to :meth:`evaluate`.
+        BDIR scores every annealing move with the kernel's full vectorised
+        pass and keeps the current evaluation when a move is rejected.  The
+        compile benchmark (``compilebench/layers.py``) looks this method up
+        by name to time ``scheduling.index_build_s``; rename both together.
         """
-        return _DeltaEvaluator(self._kernel())
+        return self._kernel()
 
     def __getstate__(self):
         # The evaluation kernel and scheduler statics are derived caches of
@@ -691,8 +688,6 @@ class _EvaluationKernel:
         self.present_pos = np.array([], dtype=np.int64)
         self.present_nodes: List[int] = []
         self.present_removed = np.array([], dtype=bool)
-        self.edge_src = np.array([], dtype=np.int64)
-        self.edge_dst = np.array([], dtype=np.int64)
         if problem.dependency is not None:
             import networkx as nx
 
@@ -712,10 +707,6 @@ class _EvaluationKernel:
                     if src is not None:
                         edges.append((src, dst))
                         level[dst] = max(level[dst], level[src] + 1)
-            # Flat edge arrays (src < dst in present indices) kept for the
-            # delta evaluator's pred/succ cone propagation.
-            self.edge_src = np.array([s for s, _ in edges], dtype=np.int64)
-            self.edge_dst = np.array([d for _, d in edges], dtype=np.int64)
             by_level: Dict[int, List[Tuple[int, int]]] = {}
             for src, dst in edges:
                 by_level.setdefault(level[dst], []).append((src, dst))
@@ -742,24 +733,14 @@ class _EvaluationKernel:
             OP_COUNTERS.add("evaluate.route_refreshes")
 
     def evaluate(self, schedule: Schedule) -> ScheduleEvaluation:
+        """One full vectorised objective pass over the schedule's start times."""
         self._refresh_routes()
-        return self._compute(self._gather_starts(schedule))
-
-    def _gather_starts(self, schedule: Schedule) -> np.ndarray:
         start_times = schedule.start_times
-        return np.fromiter(
+        starts = np.fromiter(
             (start_times[key] for key in self.task_keys),
             dtype=np.int64,
             count=len(self.task_keys),
         )
-
-    def _compute(self, starts: np.ndarray, collect: bool = False):
-        """One full vectorised objective pass over a flat start-time array.
-
-        With ``collect`` the intermediate arrays (MTime, waits, gaps, …) are
-        returned alongside the evaluation so the delta evaluator can prime
-        its incremental state from an authoritative full pass.
-        """
         OP_COUNTERS.add("evaluate.calls")
         OP_COUNTERS.add("evaluate.measuree_edges", self.num_measuree_edges)
         node_start = starts[self.node_task]
@@ -770,7 +751,6 @@ class _EvaluationKernel:
             raise ValidationError(f"fusee pair ({u}, {v}) has an unplaced photon")
         tau_fusee = 0
         worst_pair: Optional[Tuple[int, int]] = None
-        waits = np.array([], dtype=np.int64)
         if len(self.fusee_u):
             waits = np.abs(node_start[self.fusee_u] - node_start[self.fusee_v])
             best = int(np.argmax(waits))
@@ -781,9 +761,6 @@ class _EvaluationKernel:
         # Part 2 — measuree waits (MTime propagation along the frozen order).
         tau_measuree = 0
         worst_node: Optional[int] = None
-        layer = np.array([], dtype=np.int64)
-        mtime = np.array([], dtype=np.int64)
-        eligible = np.array([], dtype=np.int64)
         if len(self.present_pos):
             layer = node_start[self.present_pos]
             mtime = layer + 1
@@ -804,7 +781,6 @@ class _EvaluationKernel:
         worst_sync: Optional[int] = None
         worst_gap = 0
         makespan = int(starts.max()) + 1 if len(starts) else 0
-        gaps = np.array([], dtype=np.int64)
         if len(self.sync_idx):
             sync_start = starts[self.sync_idx]
             gaps = remote_sync_gaps(
@@ -826,432 +802,6 @@ class _EvaluationKernel:
             worst_fusee_pair=worst_pair,
             worst_measuree=worst_node,
         )
-        evaluation = ScheduleEvaluation(
-            tau_local=max(tau_fusee, tau_measuree),
-            tau_remote=tau_remote,
-            makespan=makespan,
-            lifetime_report=report,
-            worst_sync=worst_sync,
-            worst_gap=worst_gap,
-        )
-        if not collect:
-            return evaluation
-        state = {
-            "node_start": node_start,
-            "waits": waits,
-            "layer": layer,
-            "mtime": mtime,
-            "eligible": eligible,
-            "gaps": gaps,
-        }
-        return evaluation, state
-
-
-class _MaxTree:
-    """Segment tree over int64 leaves tracking ``(max, first-argmax)``.
-
-    Combines prefer the left child on ties, so the root index reproduces
-    ``np.argmax`` (the *first* maximum) exactly.  Leaves beyond ``n`` hold a
-    sentinel that never wins against real values.  Batched updates recompute
-    each touched root-path level in one vectorised pass, so refreshing a
-    cone of ``k`` leaves costs ``O(k + log n)`` numpy operations.
-    """
-
-    _SENTINEL = np.int64(-(2**62))
-
-    __slots__ = ("n", "size", "val", "idx")
-
-    def __init__(self, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=np.int64)
-        self.n = int(values.shape[0])
-        size = 1
-        while size < max(self.n, 1):
-            size *= 2
-        self.size = size
-        val = np.full(2 * size, self._SENTINEL, dtype=np.int64)
-        idx = np.zeros(2 * size, dtype=np.int64)
-        idx[size:] = np.arange(size, dtype=np.int64)
-        if self.n:
-            val[size : size + self.n] = values
-        level = size
-        while level > 1:
-            left_val = val[level : 2 * level : 2]
-            right_val = val[level + 1 : 2 * level : 2]
-            take_right = right_val > left_val
-            val[level // 2 : level] = np.where(take_right, right_val, left_val)
-            idx[level // 2 : level] = np.where(
-                take_right,
-                idx[level + 1 : 2 * level : 2],
-                idx[level : 2 * level : 2],
-            )
-            level //= 2
-        self.val = val
-        self.idx = idx
-
-    def leaf_values(self, positions: np.ndarray) -> np.ndarray:
-        """Current values of a batch of leaves (for undo logs)."""
-        return self.val[self.size + positions].copy()
-
-    def update_many(self, positions: np.ndarray, values: np.ndarray) -> None:
-        """Overwrite a batch of leaves and refresh their root paths."""
-        if not len(positions):
-            return
-        val = self.val
-        idx = self.idx
-        val[self.size + positions] = values
-        if self.size == 1:
-            return
-        nodes = np.unique((self.size + positions) >> 1)
-        while True:
-            left = nodes << 1
-            right = left | 1
-            left_val = val[left]
-            right_val = val[right]
-            take_right = right_val > left_val
-            val[nodes] = np.where(take_right, right_val, left_val)
-            idx[nodes] = np.where(take_right, idx[right], idx[left])
-            if nodes[0] == 1:
-                break
-            nodes = np.unique(nodes >> 1)
-
-    def root(self) -> Tuple[int, int]:
-        """``(max value, first index attaining it)`` over all leaves."""
-        return int(self.val[1]), int(self.idx[1])
-
-
-class _DeltaOverflow(Exception):
-    """Raised when a move's cone exceeds the delta work budget."""
-
-
-_DELTA_CHECK = os.environ.get("REPRO_DELTA_CHECK", "") not in ("", "0")
-
-
-class _DeltaEvaluator:
-    """Incremental schedule evaluation with exact rollback.
-
-    Holds the last *accepted* schedule's state — flat task starts, per-node
-    start times, MTime propagation over the frozen topological order, fusee
-    waits, sync gaps — plus segment trees over each objective component so
-    running maxima (and their first-argmax tie-breaks) survive point
-    updates.  ``propose`` diffs a candidate schedule against the accepted
-    state, re-propagates only the affected cone, and returns an evaluation
-    bit-identical to a full kernel pass; ``reject`` replays an undo log in
-    O(touched) and ``accept`` simply drops it.  Moves whose cone exceeds the
-    work budget fall back to the authoritative full pass.
-    """
-
-    def __init__(self, kernel: _EvaluationKernel) -> None:
-        self.kernel = kernel
-        num_tasks = len(kernel.task_keys)
-        self.num_tasks = num_tasks
-        self.num_mains = kernel.num_mains
-        node_count = len(kernel.node_ids)
-
-        # Syncs occupy the tail of the task table in problem order; the
-        # completion-tree updates rely on that layout.
-        if len(kernel.sync_idx) and not np.array_equal(
-            kernel.sync_idx,
-            np.arange(self.num_mains, num_tasks, dtype=np.int64),
-        ):
-            raise SchedulingError("sync tasks are not contiguous in the task table")
-
-        # CSR: task index -> node positions it generates.
-        self.task_node_ptr, self.task_node_val = _csr(
-            kernel.node_task, np.arange(node_count, dtype=np.int64), num_tasks
-        )
-        # CSR: node position -> fusee pair ids it participates in.
-        pair_count = len(kernel.fusee_u)
-        endpoints = np.concatenate([kernel.fusee_u, kernel.fusee_v])
-        pair_ids = np.concatenate([np.arange(pair_count, dtype=np.int64)] * 2) if pair_count else np.array([], dtype=np.int64)
-        self.node_pair_ptr, self.node_pair_val = _csr(endpoints, pair_ids, node_count)
-        # CSR: task index -> sync positions it anchors (the sync itself plus
-        # both associated mains).
-        sync_count = len(kernel.sync_idx)
-        owners = np.concatenate([kernel.sync_idx, kernel.sync_main_a, kernel.sync_main_b])
-        sync_positions = np.concatenate([np.arange(sync_count, dtype=np.int64)] * 3) if sync_count else np.array([], dtype=np.int64)
-        self.task_sync_ptr, self.task_sync_val = _csr(owners, sync_positions, num_tasks)
-        # Node position -> present (topological) index, -1 when absent.
-        self.present_count = len(kernel.present_pos)
-        self.present_of_pos = np.full(node_count, -1, dtype=np.int64)
-        if self.present_count:
-            self.present_of_pos[kernel.present_pos] = np.arange(
-                self.present_count, dtype=np.int64
-            )
-        # Pred/succ CSR over present indices (edges run forward: src < dst).
-        self.pred_ptr, self.pred_val = _csr(
-            kernel.edge_dst, kernel.edge_src, self.present_count
-        )
-        self.succ_ptr, self.succ_val = _csr(
-            kernel.edge_src, kernel.edge_dst, self.present_count
-        )
-        self._primed = False
-        self._pending = None
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-
-    def prime(self, schedule: Schedule) -> ScheduleEvaluation:
-        """Full authoritative pass; installs the accepted-state arrays."""
-        kernel = self.kernel
-        kernel._refresh_routes()
-        starts = kernel._gather_starts(schedule)
-        evaluation, state = kernel._compute(starts, collect=True)
-        self._install(starts, state)
-        return evaluation
-
-    def _install(self, starts: np.ndarray, state: Dict[str, np.ndarray]) -> None:
-        kernel = self.kernel
-        self.starts = starts
-        self.node_start = state["node_start"]
-        self.layer = state["layer"]
-        self.mtime = state["mtime"]
-        self.relay = kernel.sync_relay.copy()
-        self.t_fusee = _MaxTree(state["waits"]) if len(kernel.fusee_u) else None
-        self.t_elig = _MaxTree(state["eligible"]) if self.present_count else None
-        self.t_gap = _MaxTree(state["gaps"]) if len(kernel.sync_idx) else None
-        comp = starts.copy()
-        if len(kernel.sync_idx):
-            comp[kernel.sync_idx] += kernel.sync_relay
-        self.t_comp = _MaxTree(comp) if self.num_tasks else None
-        self._primed = True
-        self._pending = None
-
-    def propose(self, schedule: Schedule) -> ScheduleEvaluation:
-        """Evaluate a candidate move against the accepted state."""
-        if not self._primed:
-            raise SchedulingError("delta evaluator used before prime()")
-        if self._pending is not None:
-            raise SchedulingError("previous proposal neither accepted nor rejected")
-        kernel = self.kernel
-        kernel._refresh_routes()
-        OP_COUNTERS.add("evaluate.delta_calls")
-        new_starts = kernel._gather_starts(schedule)
-        changed = np.flatnonzero(new_starts != self.starts)
-        relay_changed = np.flatnonzero(kernel.sync_relay != self.relay)
-        if not len(changed) and not len(relay_changed):
-            self._pending = ("noop",)
-            return self._assemble()
-        undo: List[tuple] = []
-        try:
-            evaluation = self._apply(new_starts, changed, relay_changed, undo)
-        except _DeltaOverflow:
-            OP_COUNTERS.add("evaluate.delta_fallbacks")
-            self._replay(undo)
-            evaluation, state = kernel._compute(new_starts, collect=True)
-            self._pending = ("full", new_starts, state)
-            return evaluation
-        self._pending = ("delta", undo)
-        if _DELTA_CHECK:
-            reference = kernel._compute(new_starts)
-            if reference != evaluation:
-                raise SchedulingError(
-                    f"delta evaluation diverged: {evaluation} != {reference}"
-                )
-        return evaluation
-
-    def accept(self) -> None:
-        """Commit the pending proposal into the accepted state."""
-        if self._pending is None:
-            raise SchedulingError("no pending proposal to accept")
-        if self._pending[0] == "full":
-            _, new_starts, state = self._pending
-            self._install(new_starts, state)
-        self._pending = None
-
-    def reject(self) -> None:
-        """Discard the pending proposal, restoring the accepted state."""
-        if self._pending is None:
-            raise SchedulingError("no pending proposal to reject")
-        if self._pending[0] == "delta":
-            self._replay(self._pending[1])
-        self._pending = None
-
-    # ------------------------------------------------------------------ #
-    # Delta application
-    # ------------------------------------------------------------------ #
-
-    def _apply(
-        self,
-        new_starts: np.ndarray,
-        changed: np.ndarray,
-        relay_changed: np.ndarray,
-        undo: List[tuple],
-    ) -> ScheduleEvaluation:
-        kernel = self.kernel
-        # The scalar cone walk costs ~70x more per node than the vectorised
-        # full pass, so chasing a cone is only profitable when it stays well
-        # under present_count / 64.  A repair that reflows a large slice of
-        # the schedule (seed nodes alone exceed the budget) is bailed out
-        # before any state is touched.
-        budget = max(64, self.present_count // 64)
-        changed_mains_early = changed[changed < self.num_mains]
-        if len(changed_mains_early):
-            spans = (
-                self.task_node_ptr[changed_mains_early + 1]
-                - self.task_node_ptr[changed_mains_early]
-            )
-            if int(spans.sum()) > budget:
-                raise _DeltaOverflow
-
-        undo.append(("starts", changed, self.starts[changed].copy()))
-        self.starts[changed] = new_starts[changed]
-        if len(relay_changed):
-            undo.append(("relay", relay_changed, self.relay[relay_changed].copy()))
-            self.relay[relay_changed] = kernel.sync_relay[relay_changed]
-
-        changed_mains = changed[changed < self.num_mains]
-        positions = _gather(self.task_node_ptr, self.task_node_val, changed_mains)
-        if len(positions):
-            undo.append(("node_start", positions, self.node_start[positions].copy()))
-            self.node_start[positions] = self.starts[kernel.node_task[positions]]
-
-        # Fusee waits of pairs touching any moved node.
-        pairs = np.array([], dtype=np.int64)
-        if self.t_fusee is not None and len(positions):
-            pairs = np.unique(_gather(self.node_pair_ptr, self.node_pair_val, positions))
-
-        # Measuree cone: seed the moved nodes, re-relax MTime in topological
-        # order, stop where the propagated value saturates.
-        elig_updates: Dict[int, int] = {}
-        cone = 0
-        if self.present_count and len(positions):
-            seeds = self.present_of_pos[positions]
-            seeds = np.unique(seeds[seeds >= 0])
-            if len(seeds):
-                undo.append(("layer", seeds, self.layer[seeds].copy()))
-                self.layer[seeds] = self.node_start[kernel.present_pos[seeds]]
-                seed_list = [int(s) for s in seeds]
-                heap = list(seed_list)
-                heapq.heapify(heap)
-                queued = set(seed_list)
-                removed = kernel.present_removed
-                mtime = self.mtime
-                layer = self.layer
-                pred_ptr, pred_val = self.pred_ptr, self.pred_val
-                succ_ptr, succ_val = self.succ_ptr, self.succ_val
-                while heap:
-                    node = heapq.heappop(heap)
-                    cone += 1
-                    if cone > budget:
-                        raise _DeltaOverflow
-                    lo, hi = pred_ptr[node], pred_ptr[node + 1]
-                    new_mt = int(layer[node]) + 1
-                    if hi > lo:
-                        relaxed = int(mtime[pred_val[lo:hi]].max()) + 1
-                        if relaxed > new_mt:
-                            new_mt = relaxed
-                    old_mt = int(mtime[node])
-                    if new_mt != old_mt:
-                        undo.append(("mtime1", node, old_mt))
-                        mtime[node] = new_mt
-                        lo, hi = succ_ptr[node], succ_ptr[node + 1]
-                        for succ in succ_val[lo:hi]:
-                            succ = int(succ)
-                            if succ not in queued:
-                                queued.add(succ)
-                                heapq.heappush(heap, succ)
-                        if not removed[node]:
-                            elig_updates[node] = new_mt - int(layer[node])
-                for seed in seed_list:
-                    if not removed[seed]:
-                        elig_updates[seed] = int(mtime[seed]) - int(layer[seed])
-        OP_COUNTERS.add("evaluate.delta_cone_nodes", cone)
-
-        # Sync gaps of syncs anchored to any changed task (or re-routed).
-        sync_positions = _gather(self.task_sync_ptr, self.task_sync_val, changed)
-        if len(relay_changed):
-            sync_positions = np.concatenate([sync_positions, relay_changed])
-        sync_positions = np.unique(sync_positions)
-
-        # Batched tree refreshes (all overflow risk is behind us).
-        if len(pairs):
-            new_waits = np.abs(
-                self.node_start[kernel.fusee_u[pairs]]
-                - self.node_start[kernel.fusee_v[pairs]]
-            )
-            self._update_tree("t_fusee", pairs, new_waits, undo)
-        if elig_updates:
-            elig_pos = np.fromiter(elig_updates.keys(), dtype=np.int64, count=len(elig_updates))
-            elig_val = np.fromiter(elig_updates.values(), dtype=np.int64, count=len(elig_updates))
-            self._update_tree("t_elig", elig_pos, elig_val, undo)
-        if len(sync_positions):
-            new_gaps = remote_sync_gaps(
-                self.starts[kernel.sync_idx[sync_positions]],
-                self.starts[kernel.sync_main_a[sync_positions]],
-                self.starts[kernel.sync_main_b[sync_positions]],
-                self.relay[sync_positions],
-                pipelined=kernel.problem.pipelined,
-            )
-            self._update_tree("t_gap", sync_positions, new_gaps, undo)
-        comp_tasks = changed
-        if len(relay_changed):
-            comp_tasks = np.unique(
-                np.concatenate([changed, kernel.sync_idx[relay_changed]])
-            )
-        comp_vals = self.starts[comp_tasks].copy()
-        sync_mask = comp_tasks >= self.num_mains
-        if sync_mask.any():
-            comp_vals[sync_mask] += self.relay[comp_tasks[sync_mask] - self.num_mains]
-        self._update_tree("t_comp", comp_tasks, comp_vals, undo)
-        return self._assemble()
-
-    def _update_tree(
-        self, name: str, positions: np.ndarray, values: np.ndarray, undo: List[tuple]
-    ) -> None:
-        tree = getattr(self, name)
-        if tree is None:
-            return
-        undo.append((name, positions, tree.leaf_values(positions)))
-        tree.update_many(positions, values)
-
-    def _replay(self, undo: List[tuple]) -> None:
-        for entry in reversed(undo):
-            kind = entry[0]
-            if kind == "mtime1":
-                self.mtime[entry[1]] = entry[2]
-            elif kind in ("t_fusee", "t_elig", "t_gap", "t_comp"):
-                getattr(self, kind).update_many(entry[1], entry[2])
-            else:
-                getattr(self, {"starts": "starts", "relay": "relay",
-                               "node_start": "node_start", "layer": "layer"}[kind])[
-                    entry[1]
-                ] = entry[2]
-
-    # ------------------------------------------------------------------ #
-    # Evaluation assembly (must match _EvaluationKernel._compute bit for bit)
-    # ------------------------------------------------------------------ #
-
-    def _assemble(self) -> ScheduleEvaluation:
-        kernel = self.kernel
-        tau_fusee = 0
-        worst_pair: Optional[Tuple[int, int]] = None
-        if self.t_fusee is not None:
-            value, index = self.t_fusee.root()
-            if value > 0:
-                tau_fusee = value
-                worst_pair = kernel.fusee_pairs[index]
-        tau_measuree = 0
-        worst_node: Optional[int] = None
-        if self.t_elig is not None:
-            value, index = self.t_elig.root()
-            if value > 0:
-                tau_measuree = value
-                worst_node = kernel.present_nodes[index]
-        tau_remote = 0
-        worst_sync: Optional[int] = None
-        worst_gap = 0
-        if self.t_gap is not None:
-            worst_gap, index = self.t_gap.root()
-            tau_remote = worst_gap
-            worst_sync = kernel.sync_ids[index]
-        makespan = self.t_comp.root()[0] + 1 if self.t_comp is not None else 0
-        report = LifetimeReport(
-            tau_fusee=tau_fusee,
-            tau_measuree=tau_measuree,
-            worst_fusee_pair=worst_pair,
-            worst_measuree=worst_node,
-        )
         return ScheduleEvaluation(
             tau_local=max(tau_fusee, tau_measuree),
             tau_remote=tau_remote,
@@ -1260,21 +810,3 @@ class _DeltaEvaluator:
             worst_sync=worst_sync,
             worst_gap=worst_gap,
         )
-
-
-def _csr(keys: np.ndarray, values: np.ndarray, domain: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Group ``values`` by integer ``keys`` into (indptr, flat values)."""
-    if not len(keys):
-        return np.zeros(domain + 1, dtype=np.int64), np.array([], dtype=np.int64)
-    order = np.argsort(keys, kind="stable")
-    counts = np.bincount(keys, minlength=domain)
-    indptr = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts)])
-    return indptr.astype(np.int64), values[order].astype(np.int64)
-
-
-def _gather(indptr: np.ndarray, flat: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Concatenate the CSR rows of a batch of keys."""
-    if not len(keys):
-        return np.array([], dtype=np.int64)
-    parts = [flat[indptr[key] : indptr[key + 1]] for key in keys]
-    return np.concatenate(parts) if parts else np.array([], dtype=np.int64)

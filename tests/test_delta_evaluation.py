@@ -1,21 +1,23 @@
-"""Property test: delta evaluation ≡ full evaluation, move by move.
+"""Property test: the cached evaluation kernel ≡ a freshly built one, move by move.
 
-The delta evaluator (`LayerSchedulingProblem.delta_evaluator`) keeps the last
-accepted schedule's kernel state and re-propagates only the cone a move
-touches.  Hypothesis drives randomised sequences of accepted and rejected
-moves — single-task start shifts and, on sparse interconnects, re-route
-moves that bump the problem's ``_route_version`` — and after *every* step
-asserts the incremental result equals a fresh authoritative
-``problem.evaluate`` of the same schedule (full ``ScheduleEvaluation``
-dataclass equality: tau components, makespan, worst sync/gap, and the local
-lifetime report).  Rejected steps additionally verify the rollback restored
-the accepted state exactly.
+`LayerSchedulingProblem.evaluate` compiles the problem into a flat-array
+kernel on first use and reuses it for every later call — BDIR's annealing
+loop scores each candidate with it.  The kernel is only valid while it
+tracks the problem: a BDIR re-route (`set_route`) bumps the problem's
+``_route_version`` and the kernel must refresh its relay array before the
+next pass.  Hypothesis drives randomised sequences of accepted and rejected
+moves — task start shifts and, on sparse interconnects, re-routes that are
+rolled back on rejection — and after *every* step asserts the cached
+kernel's result equals, field for field (tau components, makespan, worst
+sync/gap, the local lifetime report), the evaluation of a copy of the
+problem that has no cached index and so builds its kernel from scratch.
 
-Four topologies × 60 examples ≈ 240 independent sequences, exceeding the
-200-sequence / 3-topology acceptance bar.
+Four topologies × 60 examples ≈ 240 independent sequences.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,6 +27,7 @@ from repro.core.compiler import DCMBQCCompiler
 from repro.core.config import DCMBQCConfig
 from repro.hardware.system import enumerate_routes
 from repro.programs.qft import qft_circuit
+from repro.scheduling.list_scheduler import list_schedule
 
 TOPOLOGIES = [None, "line", "ring", "torus"]
 
@@ -56,6 +59,13 @@ def _alternate_route(problem, sync):
     return routes[0] if routes else None
 
 
+def _assert_matches_fresh(problem, schedule):
+    """The cached kernel agrees with a kernel built from the current routes."""
+    fresh = replace(problem)
+    assert getattr(fresh, "_evaluation_kernel", None) is None
+    assert problem.evaluate(schedule) == fresh.evaluate(schedule)
+
+
 @pytest.mark.parametrize("topology", TOPOLOGIES)
 @settings(
     max_examples=60,
@@ -66,16 +76,13 @@ def _alternate_route(problem, sync):
 @given(data=st.data())
 def test_delta_equals_full_evaluate(topology, data):
     problem = _problem_for(topology)
-    from repro.scheduling.list_scheduler import list_schedule
-
     pristine = {sync.sync_id: sync.route for sync in problem.sync_tasks}
     current = list_schedule(problem)
     keys = list(current.start_times)
     horizon = current.makespan + 8
 
-    evaluator = problem.delta_evaluator()
     try:
-        assert evaluator.prime(current) == problem.evaluate(current)
+        _assert_matches_fresh(problem, current)
 
         steps = data.draw(st.integers(min_value=1, max_value=8), label="steps")
         for _ in range(steps):
@@ -99,29 +106,23 @@ def test_delta_equals_full_evaluate(topology, data):
                     problem.set_route(sync.sync_id, detour)
 
             # Move a handful of tasks to fresh starts (a repair can shift
-            # several tasks at once; the cone must absorb all of them).
+            # several tasks at once).
             for _ in range(data.draw(st.integers(1, 3), label="moves")):
                 key = keys[data.draw(st.integers(0, len(keys) - 1), label="task")]
                 candidate.start_times[key] = data.draw(
                     st.integers(0, horizon), label="start"
                 )
 
-            delta_eval = evaluator.propose(candidate)
-            assert delta_eval == problem.evaluate(candidate)
+            _assert_matches_fresh(problem, candidate)
 
             if data.draw(st.booleans(), label="accept"):
-                evaluator.accept()
                 current = candidate
             else:
-                evaluator.reject()
+                # A rejected re-route is rolled back, as BDIR does; the
+                # restored routes must reach the cached kernel too.
                 if undo_route is not None:
                     problem.set_route(*undo_route)
-                # The rollback must have restored the accepted state: a
-                # re-proposal of the current schedule is a pure no-op and
-                # still matches the authoritative full pass.
-                recheck = evaluator.propose(current)
-                assert recheck == problem.evaluate(current)
-                evaluator.reject()
+                _assert_matches_fresh(problem, current)
     finally:
         # Leave the shared problem's route table pristine for other examples.
         for sync in problem.sync_tasks:
@@ -129,31 +130,8 @@ def test_delta_equals_full_evaluate(topology, data):
                 problem.set_route(sync.sync_id, pristine[sync.sync_id])
 
 
-@pytest.mark.parametrize("topology", [None, "line"])
-def test_propose_requires_prime_and_resolution(topology):
-    problem = _problem_for(topology)
-    from repro.scheduling.list_scheduler import list_schedule
-    from repro.utils.errors import SchedulingError
-
-    schedule = list_schedule(problem)
-    evaluator = problem.delta_evaluator()
-    with pytest.raises(SchedulingError, match="before prime"):
-        evaluator.propose(schedule)
-    evaluator.prime(schedule)
-    moved = schedule.copy()
-    key = next(iter(moved.start_times))
-    moved.start_times[key] += 1
-    evaluator.propose(moved)
-    with pytest.raises(SchedulingError, match="neither accepted nor rejected"):
-        evaluator.propose(moved)
-    evaluator.accept()
-    assert evaluator.propose(moved) == problem.evaluate(moved)
-    evaluator.reject()
-
-
 def test_worst_sync_matches_gap_scan():
     """`worst_sync`/`worst_gap` reproduce the old first-argmax gap scan."""
-    from repro.scheduling.list_scheduler import list_schedule
     from repro.scheduling.problem import remote_sync_gaps
 
     problem = _problem_for("line")

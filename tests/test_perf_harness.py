@@ -154,37 +154,6 @@ def test_perf_smoke_compare_flags_regressions_only():
     assert perf_smoke.compare(baseline, {}) != []
 
 
-def test_perf_smoke_sublinearity_pin():
-    perf_smoke = _load_perf_smoke()
-    instance = f"qft-{perf_smoke.SUBLINEAR_QUBITS}-line"
-    nodes = 16000
-    limit = 20 * (nodes // perf_smoke.SUBLINEAR_FRACTION)
-    good = {
-        instance: {
-            "kernel_nodes": nodes,
-            "bdir_iterations": 20,
-            "evaluate_delta_calls": 20,
-            "evaluate_delta_cone_nodes": limit,
-        }
-    }
-    assert perf_smoke.check_delta_sublinearity(good) == []
-    # A cone walk past delta_calls x nodes/FRACTION is no longer sub-linear.
-    blown = {instance: dict(good[instance], evaluate_delta_cone_nodes=limit + 1)}
-    problems = perf_smoke.check_delta_sublinearity(blown)
-    assert len(problems) == 1 and "sub-linear" in problems[0]
-    # An iteration bypassing the delta evaluator fails.
-    bypass = {
-        instance: dict(
-            good[instance], evaluate_delta_calls=19, evaluate_delta_cone_nodes=0
-        )
-    }
-    problems = perf_smoke.check_delta_sublinearity(bypass)
-    assert len(problems) == 1 and "bypassed" in problems[0]
-    # The pin never silently passes on an empty or missing row.
-    assert perf_smoke.check_delta_sublinearity({}) != []
-    assert perf_smoke.check_delta_sublinearity({instance: {}}) != []
-
-
 # --------------------------------------------------------------------------- #
 # CLI --profile
 # --------------------------------------------------------------------------- #
