@@ -1,12 +1,21 @@
-"""Setup shim.
+"""Packaging for the DC-MBQC reproduction (the ``repro`` package in ``src/``).
 
-The environment used for the reproduction has no network access and no
-``wheel`` package, so PEP 660 editable installs (which shell out to
-``bdist_wheel``) are unavailable.  Keeping a classic ``setup.py`` alongside
-``pyproject.toml`` lets ``pip install -e .`` fall back to the legacy
-``setup.py develop`` code path.
+This classic ``setup.py`` is the only packaging file.  It works offline and
+without the ``wheel`` package: ``pip install -e .`` falls back to the legacy
+``setup.py develop`` path when PEP 660 editable builds are unavailable.
+
+Runtime dependencies are the imports of ``src/repro``: numpy (array
+kernels), networkx (graph containers and exports) and scipy (imported by
+``repro.partition.spectral``, which ``repro.partition`` loads).
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="1.1.0",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    install_requires=["numpy", "networkx", "scipy"],
+)

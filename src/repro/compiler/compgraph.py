@@ -99,23 +99,17 @@ class ComputationGraph:
     def induced_subgraph(self, nodes: Iterable[int], name: Optional[str] = None) -> "ComputationGraph":
         """Return the computation graph induced on ``nodes``.
 
-        The dependency DAG is restricted to the same node set (dependencies
-        crossing the boundary are handled globally by the layer scheduler),
-        and the measurement order keeps its relative ordering.
+        The dependency DAG is restricted to the same node set with an
+        endpoint mask over its edge arrays (dependencies crossing the
+        boundary are handled globally by the layer scheduler), and the
+        measurement order keeps its relative ordering.
         """
         node_set = set(nodes)
         unknown = node_set - set(self.graph.nodes)
         if unknown:
             raise CompilationError(f"unknown nodes in subgraph request: {sorted(unknown)[:5]}")
         sub_graph = self.graph.subgraph(node_set).copy()
-        # The subgraph view walks only the adjacency of the requested nodes
-        # (instead of scanning every dependency edge per part) and keeps the
-        # typed "kind" attributes as-is.
-        sub_dependency = DependencyGraph()
-        sub_dependency.graph.add_nodes_from(node_set)
-        sub_dependency.graph.add_edges_from(
-            self.dependency.graph.subgraph(node_set).edges(data=True)
-        )
+        sub_dependency = self.dependency.subgraph(node_set)
         sub_order = [node for node in self.order if node in node_set]
         return ComputationGraph(
             graph=sub_graph,
@@ -165,7 +159,7 @@ def computation_graph_from_pattern(
         dependency = dependency.x_only()
     # After signal shifting every t-domain is empty, so the dependency graph
     # contains X edges only and the x_only restriction would be an identical
-    # (but expensive) copy.
+    # copy.
     order = measurement_order(working)
     return ComputationGraph(
         graph=graph,

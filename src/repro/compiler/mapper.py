@@ -176,7 +176,10 @@ class LayeredGridMapper:
                 layers.append(_LayerState(len(layers), size, spec.routing_uses))
             return layers[index]
 
-        dependency = computation.dependency.graph
+        # Parents per node, read from the dependency DAG's reverse CSR.
+        dependency = computation.dependency
+        parents_at = dependency.parent_lists()
+        dependency_position = dependency.position_of()
 
         for node in computation.order:
             neighbors = computation.neighbors(node)
@@ -184,8 +187,9 @@ class LayeredGridMapper:
 
             # Earliest layer allowed by real-time measurement dependencies.
             min_layer = 0
-            if node in dependency:
-                for parent in dependency.predecessors(node):
+            position = dependency_position.get(node)
+            if position is not None:
+                for parent in parents_at[position]:
                     if parent in node_layer:
                         min_layer = max(min_layer, node_layer[parent] + 1)
 

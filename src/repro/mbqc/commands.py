@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, Tuple, Union
+from typing import FrozenSet, Iterable, Sequence, Tuple, Union
+
+import numpy as np
 
 __all__ = [
     "CommandKind",
@@ -35,6 +37,7 @@ __all__ = [
     "Command",
     "domain_mask",
     "mask_bits",
+    "decode_masks",
 ]
 
 DomainLike = Union[int, Iterable[int]]
@@ -69,14 +72,78 @@ def domain_mask(nodes: DomainLike) -> int:
     return mask
 
 
+#: Work above which :func:`mask_bits` decodes through numpy.  The
+#: lowest-set-bit loop pays about ``2560 + width`` units per set bit (a fixed
+#: step cost plus O(width) big-int ops); the numpy decode pays a fixed call
+#: overhead of about this many units, so the loop keeps the narrow and the
+#: sparse masks and numpy takes the wide, dense ones.
+MASK_BITS_CROSSOVER = 150_000
+
+#: Bytes of packed masks :func:`decode_masks` unpacks per numpy pass.
+_DECODE_CHUNK_BYTES = 1 << 22
+
+
+def _set_bits(packed: np.ndarray) -> np.ndarray:
+    """Positions of the set bits of a little-endian packed byte buffer.
+
+    Only the non-zero bytes are unpacked, so sparse masks cost little more
+    than one scan of their bytes.
+    """
+    nonzero = np.flatnonzero(packed)
+    rows, cols = np.nonzero(np.unpackbits(packed[nonzero, None], axis=1, bitorder="little"))
+    return nonzero[rows] * 8 + cols
+
+
 def mask_bits(mask: int) -> Tuple[int, ...]:
     """Decode a bitset into its node labels, in ascending order."""
+    width = mask.bit_length()
+    if mask.bit_count() * (2560 + width) > MASK_BITS_CROSSOVER:
+        packed = np.frombuffer(
+            mask.to_bytes((width + 7) // 8, "little"), dtype=np.uint8
+        )
+        return tuple(_set_bits(packed).tolist())
     bits = []
     while mask:
         low = mask & -mask
         bits.append(low.bit_length() - 1)
         mask ^= low
     return tuple(bits)
+
+
+def decode_masks(masks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """Decode many bitsets at once into ``(owner, label)`` arrays.
+
+    ``owner[i]`` is the index in ``masks`` of the mask whose bit
+    ``label[i]`` is set; the pairs come grouped by mask in input order,
+    ascending within each mask (the order :func:`mask_bits` gives).  The
+    masks are packed into byte buffers of about ``_DECODE_CHUNK_BYTES``
+    and only their non-zero bytes are unpacked, so no Python loop touches
+    individual bits.
+    """
+    owners, labels = [], []
+    start = 0
+    while start < len(masks):
+        sizes, total = [], 0
+        for mask in masks[start:]:
+            if total > _DECODE_CHUNK_BYTES:
+                break
+            sizes.append((mask.bit_length() + 7) // 8)
+            total += sizes[-1]
+        chunk = masks[start:start + len(sizes)]
+        packed = np.frombuffer(
+            b"".join(mask.to_bytes(size, "little") for mask, size in zip(chunk, sizes)),
+            dtype=np.uint8,
+        )
+        bits = _set_bits(packed)
+        offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        owner = np.searchsorted(offsets * 8, bits, side="right") - 1
+        owners.append(owner + start)
+        labels.append(bits - offsets[owner] * 8)
+        start += len(sizes)
+    if not owners:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    return np.concatenate(owners), np.concatenate(labels)
 
 
 def _domain(nodes: DomainLike) -> FrozenSet[int]:

@@ -7,17 +7,24 @@ execution, while Z-dependencies can be removed by signal shifting and handled
 classically (Section II-A).  This module builds that graph from a
 :class:`~repro.mbqc.pattern.Pattern` and provides the derived orderings the
 compiler needs.
+
+The graph is stored as flat arrays — a node-label table, a CSR adjacency by
+source (``indptr``/``indices``) and a ``uint8`` kind code per edge — built
+straight from the pattern's bitset domains.  The reverse (parent) CSR and
+the topological order are derived on first use and cached.  A networkx
+``DiGraph`` is available as the :attr:`DependencyGraph.graph` export for
+tests and examples; no compile-path consumer builds it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, List
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
+import numpy as np
 
-from repro.mbqc.commands import CorrectionCommand, MeasureCommand, mask_bits
+from repro.mbqc.commands import CorrectionCommand, MeasureCommand, decode_masks
 from repro.mbqc.pattern import Pattern
 from repro.utils.errors import ValidationError
 
@@ -27,6 +34,10 @@ __all__ = [
     "measurement_order",
     "is_pauli_angle",
 ]
+
+#: Kind codes: bit 0 is an X-dependency, bit 1 a Z-dependency.
+KIND_CODES = {"X": 1, "Z": 2, "XZ": 3}
+KIND_NAMES = ("", "X", "Z", "XZ")
 
 
 def is_pauli_angle(angle: float, atol: float = 1e-9) -> bool:
@@ -43,49 +54,383 @@ def is_pauli_angle(angle: float, atol: float = 1e-9) -> bool:
     return abs(remainder) < atol
 
 
-@dataclass
-class DependencyGraph:
-    """A typed dependency DAG over pattern nodes.
+def csr_indptr(num_nodes: int, sources: np.ndarray) -> np.ndarray:
+    """CSR row pointer for edges already grouped by ascending ``sources``."""
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sources, minlength=num_nodes), out=indptr[1:])
+    return indptr
 
-    Attributes:
-        graph: Directed graph; edge ``(i, j)`` carries a ``kind`` attribute
-            that is ``"X"``, ``"Z"`` or ``"XZ"`` when both dependency types
-            are present between the same pair.
+
+def kahn_generations(
+    num_nodes: int, indptr: np.ndarray, indices: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Kahn's algorithm one generation at a time over a CSR adjacency.
+
+    Returns ``(order, level)``: the node positions in topological order and
+    the generation of every node (its longest-path distance from a source,
+    ``-1`` for nodes on or behind a cycle).  ``order`` is exactly the order
+    of :func:`networkx.topological_sort` on a ``DiGraph`` whose nodes and
+    successor lists were inserted in position and CSR order: a generation
+    lists the nodes whose last incoming edge it removed, in the order of
+    those last edges.  A cycle leaves ``order`` shorter than ``num_nodes``.
+    """
+    remaining = np.bincount(indices, minlength=num_nodes)
+    level = np.full(num_nodes, -1, dtype=np.int64)
+    frontier = np.flatnonzero(remaining == 0)
+    generations = []
+    depth = 0
+    while frontier.size:
+        generations.append(frontier)
+        level[frontier] = depth
+        depth += 1
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        total = int(counts.sum())
+        if not total:
+            break
+        # Children of the generation in (generation, CSR) order.
+        offsets = np.cumsum(counts) - counts
+        children = indices[np.repeat(starts - offsets, counts) + np.arange(total)]
+        reversed_children = children[::-1]
+        unique, first_reversed, hits = np.unique(
+            reversed_children, return_index=True, return_counts=True
+        )
+        remaining[unique] -= hits
+        ready = remaining[unique] == 0
+        last_edge = total - 1 - first_reversed[ready]
+        frontier = unique[ready][np.argsort(last_edge)]
+    order = np.concatenate(generations) if generations else np.empty(0, dtype=np.int64)
+    return order, level
+
+
+class DependencyGraph:
+    """A typed dependency DAG over pattern nodes, stored as arrays.
+
+    ``labels[p]`` is the node label at position ``p``; every other array
+    speaks in positions.  The children of position ``p`` are
+    ``indices[indptr[p]:indptr[p + 1]]``, in the order their edges were
+    first inserted, and ``kinds`` holds one code per edge in the same order
+    (1 = X, 2 = Z, 3 = XZ when both dependency types join the pair).
+
+    :meth:`add_node` and :meth:`add_dependency` serve small hand-built
+    graphs: they edit a Python-side copy that is folded back into arrays
+    on the next read.
     """
 
-    graph: nx.DiGraph = field(default_factory=nx.DiGraph)
+    def __init__(self) -> None:
+        self._assign(
+            np.empty(0, dtype=np.int64),
+            np.zeros(1, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.uint8),
+        )
+
+    def _assign(self, labels, indptr, indices, kinds) -> None:
+        self._labels = labels
+        self._indptr = indptr
+        self._indices = indices
+        self._kinds = kinds
+        self._edits: Optional[Tuple[Dict[int, None], Dict[Tuple[int, int], int]]] = None
+        self._clear_caches()
+
+    def _clear_caches(self) -> None:
+        self._sources: Optional[np.ndarray] = None
+        self._reverse: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._topology: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._position: Optional[Dict[int, int]] = None
+        self._lookup: Optional[Tuple[bool, np.ndarray]] = None
+        self._parent_lists: Optional[List[List[int]]] = None
+        self._graph: Optional[nx.DiGraph] = None
+
+    # ------------------------------------------------------------------ #
+    # Construction
+    # ------------------------------------------------------------------ #
+
+    @classmethod
+    def from_edges(
+        cls,
+        nodes: Sequence[int],
+        sources: Sequence[int],
+        targets: Sequence[int],
+        kinds: Sequence[int],
+    ) -> "DependencyGraph":
+        """Build a graph from a node table and typed edges in insertion order.
+
+        ``kinds`` are codes (1 = X, 2 = Z).  A repeated ``(source, target)``
+        pair merges its kinds into the first occurrence, and each source's
+        children keep the order of their first insertion.  Endpoints missing
+        from ``nodes`` are appended in order of first appearance.
+        """
+        dag = cls()
+        labels = np.asarray(nodes, dtype=np.int64)
+        sources = np.asarray(sources, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.int64)
+        codes = np.asarray(kinds, dtype=np.uint8)
+        # Install the label table alone first: the lookup reads nothing else.
+        dag._labels = labels
+        endpoints = np.column_stack((sources, targets)).ravel()
+        found = dag.positions(endpoints)
+        missing = found < 0
+        if missing.any():
+            extra, first = np.unique(endpoints[missing], return_index=True)
+            labels = np.concatenate((labels, extra[np.argsort(first)]))
+            dag._assign(labels, dag._indptr, dag._indices, dag._kinds)
+            found = dag.positions(endpoints)
+        num_nodes = len(labels)
+        src, dst = found[0::2], found[1::2]
+        keys, first, inverse = np.unique(
+            src * num_nodes + dst, return_index=True, return_inverse=True
+        )
+        merged = np.zeros(len(keys), dtype=np.uint8)
+        np.bitwise_or.at(merged, inverse, codes)
+        edge_src = keys // num_nodes if num_nodes else keys
+        order = np.lexsort((first, edge_src))
+        dag._assign(
+            labels,
+            csr_indptr(num_nodes, edge_src[order]),
+            (keys % num_nodes)[order] if num_nodes else keys,
+            merged[order],
+        )
+        return dag
+
+    @classmethod
+    def from_networkx(cls, graph: nx.DiGraph) -> "DependencyGraph":
+        """Array copy of a ``DiGraph`` whose edges carry ``kind`` attributes.
+
+        Node and successor orders are kept, so :meth:`topological_order`
+        equals ``nx.topological_sort(graph)``.  Edges without a kind are X.
+        """
+        edges = list(graph.edges(data="kind", default="X"))
+        return cls.from_edges(
+            list(graph.nodes),
+            [source for source, _, _ in edges],
+            [target for _, target, _ in edges],
+            [KIND_CODES[kind] for _, _, kind in edges],
+        )
 
     def add_dependency(self, source: int, target: int, kind: str) -> None:
         """Record that the basis of ``target`` depends on the outcome of ``source``."""
         if kind not in ("X", "Z"):
             raise ValueError("dependency kind must be 'X' or 'Z'")
-        if self.graph.has_edge(source, target):
-            existing = self.graph.edges[source, target]["kind"]
-            if kind not in existing:
-                self.graph.edges[source, target]["kind"] = "XZ"
-        else:
-            self.graph.add_edge(source, target, kind=kind)
+        nodes, edges = self._editable()
+        nodes.setdefault(source)
+        nodes.setdefault(target)
+        edges[(source, target)] = edges.get((source, target), 0) | KIND_CODES[kind]
 
     def add_node(self, node: int) -> None:
         """Ensure ``node`` exists even if it has no dependencies."""
-        self.graph.add_node(node)
+        self._editable()[0].setdefault(node)
+
+    def _editable(self) -> Tuple[Dict[int, None], Dict[Tuple[int, int], int]]:
+        if self._edits is None:
+            labels = self.labels.tolist()
+            sources = self._labels[self.sources].tolist()
+            targets = self._labels[self._indices].tolist()
+            edits = (
+                dict.fromkeys(labels),
+                dict(zip(zip(sources, targets), self._kinds.tolist())),
+            )
+            self._clear_caches()
+            self._edits = edits
+        return self._edits
+
+    def _settle(self) -> None:
+        """Fold pending hand edits back into the arrays."""
+        if self._edits is None:
+            return
+        nodes, edges = self._edits
+        pairs = list(edges)
+        built = DependencyGraph.from_edges(
+            list(nodes),
+            [source for source, _ in pairs],
+            [target for _, target in pairs],
+            list(edges.values()),
+        )
+        self._assign(built._labels, built._indptr, built._indices, built._kinds)
+
+    # ------------------------------------------------------------------ #
+    # Arrays
+    # ------------------------------------------------------------------ #
+
+    @property
+    def labels(self) -> np.ndarray:
+        """Node label of every position, in insertion order."""
+        self._settle()
+        return self._labels
+
+    @property
+    def indptr(self) -> np.ndarray:
+        """CSR row pointer of the children adjacency."""
+        self._settle()
+        return self._indptr
+
+    @property
+    def indices(self) -> np.ndarray:
+        """CSR children (positions), grouped by source position."""
+        self._settle()
+        return self._indices
+
+    @property
+    def kinds(self) -> np.ndarray:
+        """Kind code of every CSR edge (1 = X, 2 = Z, 3 = XZ)."""
+        self._settle()
+        return self._kinds
+
+    @property
+    def sources(self) -> np.ndarray:
+        """Source position of every CSR edge (the expanded row pointer)."""
+        self._settle()
+        if self._sources is None:
+            self._sources = np.repeat(
+                np.arange(len(self._labels), dtype=np.int64), np.diff(self._indptr)
+            )
+        return self._sources
+
+    @property
+    def num_nodes(self) -> int:
+        """Number of nodes (positions)."""
+        return len(self.labels)
+
+    def reverse_csr(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(indptr, parents)``: parent positions of every position.
+
+        Each node's parents are in ascending source position, which is
+        ascending label order whenever the labels are sorted.
+        """
+        self._settle()
+        if self._reverse is None:
+            by_target = np.argsort(self._indices, kind="stable")
+            self._reverse = (
+                csr_indptr(len(self._labels), self._indices[by_target]),
+                self.sources[by_target],
+            )
+        return self._reverse
+
+    def positions(self, nodes) -> np.ndarray:
+        """Positions of the labels in ``nodes`` (``-1`` for unknown labels).
+
+        Node labels are small non-negative integers in every compile, so the
+        lookup is one gather from a dense label → position table; sparse or
+        negative labels fall back to a binary search over the sorted labels.
+        """
+        labels = self.labels
+        values = np.asarray(nodes, dtype=np.int64)
+        if not len(labels):
+            return np.full(values.shape, -1, dtype=np.int64)
+        if self._lookup is None:
+            low, high = int(labels.min()), int(labels.max())
+            if low >= 0 and high < 4 * len(labels) + 1024:
+                table = np.full(high + 1, -1, dtype=np.int64)
+                table[labels] = np.arange(len(labels))
+                self._lookup = (True, table)
+            else:
+                self._lookup = (False, np.argsort(labels, kind="stable"))
+        dense, lookup = self._lookup
+        if dense:
+            inside = (values >= 0) & (values < len(lookup))
+            return np.where(inside, lookup[np.where(inside, values, 0)], -1)
+        sorted_labels = labels[lookup]
+        slot = np.minimum(np.searchsorted(sorted_labels, values), len(labels) - 1)
+        return np.where(sorted_labels[slot] == values, lookup[slot], -1)
+
+    def _topology_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        self._settle()
+        if self._topology is None:
+            self._topology = kahn_generations(
+                len(self._labels), self._indptr, self._indices
+            )
+        return self._topology
+
+    def topological_positions(self) -> np.ndarray:
+        """Node positions in topological order (see :meth:`topological_order`)."""
+        order, _ = self._topology_arrays()
+        if len(order) != len(self._labels):
+            raise ValidationError("dependency graph contains a cycle")
+        return order
 
     # ------------------------------------------------------------------ #
     # Views
     # ------------------------------------------------------------------ #
 
     @property
+    def graph(self) -> nx.DiGraph:
+        """networkx export (nodes, then edges with ``kind``, in array order).
+
+        Built on first access and never pickled; the compile path reads the
+        arrays instead.
+        """
+        self._settle()
+        if self._graph is None:
+            self._graph = self._export()
+        return self._graph
+
+    def _export(self) -> nx.DiGraph:
+        graph = nx.DiGraph()
+        labels = self._labels.tolist()
+        graph.add_nodes_from(labels)
+        names = [KIND_NAMES[code] for code in self._kinds.tolist()]
+        graph.add_edges_from(
+            (labels[source], labels[target], {"kind": name})
+            for source, target, name in zip(
+                self.sources.tolist(), self._indices.tolist(), names
+            )
+        )
+        return graph
+
+    @property
     def nodes(self) -> List[int]:
         """All nodes, sorted."""
-        return sorted(self.graph.nodes)
+        return sorted(self.labels.tolist())
+
+    def position_of(self) -> Dict[int, int]:
+        """Label → position map (built once, then shared)."""
+        self._settle()
+        if self._position is None:
+            self._position = {label: i for i, label in enumerate(self._labels.tolist())}
+        return self._position
+
+    def parent_lists(self) -> List[List[int]]:
+        """Parent labels of every position (built once, then shared)."""
+        self._settle()
+        if self._parent_lists is None:
+            indptr, parents = self.reverse_csr()
+            flat = self._labels[parents].tolist()
+            bounds = indptr.tolist()
+            self._parent_lists = [
+                flat[start:stop] for start, stop in zip(bounds[:-1], bounds[1:])
+            ]
+        return self._parent_lists
 
     def parents(self, node: int) -> List[int]:
         """Nodes whose outcomes the basis of ``node`` depends on."""
-        return sorted(self.graph.predecessors(node))
+        return sorted(self.parent_lists()[self.position_of()[node]])
 
     def children(self, node: int) -> List[int]:
         """Nodes whose basis depends on the outcome of ``node``."""
-        return sorted(self.graph.successors(node))
+        position = self.position_of()[node]
+        indptr = self.indptr
+        return sorted(
+            self._labels[self._indices[indptr[position]:indptr[position + 1]]].tolist()
+        )
+
+    def subgraph(self, nodes: Iterable[int]) -> "DependencyGraph":
+        """Sub-DAG induced on ``nodes``: an endpoint mask plus a renumbering.
+
+        The kept nodes and edges stay in array order.
+        """
+        inside = np.zeros(self.num_nodes, dtype=bool)
+        wanted = self.positions(np.fromiter(nodes, dtype=np.int64))
+        inside[wanted[wanted >= 0]] = True
+        keep = inside[self.sources] & inside[self._indices]
+        renumber = np.cumsum(inside) - 1
+        sub = DependencyGraph()
+        sub._assign(
+            self._labels[inside],
+            csr_indptr(int(inside.sum()), renumber[self.sources[keep]]),
+            renumber[self._indices[keep]],
+            self._kinds[keep],
+        )
+        return sub
 
     def restricted_to(self, kinds: Iterable[str]) -> "DependencyGraph":
         """Return a sub-DAG containing only edges of the given kinds.
@@ -93,15 +438,18 @@ class DependencyGraph:
         ``kinds={"X"}`` yields the real-time dependency graph after signal
         shifting; ``{"X", "Z"}`` yields the full graph.
         """
-        wanted = set(kinds)
+        wanted = 0
+        for kind in kinds:
+            wanted |= KIND_CODES[kind]
+        codes = self.kinds & np.uint8(wanted)
+        keep = codes != 0
         sub = DependencyGraph()
-        sub.graph.add_nodes_from(self.graph.nodes)
-        kept = []
-        for source, target, data in self.graph.edges(data=True):
-            kind = "".join(k for k in ("X", "Z") if k in data["kind"] and k in wanted)
-            if kind:
-                kept.append((source, target, {"kind": kind}))
-        sub.graph.add_edges_from(kept)
+        sub._assign(
+            self._labels,
+            csr_indptr(len(self._labels), self.sources[keep]),
+            self._indices[keep],
+            codes[keep],
+        )
         return sub
 
     def x_only(self) -> "DependencyGraph":
@@ -109,24 +457,43 @@ class DependencyGraph:
         return self.restricted_to({"X"})
 
     def topological_order(self) -> List[int]:
-        """Return nodes in a topological (dependency-respecting) order."""
-        try:
-            return list(nx.topological_sort(self.graph))
-        except nx.NetworkXUnfeasible as exc:  # pragma: no cover - defensive
-            raise ValidationError("dependency graph contains a cycle") from exc
+        """Return nodes in a topological (dependency-respecting) order.
+
+        Identical to ``nx.topological_sort`` on :attr:`graph`, so every
+        "first maximum in topological order" tie-break is unchanged.
+        """
+        order = self.topological_positions()
+        return self._labels[order].tolist()
 
     def depth(self) -> int:
         """Length (in nodes) of the longest dependency chain."""
-        if self.graph.number_of_nodes() == 0:
-            return 0
-        return int(nx.dag_longest_path_length(self.graph)) + 1
+        self.topological_positions()
+        _, level = self._topology_arrays()
+        return int(level.max()) + 1 if len(level) else 0
 
     def is_acyclic(self) -> bool:
         """True iff the dependency graph is a DAG (required for validity)."""
-        return nx.is_directed_acyclic_graph(self.graph)
+        order, _ = self._topology_arrays()
+        return len(order) == len(self._labels)
 
     def __len__(self) -> int:
-        return self.graph.number_of_nodes()
+        return self.num_nodes
+
+    def __getstate__(self):
+        self._settle()
+        # The topological order is kept (it is O(nodes) and costs a Kahn
+        # pass to recompute); the other derived views are rebuilt on use.
+        return {
+            "labels": self._labels,
+            "indptr": self._indptr,
+            "indices": self._indices,
+            "kinds": self._kinds,
+            "topology": self._topology,
+        }
+
+    def __setstate__(self, state) -> None:
+        self._assign(state["labels"], state["indptr"], state["indices"], state["kinds"])
+        self._topology = state["topology"]
 
 
 def build_dependency_graph(
@@ -135,6 +502,10 @@ def build_dependency_graph(
     drop_pauli_dependencies: bool = True,
 ) -> DependencyGraph:
     """Build the typed dependency graph of ``pattern``.
+
+    The edges come straight from the commands' domain bitsets: every mask
+    is decoded in one vectorised pass, and the graph's arrays are built
+    from the resulting ``(source, target, kind)`` columns.
 
     Args:
         pattern: Source pattern.
@@ -147,30 +518,26 @@ def build_dependency_graph(
             no real-time wait.  Set to False to obtain the raw dependency
             structure of the measurement calculus.
     """
-    dag = DependencyGraph()
-    dag.graph.add_nodes_from(pattern.nodes)
-    # Accumulate edge kinds as bitmasks (1 = X, 2 = Z) in a flat dict, then
-    # materialise the typed edges in one bulk add — orders of magnitude fewer
-    # per-edge attribute-dict touches than repeated add_dependency calls.
-    edge_kinds: dict = {}
+    masks: List[int] = []
+    targets: List[int] = []
+    codes: List[int] = []
     for command in pattern.commands:
         if isinstance(command, MeasureCommand):
             if drop_pauli_dependencies and is_pauli_angle(command.angle):
                 continue
-            target = command.node
-            for source in mask_bits(command.s_mask):
-                edge_kinds[(source, target)] = edge_kinds.get((source, target), 0) | 1
-            for source in mask_bits(command.t_mask):
-                edge_kinds[(source, target)] = edge_kinds.get((source, target), 0) | 2
+            masks += (command.s_mask, command.t_mask)
+            targets += (command.node, command.node)
+            codes += (1, 2)
         elif include_output_corrections and isinstance(command, CorrectionCommand):
-            bit = 1 if command.pauli == "X" else 2
-            target = command.node
-            for source in mask_bits(command.mask):
-                edge_kinds[(source, target)] = edge_kinds.get((source, target), 0) | bit
-    kind_names = {1: "X", 2: "Z", 3: "XZ"}
-    dag.graph.add_edges_from(
-        (source, target, {"kind": kind_names[kind]})
-        for (source, target), kind in edge_kinds.items()
+            masks.append(command.mask)
+            targets.append(command.node)
+            codes.append(1 if command.pauli == "X" else 2)
+    owner, sources = decode_masks(masks)
+    dag = DependencyGraph.from_edges(
+        pattern.nodes,
+        sources,
+        np.asarray(targets, dtype=np.int64)[owner],
+        np.asarray(codes, dtype=np.uint8)[owner],
     )
     if not dag.is_acyclic():
         raise ValidationError("pattern produces a cyclic dependency graph")

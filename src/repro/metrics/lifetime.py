@@ -95,18 +95,25 @@ def measuree_lifetime(
     feed-forward).  The required lifetime of ``u`` is ``MTime[u] -
     LayerIndex(u)``.
     """
-    graph = dependency_graph.graph if isinstance(dependency_graph, DependencyGraph) else dependency_graph
+    dag = (
+        dependency_graph
+        if isinstance(dependency_graph, DependencyGraph)
+        else DependencyGraph.from_networkx(dependency_graph)
+    )
     removed = removed_nodes or set()
+    labels = dag.labels.tolist()
+    parents_at = dag.parent_lists()
     mtime: Dict[int, int] = {}
     worst = 0
     worst_node: Optional[int] = None
-    for node in nx.topological_sort(graph):
+    for position in dag.topological_positions().tolist():
+        node = labels[position]
         if node not in layer_index:
             # Nodes outside the schedule (e.g. logical outputs that are
             # never physically generated) do not constrain storage.
             continue
         earliest = layer_index[node] + 1
-        for parent in graph.predecessors(node):
+        for parent in parents_at[position]:
             if parent in mtime:
                 earliest = max(earliest, mtime[parent] + 1)
         mtime[node] = earliest

@@ -19,6 +19,8 @@ import hashlib
 import json
 from typing import List, Optional
 
+import numpy as np
+
 from repro.circuit.circuit import QuantumCircuit
 from repro.compiler.compgraph import ComputationGraph
 from repro.mbqc.commands import (
@@ -28,6 +30,7 @@ from repro.mbqc.commands import (
     PrepareCommand,
     mask_bits,
 )
+from repro.mbqc.dependency import KIND_NAMES
 from repro.mbqc.pattern import Pattern
 from repro.partition.types import PartitionResult
 
@@ -84,14 +87,23 @@ def canonicalize(value: object) -> object:
     return repr(value)
 
 
+def _digest(fragments: List[str]) -> str:
+    """sha256 key of a JSON list given as its already-encoded items.
+
+    ``"[" + ",".join(fragments) + "]"`` is exactly what ``json.dumps`` with
+    compact separators writes for the list of those items.
+    """
+    payload = "[" + ",".join(fragments) + "]"
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:KEY_LENGTH]
+
+
+def _encode(value: object) -> str:
+    return json.dumps(canonicalize(value), sort_keys=True, separators=(",", ":"))
+
+
 def hash_parts(*parts: object) -> str:
     """Hash a sequence of canonicalised parts into a short stable key."""
-    payload = json.dumps(
-        [canonicalize(part) for part in parts],
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:KEY_LENGTH]
+    return _digest([_encode(part) for part in parts])
 
 
 def circuit_hash(circuit: QuantumCircuit) -> str:
@@ -133,21 +145,44 @@ def pattern_hash(pattern: Pattern) -> str:
     )
 
 
+def _dependency_edges_json(computation: ComputationGraph) -> str:
+    """JSON of the sorted ``[source, target, kind]`` dependency-edge list.
+
+    Sorted with one argsort over the DAG's edge arrays and written by a
+    single ``%`` format, so no per-edge list is built or canonicalised; the
+    text is what ``json.dumps`` writes for the same sorted list.
+    """
+    dag = computation.dependency
+    sources = dag.labels[dag.sources]
+    targets = dag.labels[dag.indices]
+    if not len(sources):
+        return "[]"
+    span = int(targets.max()) + 1
+    if min(sources.min(), targets.min()) >= 0 and span * (int(sources.max()) + 1) < 2**62:
+        order = np.argsort(sources * span + targets, kind="stable")
+    else:
+        order = np.lexsort((targets, sources))
+    names = [f'"{name}"' for name in KIND_NAMES]
+    fields: List[object] = [None] * (3 * len(order))
+    fields[0::3] = sources[order].tolist()
+    fields[1::3] = targets[order].tolist()
+    fields[2::3] = [names[code] for code in dag.kinds[order].tolist()]
+    return "[" + ",".join(["[%d,%d,%s]"] * len(order)) % tuple(fields) + "]"
+
+
 def computation_hash(computation: ComputationGraph) -> str:
     """Content hash of a computation graph (topology, dependencies, order)."""
-    dependency_edges = sorted(
-        (source, target, data["kind"])
-        for source, target, data in computation.dependency.graph.edges(data=True)
-    )
-    return hash_parts(
-        "compgraph",
-        computation.name,
-        computation.nodes(),
-        computation.edges(),
-        dependency_edges,
-        list(computation.order),
-        list(computation.output_nodes),
-        sorted(computation.removed_nodes),
+    return _digest(
+        [
+            _encode("compgraph"),
+            _encode(computation.name),
+            _encode(computation.nodes()),
+            _encode(computation.edges()),
+            _dependency_edges_json(computation),
+            _encode(list(computation.order)),
+            _encode(list(computation.output_nodes)),
+            _encode(sorted(computation.removed_nodes)),
+        ]
     )
 
 

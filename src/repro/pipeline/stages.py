@@ -69,9 +69,25 @@ def translate_stage() -> Stage:
     )
 
 
+#: Version of every stage whose artifact pickles a
+#: :class:`~repro.mbqc.dependency.DependencyGraph`.  Version 2: the DAG
+#: pickles as CSR arrays instead of a networkx ``DiGraph``, and a
+#: persistent store must not thaw the old format into the new class.
+DEPENDENCY_ARTIFACT_VERSION = "2"
+
+
 def compgraph_stage() -> Stage:
-    """pattern → computation graph (signal shifting + dependency DAG)."""
-    return Stage("compgraph", _compgraph, inputs=("pattern",), output="computation")
+    """pattern → computation graph (signal shifting + dependency DAG).
+
+    Version 2: see :data:`DEPENDENCY_ARTIFACT_VERSION`.
+    """
+    return Stage(
+        "compgraph",
+        _compgraph,
+        inputs=("pattern",),
+        output="computation",
+        version=DEPENDENCY_ARTIFACT_VERSION,
+    )
 
 
 def grid_mapping_stage(
@@ -86,6 +102,9 @@ def grid_mapping_stage(
     OneQ and OneAdapt share this stage: ``boundary_reservation`` is the only
     mapping-level difference between them, so an OneAdapt compile reuses a
     cached OneQ mapping whenever the flag is off.
+
+    Version 2: the schedule embeds its computation graph, see
+    :data:`DEPENDENCY_ARTIFACT_VERSION`.
     """
     rsg = ResourceStateType.from_name(rsg_type)
     config = MapperConfig(
@@ -111,6 +130,7 @@ def grid_mapping_stage(
             "placement_jitter": placement_jitter,
             "seed": seed,
         },
+        version=DEPENDENCY_ARTIFACT_VERSION,
     )
 
 
@@ -232,6 +252,8 @@ def distributed_stages(compiler) -> List[Stage]:
             inputs=("computation", "partition"),
             output="qpu_schedules",
             params=mapping_params,
+            # Per-QPU schedules embed induced computation graphs.
+            version=DEPENDENCY_ARTIFACT_VERSION,
         ),
         Stage(
             "scheduling",
@@ -239,5 +261,7 @@ def distributed_stages(compiler) -> List[Stage]:
             inputs=("computation", "partition", "qpu_schedules"),
             output="result",
             params=full_params,
+            # The result embeds the computation graph and the problem's DAG.
+            version=DEPENDENCY_ARTIFACT_VERSION,
         ),
     ]

@@ -50,6 +50,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.hardware.system import SystemModel, enumerate_routes
 from repro.obs.trace import TRACER
 from repro.scheduling.list_scheduler import list_schedule
@@ -226,14 +228,24 @@ class BDIRScheduler:
             anchors[task_u].add(task_v)
             anchors[task_v].add(task_u)
         if problem.dependency is not None:
-            graph = problem.dependency.graph
-            for source, target in graph.edges():
-                task_s = self._node_task.get(source)
-                task_t = self._node_task.get(target)
-                if task_s is None or task_t is None or task_s == task_t:
-                    continue
-                anchors[task_s].add(task_t)
-                anchors[task_t].add(task_s)
+            # Dependency anchors by vectorised task lookups over the DAG's
+            # edge arrays: each edge becomes a (task, task) pair, and only
+            # the distinct cross-task pairs reach the Python sets.
+            dag = problem.dependency
+            keys = list(anchors)
+            key_index = {key: i for i, key in enumerate(keys)}
+            dag_pos = dag.positions(list(self._node_task))
+            found = dag_pos >= 0
+            owners = np.array([key_index[key] for key in self._node_task.values()], dtype=np.int64)
+            task_of = np.full(dag.num_nodes, -1, dtype=np.int64)
+            task_of[dag_pos[found]] = owners[found]
+            task_s = task_of[dag.sources]
+            task_t = task_of[dag.indices]
+            cross = (task_s >= 0) & (task_t >= 0) & (task_s != task_t)
+            pairs = np.unique(task_s[cross] * len(keys) + task_t[cross])
+            for a, b in zip((pairs // len(keys)).tolist(), (pairs % len(keys)).tolist()):
+                anchors[keys[a]].add(keys[b])
+                anchors[keys[b]].add(keys[a])
         for key, sync_keys in syncs_of_main.items():
             anchors[key].update(sync_keys)
         self._main_anchors = anchors

@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.mbqc.dependency import DependencyGraph
+from repro.mbqc.dependency import DependencyGraph, csr_indptr, kahn_generations
 from repro.metrics.lifetime import LifetimeReport
 from repro.obs.trace import TRACER
 from repro.utils.counters import OP_COUNTERS
@@ -683,38 +683,44 @@ class _EvaluationKernel:
         # Measuree propagation (Part 2): restrict the dependency DAG to
         # scheduled photons, freeze one topological order, and group edges by
         # the longest-path level of their target so MTime can be relaxed one
-        # vectorised level at a time.
+        # vectorised level at a time.  Everything is read off the DAG's
+        # arrays: the cached topological order, an endpoint mask over the
+        # CSR edges, and Kahn generations (= longest-path levels) of the
+        # scheduled sub-DAG.
         self.measuree_levels: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.present_pos = np.array([], dtype=np.int64)
         self.present_nodes: List[int] = []
         self.present_removed = np.array([], dtype=bool)
         if problem.dependency is not None:
-            import networkx as nx
+            dag = problem.dependency
+            dag_pos = dag.positions(self.node_ids)
+            kernel_of = np.full(dag.num_nodes, -1, dtype=np.int64)
+            kernel_of[dag_pos[dag_pos >= 0]] = np.flatnonzero(dag_pos >= 0)
+            topo = dag.topological_positions()
+            topo = topo[kernel_of[topo] >= 0]
+            self.present_nodes = dag.labels[topo].tolist()
+            self.present_pos = kernel_of[topo]
+            self.present_removed = np.array(
+                [n in removed for n in self.present_nodes], dtype=bool
+            )
 
-            graph = problem.dependency.graph
-            topo = [n for n in nx.topological_sort(graph) if n in node_pos]
-            self.present_nodes = topo
-            present_index = {node: i for i, node in enumerate(topo)}
-            self.present_pos = np.array([node_pos[n] for n in topo], dtype=np.int64)
-            self.present_removed = np.array([n in removed for n in topo], dtype=bool)
-
-            level = [0] * len(topo)
-            edges: List[Tuple[int, int]] = []  # (src, dst) in present indices
-            for node in topo:
-                dst = present_index[node]
-                for parent in graph.predecessors(node):
-                    src = present_index.get(parent)
-                    if src is not None:
-                        edges.append((src, dst))
-                        level[dst] = max(level[dst], level[src] + 1)
-            by_level: Dict[int, List[Tuple[int, int]]] = {}
-            for src, dst in edges:
-                by_level.setdefault(level[dst], []).append((src, dst))
-            for lvl in sorted(by_level):
-                # Sort by target so per-target maxima reduce with reduceat.
-                batch = sorted(by_level[lvl], key=lambda e: e[1])
-                src_arr = np.array([s for s, _ in batch], dtype=np.int64)
-                dst_arr = np.array([d for _, d in batch], dtype=np.int64)
+            rank = np.full(dag.num_nodes, -1, dtype=np.int64)
+            rank[topo] = np.arange(len(topo))
+            src = rank[dag.sources]
+            dst = rank[dag.indices]
+            keep = (src >= 0) & (dst >= 0)
+            src, dst = src[keep], dst[keep]
+            by_source = np.argsort(src, kind="stable")
+            _, level = kahn_generations(
+                len(topo), csr_indptr(len(topo), src[by_source]), dst[by_source]
+            )
+            # Sort by (level, target) so per-target maxima reduce with reduceat.
+            order = np.lexsort((dst, level[dst]))
+            src, dst, dst_level = src[order], dst[order], level[dst[order]]
+            bounds = np.flatnonzero(np.diff(dst_level)) + 1
+            for src_arr, dst_arr in zip(np.split(src, bounds), np.split(dst, bounds)):
+                if not len(dst_arr):
+                    continue
                 starts = np.flatnonzero(np.r_[True, dst_arr[1:] != dst_arr[:-1]])
                 self.measuree_levels.append((src_arr, dst_arr[starts], starts))
         self.num_measuree_edges = sum(

@@ -1,0 +1,279 @@
+"""The array-native dependency DAG is equivalent to the networkx builder.
+
+``DependencyGraph`` stores G' as CSR arrays built straight from the
+pattern's bitset domains, derives its topological order from Kahn
+generations over those arrays, and induces sub-DAGs with an endpoint mask.
+The kernel and the lifetime metric break ties by "first maximum in
+topological order", so the order must equal what ``nx.topological_sort``
+gave on the graph the previous builder produced — not just be *a*
+topological order.
+
+This module pins that claim: a verbatim copy of the networkx builder
+serves as the reference, and both are run over the nine benchmark
+families at the golden seed and over random patterns, with and without
+signal shifting (which leaves Z/XZ kinds in place) and with output
+corrections included.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import pathlib
+from typing import Iterable
+
+import networkx as nx
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.compiler.compgraph import computation_graph_from_pattern
+from repro.mbqc.commands import CorrectionCommand, MeasureCommand, mask_bits
+from repro.mbqc.dependency import (
+    DependencyGraph,
+    build_dependency_graph,
+    is_pauli_angle,
+)
+from repro.mbqc.pattern import Pattern
+from repro.mbqc.signal_shift import signal_shift
+from repro.mbqc.translate import circuit_to_pattern
+from repro.metrics.lifetime import measuree_lifetime
+from repro.programs.registry import build_benchmark
+
+GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "hot_path_reference.json").read_text(
+        encoding="utf-8"
+    )
+)
+FAMILIES = sorted(GOLDEN)
+GOLDEN_SEED = 2026
+
+
+def _reference_build(
+    pattern: Pattern,
+    include_output_corrections: bool = False,
+    drop_pauli_dependencies: bool = True,
+) -> nx.DiGraph:
+    """Verbatim networkx builder the arrays replaced (returns its DiGraph)."""
+    graph = nx.DiGraph()
+    graph.add_nodes_from(pattern.nodes)
+    edge_kinds: dict = {}
+    for command in pattern.commands:
+        if isinstance(command, MeasureCommand):
+            if drop_pauli_dependencies and is_pauli_angle(command.angle):
+                continue
+            target = command.node
+            for source in mask_bits(command.s_mask):
+                edge_kinds[(source, target)] = edge_kinds.get((source, target), 0) | 1
+            for source in mask_bits(command.t_mask):
+                edge_kinds[(source, target)] = edge_kinds.get((source, target), 0) | 2
+        elif include_output_corrections and isinstance(command, CorrectionCommand):
+            bit = 1 if command.pauli == "X" else 2
+            target = command.node
+            for source in mask_bits(command.mask):
+                edge_kinds[(source, target)] = edge_kinds.get((source, target), 0) | bit
+    kind_names = {1: "X", 2: "Z", 3: "XZ"}
+    graph.add_edges_from(
+        (source, target, {"kind": kind_names[kind]})
+        for (source, target), kind in edge_kinds.items()
+    )
+    return graph
+
+
+def _reference_x_only(graph: nx.DiGraph) -> nx.DiGraph:
+    """Verbatim ``restricted_to({"X"})`` of the networkx implementation."""
+    sub = nx.DiGraph()
+    sub.add_nodes_from(graph.nodes)
+    kept = []
+    for source, target, data in graph.edges(data=True):
+        kind = "".join(k for k in ("X", "Z") if k in data["kind"] and k == "X")
+        if kind:
+            kept.append((source, target, {"kind": kind}))
+    sub.add_edges_from(kept)
+    return sub
+
+
+def _reference_induced(graph: nx.DiGraph, nodes: Iterable[int]) -> nx.DiGraph:
+    """Verbatim sub-DAG construction of the old ``induced_subgraph``."""
+    node_set = set(nodes)
+    sub = nx.DiGraph()
+    sub.add_nodes_from(node_set)
+    sub.add_edges_from(graph.subgraph(node_set).edges(data=True))
+    return sub
+
+
+def _typed_edges(graph: nx.DiGraph):
+    return {(source, target): kind for source, target, kind in graph.edges(data="kind")}
+
+
+def _assert_equivalent(dag: DependencyGraph, reference: nx.DiGraph) -> None:
+    assert list(dag.graph.nodes) == list(reference.nodes)
+    assert _typed_edges(dag.graph) == _typed_edges(reference)
+    # Per-source children keep the reference's insertion order, which is
+    # what the topological order's tie-breaks depend on.
+    for node in reference.nodes:
+        assert list(dag.graph.successors(node)) == list(reference.successors(node))
+        assert dag.parents(node) == sorted(reference.predecessors(node))
+        assert dag.children(node) == sorted(reference.successors(node))
+    order = dag.topological_order()
+    assert order == list(nx.topological_sort(dag.graph))
+    assert order == list(nx.topological_sort(reference))
+    expected_depth = (
+        nx.dag_longest_path_length(reference) + 1 if reference.number_of_nodes() else 0
+    )
+    assert dag.depth() == expected_depth
+
+
+def _assert_induced_equivalent(dag: DependencyGraph, reference: nx.DiGraph) -> None:
+    nodes = sorted(reference.nodes)
+    for part in (nodes[::2], nodes[: len(nodes) // 3], nodes[len(nodes) // 4 :]):
+        sub = dag.subgraph(part)
+        assert sorted(sub.nodes) == sorted(part)
+        assert _typed_edges(sub.graph) == _typed_edges(_reference_induced(reference, part))
+        assert sub.topological_order() == list(nx.topological_sort(sub.graph))
+
+
+def _golden_pattern(program: str) -> Pattern:
+    return circuit_to_pattern(
+        build_benchmark(program, GOLDEN[program]["num_qubits"], seed=GOLDEN_SEED)
+    )
+
+
+@pytest.mark.parametrize("program", FAMILIES)
+def test_compile_path_dag_matches_networkx_builder(program):
+    computation = computation_graph_from_pattern(_golden_pattern(program))
+    reference = _reference_build(signal_shift(_golden_pattern(program)))
+    _assert_equivalent(computation.dependency, reference)
+    _assert_induced_equivalent(computation.dependency, reference)
+    part = computation.order[::3]
+    sub = computation.induced_subgraph(part)
+    assert _typed_edges(sub.dependency.graph) == _typed_edges(
+        _reference_induced(reference, part)
+    )
+
+
+@pytest.mark.parametrize("program", FAMILIES)
+@pytest.mark.parametrize("corrections", [False, True])
+def test_unshifted_dag_matches_networkx_builder(program, corrections):
+    pattern = _golden_pattern(program)
+    dag = build_dependency_graph(pattern, include_output_corrections=corrections)
+    reference = _reference_build(pattern, include_output_corrections=corrections)
+    _assert_equivalent(dag, reference)
+    _assert_equivalent(dag.x_only(), _reference_x_only(reference))
+    unshifted = computation_graph_from_pattern(pattern, apply_signal_shifting=False)
+    assert _typed_edges(unshifted.dependency.graph) == _typed_edges(
+        _reference_x_only(_reference_build(pattern))
+    )
+
+
+@st.composite
+def random_patterns(draw):
+    """Small valid patterns with random X/Z domains and output corrections."""
+    pattern = Pattern(name="hypothesis")
+    outputs = [100, 101]
+    pattern.output_nodes = outputs
+    for node in outputs:
+        pattern.prepare(node)
+    angles = st.sampled_from([0.0, math.pi, 0.3, -1.1, math.pi / 4])
+    measured = []
+    for node in draw(st.permutations(range(draw(st.integers(1, 14))))):
+        pattern.prepare(node)
+        s_domain = draw(st.lists(st.sampled_from(measured), unique=True)) if measured else []
+        t_domain = draw(st.lists(st.sampled_from(measured), unique=True)) if measured else []
+        pattern.measure(node, draw(angles), s_domain, t_domain)
+        measured.append(node)
+    for node in outputs:
+        for pauli in ("X", "Z"):
+            pattern.correct(node, draw(st.lists(st.sampled_from(measured), unique=True)), pauli)
+    pattern.validate()
+    return pattern
+
+
+@given(
+    pattern=random_patterns(),
+    corrections=st.booleans(),
+    drop_pauli=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_random_patterns_match_networkx_builder(pattern, corrections, drop_pauli):
+    dag = build_dependency_graph(
+        pattern,
+        include_output_corrections=corrections,
+        drop_pauli_dependencies=drop_pauli,
+    )
+    reference = _reference_build(
+        pattern,
+        include_output_corrections=corrections,
+        drop_pauli_dependencies=drop_pauli,
+    )
+    _assert_equivalent(dag, reference)
+    _assert_equivalent(dag.x_only(), _reference_x_only(reference))
+    _assert_induced_equivalent(dag, reference)
+    unshifted = computation_graph_from_pattern(pattern, apply_signal_shifting=False)
+    _assert_equivalent(unshifted.dependency, _reference_x_only(_reference_build(pattern)))
+    shifted = signal_shift(pattern)
+    _assert_equivalent(build_dependency_graph(shifted), _reference_build(shifted))
+
+
+@given(pattern=random_patterns(), layers=st.lists(st.integers(0, 9), min_size=16, max_size=16))
+@settings(max_examples=40, deadline=None)
+def test_lifetime_agrees_on_arrays_and_networkx(pattern, layers):
+    reference = _reference_build(pattern, drop_pauli_dependencies=False)
+    dag = build_dependency_graph(pattern, drop_pauli_dependencies=False)
+    layer_index = {node: layers[i % len(layers)] for i, node in enumerate(pattern.nodes)}
+    assert measuree_lifetime(layer_index, dag) == measuree_lifetime(layer_index, reference)
+
+
+def test_from_networkx_keeps_node_and_successor_order():
+    graph = nx.DiGraph()
+    graph.add_nodes_from([5, 3, 9, 1])
+    graph.add_edge(9, 1, kind="X")
+    graph.add_edge(5, 1, kind="XZ")
+    graph.add_edge(5, 3, kind="Z")
+    dag = DependencyGraph.from_networkx(graph)
+    assert dag.topological_order() == list(nx.topological_sort(graph))
+    assert _typed_edges(dag.graph) == _typed_edges(graph)
+    assert dag.graph.edges[5, 1]["kind"] == "XZ"
+
+
+def test_hand_edits_after_a_read_are_folded_in():
+    dag = DependencyGraph()
+    dag.add_dependency(0, 1, "X")
+    assert dag.topological_order() == [0, 1]
+    dag.add_dependency(2, 0, "X")
+    dag.add_dependency(0, 1, "Z")
+    dag.add_node(7)
+    assert dag.topological_order() == [2, 7, 0, 1]
+    assert _typed_edges(dag.graph) == {(2, 0): "X", (0, 1): "XZ"}
+
+
+def test_cycles_are_reported():
+    dag = DependencyGraph()
+    dag.add_dependency(0, 1, "X")
+    dag.add_dependency(1, 0, "X")
+    assert not dag.is_acyclic()
+    with pytest.raises(Exception, match="cycle"):
+        dag.topological_order()
+
+
+def test_compile_and_replay_never_build_the_networkx_export(monkeypatch):
+    """The compile path and the runtime replay read only the DAG's arrays."""
+    from repro.core.compiler import DCMBQCCompiler
+    from repro.core.config import DCMBQCConfig
+    from repro.runtime.executor import DistributedRuntime
+
+    def refuse(self):
+        raise AssertionError("the networkx export was built")
+
+    monkeypatch.setattr(DependencyGraph, "_export", refuse)
+    config = DCMBQCConfig(num_qpus=4, grid_size=6, seed=3)
+    result, _ = DCMBQCCompiler(config).compile_run(
+        build_benchmark("QFT", 16, seed=GOLDEN_SEED), store=None, use_cache=False
+    )
+    runtime = DistributedRuntime(result)
+    runtime.validate()
+    trace = runtime.run()
+    assert trace.total_cycles == result.execution_time
+    with pytest.raises(AssertionError, match="export"):
+        result.computation.dependency.graph
+

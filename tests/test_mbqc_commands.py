@@ -1,6 +1,8 @@
 """Tests for measurement-calculus commands."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mbqc.commands import (
     CommandKind,
@@ -8,6 +10,9 @@ from repro.mbqc.commands import (
     EntangleCommand,
     MeasureCommand,
     PrepareCommand,
+    decode_masks,
+    domain_mask,
+    mask_bits,
 )
 
 
@@ -79,3 +84,46 @@ class TestCorrection:
 
     def test_lowercase_pauli_accepted(self):
         assert CorrectionCommand(1, [0], "z").pauli == "Z"
+
+
+def _loop_mask_bits(mask):
+    """The lowest-set-bit loop every mask decoded through before numpy."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(bits)
+
+
+_MASKS = st.one_of(
+    st.integers(min_value=0, max_value=(1 << 40_000) - 1),
+    st.lists(st.integers(0, 40_000), max_size=300).map(domain_mask),
+    st.lists(st.integers(0, 600), max_size=600).map(domain_mask),
+)
+
+
+class TestMaskDecoding:
+    @given(mask=_MASKS)
+    @settings(max_examples=150, deadline=None)
+    def test_mask_bits_matches_the_loop(self, mask):
+        bits = mask_bits(mask)
+        assert bits == _loop_mask_bits(mask)
+        assert all(type(bit) is int for bit in bits)
+
+    @given(masks=st.lists(_MASKS, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_decode_masks_matches_mask_bits(self, masks):
+        owner, labels = decode_masks(masks)
+        expected = [(i, bit) for i, mask in enumerate(masks) for bit in mask_bits(mask)]
+        assert list(zip(owner.tolist(), labels.tolist())) == expected
+
+    def test_decode_masks_spans_chunks(self, monkeypatch):
+        import repro.mbqc.commands as commands
+
+        monkeypatch.setattr(commands, "_DECODE_CHUNK_BYTES", 16)
+        masks = [domain_mask(range(n, 3 * n + 200, n + 1)) for n in range(1, 40)]
+        owner, labels = decode_masks(masks)
+        expected = [(i, bit) for i, mask in enumerate(masks) for bit in mask_bits(mask)]
+        assert list(zip(owner.tolist(), labels.tolist())) == expected
+

@@ -147,6 +147,33 @@ class TestInvalidation:
         )
         assert stage.key(["h"]) != bumped.key(["h"])
 
+    def test_dependency_artifact_stages_are_bumped_past_version_one(self):
+        """Stages whose artifacts pickle a DependencyGraph changed format."""
+        from repro.pipeline.stages import (
+            compgraph_stage,
+            distributed_stages,
+            grid_mapping_stage,
+        )
+
+        stages = {stage.name: stage for stage in distributed_stages(DCMBQCCompiler(DCMBQCConfig()))}
+        stages["grid_mapping"] = grid_mapping_stage(grid_size=5)
+        assert stages["compgraph"].key(["h"]) == compgraph_stage().key(["h"])
+        for name in ("compgraph", "grid_mapping", "qpu_mapping", "scheduling"):
+            stage = stages[name]
+            version_one = Stage(
+                stage.name,
+                stage.fn,
+                inputs=stage.inputs,
+                output=stage.output,
+                params=dict(stage.params),
+                version="1",
+            )
+            hashes = ["h"] * len(stage.inputs)
+            assert stage.version == "2"
+            assert stage.key(hashes) != version_one.key(hashes)
+        # The partition artifact holds no DAG and keeps its keys.
+        assert stages["partition"].version == "1"
+
     def test_unchanged_parameters_produce_byte_identical_artifacts(self, tmp_path):
         """Two cold runs into separate stores write the same bytes per key."""
         store_a = tmp_path / "a"
