@@ -65,7 +65,8 @@ def test_figure10_compile_time_scaling(benchmark, record_table, record_bench):
             "qft_sizes": [row["qubits"] for row in rows],
             "methodology": (
                 "sum of per-stage pipeline execution times per variant; "
-                "cache-hit stages charged the shared prefix's measured time; "
+                "stages a variant does not time charged the shared prefix's "
+                "measured time, whether hit or re-executed; "
                 "pipeline bookkeeping/hashing excluded (see the runtime task)"
             ),
             "rows": rows,

@@ -131,8 +131,9 @@ class ComputationGraph:
     def content_hash(self) -> str:
         """Stable content hash (topology, dependencies, order, outputs).
 
-        The root key for every partition/mapping/scheduling artifact cached
-        by :mod:`repro.pipeline`.
+        The root key of the partition/mapping/scheduling artifacts cached by
+        :mod:`repro.pipeline` when the graph is provided as the compile's
+        input; a graph the pipeline derives is named by its provenance key.
         """
         from repro.pipeline.hashing import computation_hash  # deferred: layering
 

@@ -147,8 +147,9 @@ class Pattern:
         """Stable content hash (nodes, command sequence, domains).
 
         Used by :mod:`repro.pipeline` to address cached downstream
-        artifacts; any change to the command sequence, an angle or a
-        correction domain yields a different hash.
+        artifacts when the pattern is provided as the compile's input; any
+        change to the command sequence, an angle or a correction domain
+        yields a different hash.
         """
         from repro.pipeline.hashing import pattern_hash  # deferred: layering
 

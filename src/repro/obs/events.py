@@ -9,7 +9,10 @@ happened, in order" — the thing to read when a run fails half-way.  One
   a ``run.finish`` summary when closed;
 * ``stage.start`` / ``stage.finish`` around every pipeline stage, with the
   cache status (``executed`` / ``memory-hit`` / ``disk-hit`` / …);
-* ``cache.hit`` / ``cache.miss`` for artifact-cache probes;
+* ``cache.hit`` / ``cache.miss`` for artifact-cache probes, and
+  ``cache.skip`` (with ``stage`` and ``bytes``) when a stage snapshot
+  exceeds ``MEMO_MAX_ENTRY_BYTES`` and stays out of the in-process memo
+  (the stage span is then marked ``memo_skipped=True``);
 * ``error`` events carrying the exception type and full traceback string;
 * per-point ``sweep.point`` events from the sweep health monitor.
 

@@ -1,7 +1,9 @@
 """Stable content hashing for compiler artifacts.
 
-Every cacheable pipeline stage derives its cache key from the *content* of
-its inputs, so identical programs hash identically across processes and
+The pipeline keys its initial inputs (a circuit, or a provided pattern or
+computation graph) and the outputs of stages with parameters (a partition)
+by *content*; every other artifact is named by the key of the stage that
+produced it.  Identical programs hash identically across processes and
 interpreter runs (no ``id()``, no ``hash()`` randomisation, no pickle byte
 instability).  The canonical form is a JSON document built from sorted,
 explicitly ordered primitives; floats are rendered with ``repr`` so every
@@ -207,8 +209,8 @@ _HASHERS = (
 def content_hash(artifact: object) -> Optional[str]:
     """Content hash of a known artifact type, ``None`` for anything else.
 
-    Unknown artifact types are not an error: the pipeline falls back to
-    provenance keys (the producing stage's cache key) for them.
+    Unknown artifact types are not an error: the pipeline names them by
+    their provenance key (the producing stage's cache key).
     """
     for artifact_type, hasher in _HASHERS:
         if isinstance(artifact, artifact_type):

@@ -3,10 +3,14 @@
 A pipeline composes :class:`~repro.pipeline.stage.Stage` objects into a
 staged compiler run.  For every stage it:
 
-1. derives the stage's cache key from its parameters and the content hashes
-   of its inputs (initial inputs hash by content; derived artifacts of
-   unknown type fall back to the provenance key of the stage that produced
-   them);
+1. derives the stage's cache key from its name, version, parameters and
+   the keys of its inputs.  Only the initial inputs (a circuit, or the
+   pattern or computation graph a caller provides) are hashed by content;
+   a derived artifact is named by its provenance, the key of the stage that
+   produced it.  The one exception is the output of a stage with
+   parameters whose type has a content hasher (today the partition):
+   different settings can converge on the same artifact, and hashing it
+   by content lets the downstream stages share their entries;
 2. short-circuits on a hit in the in-process memo cache or the on-disk
    :class:`~repro.pipeline.artifacts.ArtifactStore`;
 3. otherwise executes the stage, records wall time, and writes the artifact
@@ -54,7 +58,8 @@ DEFAULT_MEMORY_CACHE_SIZE = 128
 #: Artifacts whose pickled snapshot exceeds this many bytes skip the
 #: in-process memo (they remain disk-cached): the memo is bounded by entry
 #: count, and a handful of paper-scale DistributedCompilationResults would
-#: otherwise dominate worker memory.
+#: otherwise dominate worker memory.  A skip emits a ``cache.skip`` event
+#: and marks the stage span ``memo_skipped=True``.
 MEMO_MAX_ENTRY_BYTES = 8 * 1024 * 1024
 
 _MISSING = object()
@@ -276,8 +281,7 @@ class Pipeline:
                             if loaded is not None:
                                 value, status = loaded, "disk-hit"
                                 payload = pickle.dumps(loaded, pickle.HIGHEST_PROTOCOL)
-                                if len(payload) <= MEMO_MAX_ENTRY_BYTES:
-                                    self.memo.put(key, payload)
+                                self._memoise(stage.name, key, payload, stage_span)
                                 self.telemetry.record_hit(stage.name, "disk")
 
                     if EVENTS.enabled and status in ("memory-hit", "disk-hit"):
@@ -304,8 +308,7 @@ class Pipeline:
                         self.telemetry.record_execution(stage.name, seconds)
                         if cacheable and key is not None:
                             payload = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
-                            if len(payload) <= MEMO_MAX_ENTRY_BYTES:
-                                self.memo.put(key, payload)
+                            self._memoise(stage.name, key, payload, stage_span)
                             if self.store is not None:
                                 self.store.put(key, value, payload=payload)
                     stage_span.set(status=status)
@@ -314,9 +317,12 @@ class Pipeline:
                     EVENTS.emit("stage.finish", stage=stage.name, status=status)
                 state[stage.output] = value
                 if use_cache:
-                    output_hash = content_hash(value)
-                    if output_hash is None:
-                        output_hash = key  # provenance key fallback
+                    # Provenance rule: the stage key names its output.  Only
+                    # a stage with parameters (distinct settings may yield
+                    # one artifact) or without a key hashes it by content.
+                    output_hash = key
+                    if stage.params or key is None:
+                        output_hash = content_hash(value) or key
                     if output_hash is not None:
                         hashes[stage.output] = output_hash
                 records.append(
@@ -333,3 +339,12 @@ class Pipeline:
             records=records,
             final_output=self.stages[-1].output if self.stages else None,
         )
+
+    def _memoise(self, stage: str, key: str, payload: bytes, span) -> None:
+        """Put a snapshot in the memo unless it exceeds ``MEMO_MAX_ENTRY_BYTES``."""
+        if len(payload) <= MEMO_MAX_ENTRY_BYTES:
+            self.memo.put(key, payload)
+            return
+        span.set(memo_skipped=True)
+        if EVENTS.enabled:
+            EVENTS.emit("cache.skip", stage=stage, bytes=len(payload))

@@ -3,10 +3,14 @@
 A stage is a named, versioned pure function from declared input artifacts to
 one output artifact, plus the static parameters that influence the result
 (grid size, seeds, partitioning knobs, …).  The cache key of a stage
-application is derived from the stage identity, its parameters and the
-content hashes of its inputs — so changing any upstream parameter changes
-the key of every downstream artifact, which is the invalidation rule the
-whole subsystem rests on.
+application is derived from the stage identity, its parameters and the keys
+of its inputs.  The pipeline hashes its initial inputs by content and
+names a derived artifact by the key of the stage that produced it (only
+outputs of stages with parameters may keep a content hash, see
+:mod:`repro.pipeline.pipeline`), so keys chain from the program through
+every stage: changing any upstream parameter or version changes the key of
+every downstream artifact, which is the invalidation rule the whole
+subsystem rests on.
 """
 
 from __future__ import annotations
@@ -63,7 +67,10 @@ class Stage:
         object.__setattr__(self, "cacheable", cacheable)
 
     def key(self, input_hashes: Sequence[str]) -> str:
-        """Cache key of one application of this stage to hashed inputs."""
+        """Cache key of one application of this stage to keyed inputs.
+
+        For a parameter-free stage this key also names the output.
+        """
         return hash_parts(
             "stage",
             self.name,

@@ -12,7 +12,7 @@ Tasks report *unrounded* improvement factors; rendering decides precision.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, Sequence
 
 from repro.compiler.oneq import OneQCompiler
 from repro.core.comparison import compare_with_baseline
@@ -314,21 +314,27 @@ def run_sensitivity(point: SweepPoint) -> Dict[str, object]:
     }
 
 
-def _variant_stage_seconds(run, shared: Dict[str, float]) -> Dict[str, float]:
+def _variant_stage_seconds(
+    run, timed: Sequence[str], shared: Dict[str, float]
+) -> Dict[str, float]:
     """Per-stage seconds of one timed pipeline run.
 
-    Executed stages are charged their measured wall time; stages served from
-    the benchmark's private cache are charged the time measured when the
-    shared prefix actually executed (``shared``).  Stages provided with the
-    initial state (the pre-built computation graph) are setup, not compile
-    work, and are excluded.
+    A stage the variant asked to time (``timed``, its ``no_cache_stages``)
+    is charged its measured wall time.  Any other stage belongs to the
+    shared prefix and is charged the time measured when that prefix
+    actually executed (``shared``), whether this run hit the memo or
+    re-executed it (a snapshot over ``MEMO_MAX_ENTRY_BYTES`` skips the
+    memo).  Stages provided with the initial state (the pre-built
+    computation graph) are setup, not compile work, and are excluded.
     """
     seconds: Dict[str, float] = {}
     for record in run.records:
-        if record.status == "executed":
-            seconds[record.stage] = record.seconds
-        elif record.is_hit:
-            seconds[record.stage] = shared.get(record.stage, 0.0)
+        if record.status == "executed" or record.is_hit:
+            seconds[record.stage] = (
+                record.seconds
+                if record.stage in timed
+                else shared.get(record.stage, record.seconds)
+            )
     return seconds
 
 
@@ -355,23 +361,26 @@ def run_runtime(point: SweepPoint) -> Dict[str, object]:
     memo = LRUCache(maxsize=16)  # private to this point: deterministic reuse
 
     counters_before = OP_COUNTERS.snapshot()
+    oneq_timed = ("grid_mapping",)
     _, oneq_run = OneQCompiler(grid_size=grid, seed=point.seed).compile_run(
         computation, store=None, use_cache=True,
-        no_cache_stages=("grid_mapping",), memo=memo,
+        no_cache_stages=oneq_timed, memo=memo,
     )
-    oneq_stages = _variant_stage_seconds(oneq_run, {})
+    oneq_stages = _variant_stage_seconds(oneq_run, oneq_timed, {})
 
+    core_timed = ("partition", "qpu_mapping", "scheduling")
     _, core_run = DCMBQCCompiler(config.with_updates(use_bdir=False)).compile_run(
         computation, store=None, use_cache=True,
-        no_cache_stages=("partition", "qpu_mapping", "scheduling"), memo=memo,
+        no_cache_stages=core_timed, memo=memo,
     )
-    core_stages = _variant_stage_seconds(core_run, {})
+    core_stages = _variant_stage_seconds(core_run, core_timed, {})
 
+    full_timed = ("scheduling",)
     _, full_run = DCMBQCCompiler(config.with_updates(use_bdir=True)).compile_run(
         computation, store=None, use_cache=True,
-        no_cache_stages=("scheduling",), memo=memo,
+        no_cache_stages=full_timed, memo=memo,
     )
-    full_stages = _variant_stage_seconds(full_run, core_stages)
+    full_stages = _variant_stage_seconds(full_run, full_timed, core_stages)
     op_counters = OP_COUNTERS.delta_since(counters_before)
 
     row: Dict[str, object] = {

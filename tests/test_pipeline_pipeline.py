@@ -2,10 +2,15 @@
 
 import pytest
 
+import repro.pipeline.pipeline as pipeline_module
+from repro.circuit.circuit import QuantumCircuit
 from repro.compiler.compgraph import computation_graph_from_pattern
 from repro.core.compiler import DCMBQCCompiler
 from repro.core.config import DCMBQCConfig
 from repro.mbqc.translate import circuit_to_pattern
+from repro.obs.events import EVENTS, read_events
+from repro.obs.trace import TRACER
+from repro.partition.types import PartitionResult
 from repro.pipeline import (
     ArtifactStore,
     Pipeline,
@@ -13,7 +18,7 @@ from repro.pipeline import (
     TelemetryRegistry,
     single_qpu_stages,
 )
-from repro.pipeline.stages import initial_program_state
+from repro.pipeline.stages import distributed_stages, initial_program_state, translate_stage
 from repro.programs import build_benchmark
 from repro.sweep.cache import LRUCache
 from repro.utils.errors import CompilationError
@@ -32,6 +37,14 @@ def fresh_pipeline(tmp_path=None, grid_size=5, seed=0, **kwargs):
         memo=LRUCache(maxsize=16),
         telemetry=TelemetryRegistry(),
     )
+
+
+def stage_keys(run):
+    return {record.stage: record.key for record in run.records}
+
+
+def statuses(run):
+    return [record.status for record in run.records]
 
 
 class TestEntryPoints:
@@ -104,22 +117,18 @@ class TestCaching:
 class TestInvalidation:
     """Changing any upstream parameter must change the downstream keys."""
 
-    @staticmethod
-    def stage_keys(run):
-        return {record.stage: record.key for record in run.records}
-
     def test_unchanged_parameters_reproduce_identical_keys(self):
-        a = self.stage_keys(fresh_pipeline().run(initial_program_state(qft())))
-        b = self.stage_keys(fresh_pipeline().run(initial_program_state(qft())))
+        a = stage_keys(fresh_pipeline().run(initial_program_state(qft())))
+        b = stage_keys(fresh_pipeline().run(initial_program_state(qft())))
         assert a == b
 
     def test_circuit_change_invalidates_every_downstream_stage(self):
-        a = self.stage_keys(
+        a = stage_keys(
             fresh_pipeline().run(
                 initial_program_state(build_benchmark("QAOA", 6, seed=1))
             )
         )
-        b = self.stage_keys(
+        b = stage_keys(
             fresh_pipeline().run(
                 initial_program_state(build_benchmark("QAOA", 6, seed=2))
             )
@@ -129,15 +138,15 @@ class TestInvalidation:
         assert a["grid_mapping"] != b["grid_mapping"]
 
     def test_mapping_parameter_change_only_invalidates_mapping(self):
-        a = self.stage_keys(fresh_pipeline(grid_size=5).run(initial_program_state(qft())))
-        b = self.stage_keys(fresh_pipeline(grid_size=6).run(initial_program_state(qft())))
+        a = stage_keys(fresh_pipeline(grid_size=5).run(initial_program_state(qft())))
+        b = stage_keys(fresh_pipeline(grid_size=6).run(initial_program_state(qft())))
         assert a["translate"] == b["translate"]
         assert a["compgraph"] == b["compgraph"]
         assert a["grid_mapping"] != b["grid_mapping"]
 
     def test_seed_change_invalidates_mapping(self):
-        a = self.stage_keys(fresh_pipeline(seed=0).run(initial_program_state(qft())))
-        b = self.stage_keys(fresh_pipeline(seed=1).run(initial_program_state(qft())))
+        a = stage_keys(fresh_pipeline(seed=0).run(initial_program_state(qft())))
+        b = stage_keys(fresh_pipeline(seed=1).run(initial_program_state(qft())))
         assert a["grid_mapping"] != b["grid_mapping"]
 
     def test_stage_version_bump_invalidates(self):
@@ -149,11 +158,7 @@ class TestInvalidation:
 
     def test_dependency_artifact_stages_are_bumped_past_version_one(self):
         """Stages whose artifacts pickle a DependencyGraph changed format."""
-        from repro.pipeline.stages import (
-            compgraph_stage,
-            distributed_stages,
-            grid_mapping_stage,
-        )
+        from repro.pipeline.stages import compgraph_stage, grid_mapping_stage
 
         stages = {stage.name: stage for stage in distributed_stages(DCMBQCCompiler(DCMBQCConfig()))}
         stages["grid_mapping"] = grid_mapping_stage(grid_size=5)
@@ -218,3 +223,119 @@ class TestDistributedPipeline:
         assert keys_a["partition"] == keys_b["partition"]
         assert keys_a["qpu_mapping"] == keys_b["qpu_mapping"]
         assert keys_a["scheduling"] != keys_b["scheduling"]
+
+
+class TestProvenanceKeys:
+    """Only initial inputs hash by content; derived artifacts chain keys."""
+
+    def test_cold_compile_hashes_only_the_circuit_and_the_partition(self, monkeypatch):
+        hashed = []
+        original = pipeline_module.content_hash
+
+        def recording(artifact):
+            value = original(artifact)
+            if value is not None:  # unhashable types cost one isinstance scan
+                hashed.append(type(artifact))
+            return value
+
+        monkeypatch.setattr(pipeline_module, "content_hash", recording)
+        compiler = DCMBQCCompiler(DCMBQCConfig(num_qpus=2, grid_size=5))
+        _, run = compiler.compile_run(qft(), store=None, memo=LRUCache(maxsize=16))
+        assert run.executions == 5
+        assert hashed == [QuantumCircuit, PartitionResult]
+
+    def test_translate_version_bump_changes_every_downstream_key(self):
+        compiler = DCMBQCCompiler(DCMBQCConfig(num_qpus=2, grid_size=5))
+        stages = distributed_stages(compiler)
+        translate = translate_stage()
+        bumped = Stage(
+            translate.name,
+            translate.fn,
+            inputs=translate.inputs,
+            output=translate.output,
+            version=translate.version + "-bumped",
+        )
+
+        def keys(stage_list):
+            pipeline = Pipeline(
+                stage_list, memo=LRUCache(maxsize=16), telemetry=TelemetryRegistry()
+            )
+            return stage_keys(pipeline.run(initial_program_state(qft())))
+
+        before = keys(stages)
+        after = keys([bumped, *stages[1:]])
+        assert list(before) == list(after)
+        for stage in before:
+            assert before[stage] != after[stage], stage
+
+    def test_partition_settings_with_one_partition_share_the_mapping_key(self):
+        base = DCMBQCConfig(num_qpus=2, grid_size=5)
+        memo = LRUCache(maxsize=16)
+        result_a, run_a = DCMBQCCompiler(base).compile_run(qft(), store=None, memo=memo)
+        result_b, run_b = DCMBQCCompiler(base.with_updates(alpha_max=3.0)).compile_run(
+            qft(), store=None, memo=memo
+        )
+        keys_a, keys_b = stage_keys(run_a), stage_keys(run_b)
+        assert keys_a["partition"] != keys_b["partition"]
+        assert result_a.partition.assignment == result_b.partition.assignment
+        assert keys_a["qpu_mapping"] == keys_b["qpu_mapping"]
+        assert statuses(run_b)[2:] == ["executed", "memory-hit", "executed"]
+
+    def test_kmax_sweep_through_one_memo_reexecutes_only_scheduling(self):
+        base = DCMBQCConfig(num_qpus=2, grid_size=5)
+        memo = LRUCache(maxsize=16)
+        runs = [
+            DCMBQCCompiler(base.with_updates(connection_capacity=k_max)).compile_run(
+                qft(), store=None, memo=memo
+            )[1]
+            for k_max in (1, 2, 4, 8)
+        ]
+        assert statuses(runs[0]) == ["executed"] * 5
+        for run in runs[1:]:
+            assert statuses(run) == ["memory-hit"] * 4 + ["executed"]
+
+    def test_repeated_pattern_and_computation_entries_hit(self):
+        compiler = DCMBQCCompiler(DCMBQCConfig(num_qpus=2, grid_size=5))
+        memo = LRUCache(maxsize=16)
+
+        def run(program):
+            return compiler.compile_run(program, store=None, memo=memo)[1]
+
+        # Fresh but equal objects each time: provided inputs key by content.
+        assert run(circuit_to_pattern(qft())).executions == 4
+        again = run(circuit_to_pattern(qft()))
+        assert statuses(again) == ["provided"] + ["memory-hit"] * 4
+
+        def graph():
+            return computation_graph_from_pattern(circuit_to_pattern(qft()))
+
+        assert run(graph()).executions == 3
+        again = run(graph())
+        assert statuses(again) == ["skipped", "provided"] + ["memory-hit"] * 3
+
+
+class TestMemoSkip:
+    @pytest.fixture
+    def observed(self, tmp_path):
+        path = tmp_path / "run.events.jsonl"
+        TRACER.reset()
+        TRACER.enable(deterministic=True)
+        EVENTS.open(str(path), deterministic=True)
+        yield path
+        if EVENTS.enabled:
+            EVENTS.close()
+        TRACER.disable()
+        TRACER.reset()
+
+    def test_oversized_snapshot_emits_cache_skip(self, observed, monkeypatch):
+        monkeypatch.setattr(pipeline_module, "MEMO_MAX_ENTRY_BYTES", 64)
+        pipeline = fresh_pipeline()
+        run = pipeline.run(initial_program_state(qft()))
+        EVENTS.close()
+        assert run.executions == 3 and len(pipeline.memo) == 0
+        skips = [entry for entry in read_events(str(observed)) if entry["event"] == "cache.skip"]
+        assert [entry["stage"] for entry in skips] == ["translate", "compgraph", "grid_mapping"]
+        assert all(entry["bytes"] > 64 for entry in skips)
+        stage_spans = [span for span in TRACER.spans() if span.name.startswith("stage.")]
+        assert len(stage_spans) == 3
+        assert all(span.attributes.get("memo_skipped") is True for span in stage_spans)
