@@ -61,7 +61,7 @@ def main() -> None:
     for num_qpus in (2, 4, 8):
         config = DCMBQCConfig(num_qpus=num_qpus, grid_size=grid_size, seed=1)
         result = DCMBQCCompiler(config).compile(computation)
-        quality = modularity(computation.graph, result.partition.assignment)
+        quality = modularity(computation.fusion, result.partition.assignment)
         table.add_row(
             [
                 num_qpus,

@@ -5,18 +5,25 @@ node per photon of the logical graph state and one edge per required fusion
 (i.e. per graph-state entanglement edge).  It also carries the real-time
 (X-only, signal-shifted) dependency graph and the measurement order, which
 are what the required-photon-lifetime metric and the grid mapper need.
+Both graphs are stored as arrays: the fusion graph as a CSR
+:class:`~repro.partition.graph.FusionGraph`, the dependency DAG as a
+:class:`~repro.mbqc.dependency.DependencyGraph`.  networkx appears only in
+their exports and at the constructor boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 import networkx as nx
+import numpy as np
 
 from repro.mbqc.dependency import DependencyGraph, build_dependency_graph, measurement_order
 from repro.mbqc.pattern import Pattern
 from repro.mbqc.signal_shift import signal_shift
+from repro.obs.trace import TRACER
+from repro.partition.graph import FusionGraph
 from repro.utils.errors import CompilationError
 
 __all__ = ["ComputationGraph", "computation_graph_from_pattern"]
@@ -27,7 +34,8 @@ class ComputationGraph:
     """A computation graph plus the ordering information needed to map it.
 
     Attributes:
-        graph: Undirected graph; nodes are photons, edges are fusions.
+        fusion: The fusion graph as CSR arrays; nodes are photons, edges are
+            fusions.  An ``nx.Graph`` passed here is converted once.
         dependency: Real-time dependency DAG (X-dependencies only).
         order: Total order over nodes (measurement order); mappers place
             nodes in this order.
@@ -36,7 +44,7 @@ class ComputationGraph:
         name: Label for reports.
     """
 
-    graph: nx.Graph
+    fusion: Union[FusionGraph, nx.Graph]
     dependency: DependencyGraph
     order: List[int]
     output_nodes: List[int] = field(default_factory=list)
@@ -44,25 +52,36 @@ class ComputationGraph:
     name: str = "computation"
 
     def __post_init__(self) -> None:
-        missing = [node for node in self.order if node not in self.graph]
-        if missing:
+        self.fusion = FusionGraph.coerce(self.fusion)
+        found = self.fusion.positions(self.order)
+        if (found < 0).any():
+            missing = [node for node, at in zip(self.order, found.tolist()) if at < 0]
             raise CompilationError(f"order mentions unknown nodes: {missing[:5]}")
-        if len(set(self.order)) != self.graph.number_of_nodes():
+        listed = np.zeros(self.fusion.num_nodes, dtype=bool)
+        listed[found] = True
+        if not listed.all():
             raise CompilationError("order must list every node exactly once")
+        # Fusion-graph position of every order entry, for induced_subgraph.
+        self._order_positions = found
 
     # ------------------------------------------------------------------ #
     # Basic views
     # ------------------------------------------------------------------ #
 
     @property
+    def graph(self) -> nx.Graph:
+        """networkx export of the fusion graph (built on first access, never pickled)."""
+        return self.fusion.graph
+
+    @property
     def num_nodes(self) -> int:
         """Number of photons."""
-        return self.graph.number_of_nodes()
+        return self.fusion.num_nodes
 
     @property
     def num_edges(self) -> int:
         """Number of fusions (computation-graph edges)."""
-        return self.graph.number_of_edges()
+        return self.fusion.num_edges
 
     @property
     def num_fusions(self) -> int:
@@ -71,19 +90,19 @@ class ComputationGraph:
 
     def nodes(self) -> List[int]:
         """Sorted node list."""
-        return sorted(self.graph.nodes)
+        return np.sort(self.fusion.labels).tolist()
 
     def edges(self) -> List[Tuple[int, int]]:
         """Sorted edge list with each edge as an ascending pair."""
-        return sorted((min(a, b), max(a, b)) for a, b in self.graph.edges)
+        return self.fusion.sorted_edge_labels()
 
     def neighbors(self, node: int) -> Set[int]:
         """Graph neighbourhood of ``node``."""
-        return set(self.graph.neighbors(node))
+        return set(self.fusion.neighbor_lists()[self.fusion.position_of()[node]])
 
     def degree_statistics(self) -> Dict[str, float]:
         """Return min / mean / max degree — used in reports."""
-        degrees = [d for _, d in self.graph.degree()]
+        degrees = self.fusion.degrees().tolist()
         if not degrees:
             return {"min": 0, "mean": 0.0, "max": 0}
         return {
@@ -96,37 +115,40 @@ class ComputationGraph:
     # Partition support
     # ------------------------------------------------------------------ #
 
-    def induced_subgraph(self, nodes: Iterable[int], name: Optional[str] = None) -> "ComputationGraph":
+    def induced_subgraph(
+        self, nodes: Iterable[int], name: Optional[str] = None
+    ) -> "ComputationGraph":
         """Return the computation graph induced on ``nodes``.
 
-        The dependency DAG is restricted to the same node set with an
-        endpoint mask over its edge arrays (dependencies crossing the
-        boundary are handled globally by the layer scheduler), and the
-        measurement order keeps its relative ordering.
+        The fusion graph and the dependency DAG are restricted with an
+        endpoint mask over their arrays (dependencies crossing the boundary
+        are handled globally by the layer scheduler); the fusion graph keeps
+        the node and neighbour order of ``nx.Graph.subgraph(nodes).copy()``,
+        which the mapper's neighbour sets iterate in.  The measurement
+        order keeps its relative ordering.
         """
         node_set = set(nodes)
-        unknown = node_set - set(self.graph.nodes)
-        if unknown:
-            raise CompilationError(f"unknown nodes in subgraph request: {sorted(unknown)[:5]}")
-        sub_graph = self.graph.subgraph(node_set).copy()
-        sub_dependency = self.dependency.subgraph(node_set)
-        sub_order = [node for node in self.order if node in node_set]
-        return ComputationGraph(
-            graph=sub_graph,
-            dependency=sub_dependency,
-            order=sub_order,
-            output_nodes=[n for n in self.output_nodes if n in node_set],
-            removed_nodes=self.removed_nodes & node_set,
-            name=name or f"{self.name}_sub",
-        )
+        with TRACER.span("compgraph.induced_subgraph", nodes=len(node_set)):
+            requested = list(node_set)
+            found = self.fusion.positions(requested)
+            if (found < 0).any():
+                unknown = sorted(node for node, at in zip(requested, found.tolist()) if at < 0)
+                raise CompilationError(f"unknown nodes in subgraph request: {unknown[:5]}")
+            inside = np.zeros(self.num_nodes, dtype=bool)
+            inside[found] = True
+            order = self._order_positions
+            return ComputationGraph(
+                fusion=self.fusion.subgraph(node_set),
+                dependency=self.dependency.subgraph(node_set),
+                order=self.fusion.labels[order[inside[order]]].tolist(),
+                output_nodes=[n for n in self.output_nodes if n in node_set],
+                removed_nodes=self.removed_nodes & node_set,
+                name=name or f"{self.name}_sub",
+            )
 
     def cut_edges(self, assignment: Dict[int, int]) -> List[Tuple[int, int]]:
         """Return edges whose endpoints live in different parts of ``assignment``."""
-        cut: List[Tuple[int, int]] = []
-        for a, b in self.graph.edges:
-            if assignment.get(a) != assignment.get(b):
-                cut.append((min(a, b), max(a, b)))
-        return sorted(cut)
+        return self.fusion.cut_edges(assignment)
 
     def content_hash(self) -> str:
         """Stable content hash (topology, dependencies, order, outputs).
@@ -151,19 +173,22 @@ def computation_graph_from_pattern(
             X-dependencies constrain real-time execution (the default, and
             what the paper assumes).
     """
-    working = signal_shift(pattern) if apply_signal_shifting else pattern
-    graph = nx.Graph()
-    graph.add_nodes_from(working.nodes)
-    graph.add_edges_from(working.edges())
-    dependency = build_dependency_graph(working)
-    if not apply_signal_shifting:
-        dependency = dependency.x_only()
-    # After signal shifting every t-domain is empty, so the dependency graph
-    # contains X edges only and the x_only restriction would be an identical
-    # copy.
-    order = measurement_order(working)
+    working = pattern
+    if apply_signal_shifting:
+        with TRACER.span("compgraph.signal_shift"):
+            working = signal_shift(pattern)
+    with TRACER.span("compgraph.dependency"):
+        dependency = build_dependency_graph(working)
+        if not apply_signal_shifting:
+            dependency = dependency.x_only()
+        # After signal shifting every t-domain is empty, so the dependency
+        # graph contains X edges only and the x_only restriction would be an
+        # identical copy.
+        order = measurement_order(working)
+    with TRACER.span("compgraph.fusion_graph"):
+        fusion = FusionGraph.from_edges(working.nodes, working.edges())
     return ComputationGraph(
-        graph=graph,
+        fusion=fusion,
         dependency=dependency,
         order=order,
         output_nodes=list(working.output_nodes),

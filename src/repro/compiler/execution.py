@@ -119,7 +119,7 @@ class SingleQPUSchedule:
         photons.
         """
         placement = self.node_layer_index()
-        expected = set(self.computation.graph.nodes)
+        expected = set(self.computation.nodes())
         missing = expected - set(placement)
         if missing:
             raise ValidationError(f"{len(missing)} nodes were never placed")

@@ -155,7 +155,7 @@ class LayeredGridMapper:
         with TRACER.span(
             "mapper.map",
             grid_size=self.config.grid_size,
-            nodes=computation.graph.number_of_nodes(),
+            nodes=computation.num_nodes,
         ):
             return self._map(computation)
 

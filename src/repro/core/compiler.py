@@ -135,8 +135,8 @@ class DCMBQCCompiler:
             capacities=capacities,
             comm_costs=comm_costs,
         )
-        partition = AdaptivePartitioner(adaptive_config).partition(computation.graph)
-        partition.validate_covers(computation.graph)
+        partition = AdaptivePartitioner(adaptive_config).partition(computation.fusion)
+        partition.validate_covers(computation.fusion)
         return partition
 
     def compile_partitions(

@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.mbqc.commands import CorrectionCommand, MeasureCommand, decode_masks
 from repro.mbqc.pattern import Pattern
+from repro.utils.csr import LabelIndex, csr_indptr, row_slots
 from repro.utils.errors import ValidationError
 
 __all__ = [
@@ -54,13 +55,6 @@ def is_pauli_angle(angle: float, atol: float = 1e-9) -> bool:
     return abs(remainder) < atol
 
 
-def csr_indptr(num_nodes: int, sources: np.ndarray) -> np.ndarray:
-    """CSR row pointer for edges already grouped by ascending ``sources``."""
-    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(sources, minlength=num_nodes), out=indptr[1:])
-    return indptr
-
-
 def kahn_generations(
     num_nodes: int, indptr: np.ndarray, indices: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -83,14 +77,11 @@ def kahn_generations(
         generations.append(frontier)
         level[frontier] = depth
         depth += 1
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
+        # Children of the generation in (generation, CSR) order.
+        children = indices[row_slots(indptr, frontier)]
+        total = len(children)
         if not total:
             break
-        # Children of the generation in (generation, CSR) order.
-        offsets = np.cumsum(counts) - counts
-        children = indices[np.repeat(starts - offsets, counts) + np.arange(total)]
         reversed_children = children[::-1]
         unique, first_reversed, hits = np.unique(
             reversed_children, return_index=True, return_counts=True
@@ -138,7 +129,7 @@ class DependencyGraph:
         self._reverse: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._topology: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._position: Optional[Dict[int, int]] = None
-        self._lookup: Optional[Tuple[bool, np.ndarray]] = None
+        self._lookup: Optional[LabelIndex] = None
         self._parent_lists: Optional[List[List[int]]] = None
         self._graph: Optional[nx.DiGraph] = None
 
@@ -307,31 +298,11 @@ class DependencyGraph:
         return self._reverse
 
     def positions(self, nodes) -> np.ndarray:
-        """Positions of the labels in ``nodes`` (``-1`` for unknown labels).
-
-        Node labels are small non-negative integers in every compile, so the
-        lookup is one gather from a dense label → position table; sparse or
-        negative labels fall back to a binary search over the sorted labels.
-        """
+        """Positions of the labels in ``nodes`` (``-1`` for unknown labels)."""
         labels = self.labels
-        values = np.asarray(nodes, dtype=np.int64)
-        if not len(labels):
-            return np.full(values.shape, -1, dtype=np.int64)
         if self._lookup is None:
-            low, high = int(labels.min()), int(labels.max())
-            if low >= 0 and high < 4 * len(labels) + 1024:
-                table = np.full(high + 1, -1, dtype=np.int64)
-                table[labels] = np.arange(len(labels))
-                self._lookup = (True, table)
-            else:
-                self._lookup = (False, np.argsort(labels, kind="stable"))
-        dense, lookup = self._lookup
-        if dense:
-            inside = (values >= 0) & (values < len(lookup))
-            return np.where(inside, lookup[np.where(inside, values, 0)], -1)
-        sorted_labels = labels[lookup]
-        slot = np.minimum(np.searchsorted(sorted_labels, values), len(labels) - 1)
-        return np.where(sorted_labels[slot] == values, lookup[slot], -1)
+            self._lookup = LabelIndex(labels)
+        return self._lookup.positions(np.asarray(nodes, dtype=np.int64))
 
     def _topology_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         self._settle()
@@ -421,14 +392,17 @@ class DependencyGraph:
         inside = np.zeros(self.num_nodes, dtype=bool)
         wanted = self.positions(np.fromiter(nodes, dtype=np.int64))
         inside[wanted[wanted >= 0]] = True
-        keep = inside[self.sources] & inside[self._indices]
+        # Only the kept rows' slots are scanned, not the whole edge list.
+        rows = np.flatnonzero(inside)
+        slots = row_slots(self._indptr, rows)
+        slots = slots[inside[self._indices[slots]]]
         renumber = np.cumsum(inside) - 1
         sub = DependencyGraph()
         sub._assign(
-            self._labels[inside],
-            csr_indptr(int(inside.sum()), renumber[self.sources[keep]]),
-            renumber[self._indices[keep]],
-            self._kinds[keep],
+            self._labels[rows],
+            csr_indptr(len(rows), renumber[self.sources[slots]]),
+            renumber[self._indices[slots]],
+            self._kinds[slots],
         )
         return sub
 

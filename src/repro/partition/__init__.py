@@ -4,6 +4,9 @@ The DC-MBQC framework partitions the computation graph across QPUs while
 navigating the trade-off between load balance, cut size, and the structural
 quality (modularity) of the resulting subgraphs.  This package provides:
 
+* :mod:`~repro.partition.graph` — the :class:`FusionGraph`, the computation
+  graph's fusion edges as CSR arrays, which the multilevel and adaptive
+  partitioners read,
 * :mod:`~repro.partition.types` — the :class:`PartitionResult` value object,
 * :mod:`~repro.partition.modularity` — Newman modularity,
 * :mod:`~repro.partition.community` — Louvain community detection (own
@@ -15,6 +18,7 @@ quality (modularity) of the resulting subgraphs.  This package provides:
   (Algorithm 2) that searches the imbalance/modularity trade-off space.
 """
 
+from repro.partition.graph import FusionGraph
 from repro.partition.types import PartitionResult
 from repro.partition.modularity import modularity
 from repro.partition.community import louvain_communities, greedy_modularity_communities
@@ -23,6 +27,7 @@ from repro.partition.adaptive import AdaptivePartitioner, AdaptivePartitionConfi
 from repro.partition.spectral import spectral_partition, fiedler_bisection
 
 __all__ = [
+    "FusionGraph",
     "PartitionResult",
     "modularity",
     "louvain_communities",

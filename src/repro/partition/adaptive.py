@@ -7,16 +7,25 @@ partition (``alpha = 1``), it iteratively relaxes the imbalance constraint by
 a multiplicative step ``gamma``, re-partitions, and keeps the result when the
 modularity gain exceeds ``epsilon_Q``; the search stops when the gain
 stagnates or the maximum imbalance ``alpha_max`` is reached.
+
+The multilevel partitioner is deterministic, so the search coarsens the
+graph once and memoises the candidate of every ``alpha`` it visits.  The
+step from one ``alpha`` to the next depends only on the last two visited
+values, so a repeated (previous ``alpha`` -> ``alpha``) step means the
+search has entered a cycle: every later pass would revisit candidates whose
+modularity is never strictly better than the best one, and the search
+stops there instead of running to ``max_iterations``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 import networkx as nx
 
 from repro.obs.trace import TRACER
+from repro.partition.graph import FusionGraph
 from repro.partition.modularity import modularity
 from repro.partition.multilevel import MultilevelPartitioner
 from repro.partition.types import PartitionResult
@@ -84,61 +93,69 @@ class AdaptivePartitioner:
     config: AdaptivePartitionConfig
     trace: List[AdaptiveSearchTrace] = field(default_factory=list)
 
-    def partition(self, graph: nx.Graph) -> PartitionResult:
+    def partition(self, graph: Union[FusionGraph, nx.Graph]) -> PartitionResult:
         """Run the adaptive search and return the best partition found."""
+        fusion = FusionGraph.coerce(graph)
         with TRACER.span(
             "partition.adaptive",
-            nodes=graph.number_of_nodes(),
+            nodes=fusion.num_nodes,
             parts=self.config.num_parts,
         ) as search_span:
-            result = self._partition(graph)
+            result = self._partition(fusion)
             search_span.set(
                 passes=len(self.trace), modularity=round(self.best_modularity, 6)
             )
         return result
 
-    def _partition(self, graph: nx.Graph) -> PartitionResult:
+    def _partitioner(self, alpha: float) -> MultilevelPartitioner:
+        config = self.config
+        return MultilevelPartitioner(
+            config.num_parts,
+            imbalance=alpha,
+            seed=config.seed,
+            capacities=config.capacities,
+            comm_costs=config.comm_costs,
+        )
+
+    def _partition(self, fusion: FusionGraph) -> PartitionResult:
         config = self.config
         self.trace = []
-        if config.num_parts == 1 or graph.number_of_nodes() <= config.num_parts:
-            return MultilevelPartitioner(
-                config.num_parts,
-                seed=config.seed,
-                capacities=config.capacities,
-                comm_costs=config.comm_costs,
-            ).partition(graph)
+        if config.num_parts == 1 or fusion.num_nodes <= config.num_parts:
+            return self._partitioner(1.0).partition(fusion)
 
+        levels = self._partitioner(1.0).coarsen(fusion)
+        memo: Dict[float, Tuple[PartitionResult, AdaptiveSearchTrace]] = {}
+        steps: Set[Tuple[Optional[float], float]] = set()
         alpha = 1.0
+        previous_alpha: Optional[float] = None
         best_partition: Optional[PartitionResult] = None
         best_q = -1.0
         previous_q: Optional[float] = None
 
         for _ in range(config.max_iterations):
-            partitioner = MultilevelPartitioner(
-                config.num_parts,
-                imbalance=alpha,
-                seed=config.seed,
-                capacities=config.capacities,
-                comm_costs=config.comm_costs,
-            )
-            candidate = partitioner.partition(graph)
-            q = modularity(graph, candidate.assignment)
-            accepted = q > best_q
-            self.trace.append(
-                AdaptiveSearchTrace(
+            if (previous_alpha, alpha) in steps:
+                break
+            steps.add((previous_alpha, alpha))
+            if alpha not in memo:
+                candidate = self._partitioner(alpha).partition_levels(fusion, levels)
+                memo[alpha] = candidate, AdaptiveSearchTrace(
                     alpha=alpha,
-                    modularity=q,
-                    cut_size=candidate.cut_size(graph),
+                    modularity=modularity(fusion, candidate.assignment),
+                    cut_size=candidate.cut_size(fusion),
                     imbalance=candidate.imbalance(),
-                    accepted=accepted,
+                    accepted=False,
                 )
-            )
+            candidate, record = memo[alpha]
+            q = record.modularity
+            accepted = q > best_q
+            self.trace.append(replace(record, accepted=accepted))
             if accepted:
                 best_q = q
                 best_partition = candidate
 
             delta_q = q - previous_q if previous_q is not None else q
             previous_q = q
+            previous_alpha = alpha
             if delta_q > config.epsilon_q and alpha < config.alpha_max:
                 alpha = min(alpha * config.gamma, config.alpha_max)
             elif delta_q < -config.epsilon_q:

@@ -14,14 +14,19 @@ implements the same algorithmic scheme from scratch:
    reduce the cut while respecting the imbalance constraint
    ``max part weight <= alpha * total weight / k``.
 
-Internally the hierarchy lives in flat adjacency arrays (METIS's own
-CSR-style representation): nodes are dense integer ids in the input graph's
-iteration order, each level keeps parallel neighbour/weight lists plus a
-numpy CSR view for the vectorised boundary scans, and ``nx.Graph`` appears
-only at the public API boundary.  Every loop mirrors the iteration order of
-the original networkx implementation (adjacency insertion order, node
-insertion order, label-sorted leftovers), so the partitioner produces
-bit-identical assignments for a fixed seed.
+The input is a :class:`~repro.partition.graph.FusionGraph` (an ``nx.Graph``
+is converted once at the boundary).  The hierarchy lives in flat adjacency
+arrays (METIS's own CSR-style representation): nodes are dense integer ids
+in the input graph's node order, each level keeps parallel neighbour/weight
+lists plus a numpy CSR view for the vectorised boundary scans.  Every loop
+mirrors the iteration order of the original networkx implementation
+(adjacency insertion order, node order, label-sorted leftovers), so the
+partitioner produces bit-identical assignments for a fixed seed.
+
+Coarsening reads only the number of parts and the seed, so Algorithm 2
+builds the hierarchy once (:meth:`MultilevelPartitioner.coarsen`) and
+re-runs only the initial partition and the refinement at every imbalance
+factor (:meth:`MultilevelPartitioner.partition_levels`).
 
 The partitioner is deterministic for a fixed seed and is validated in the
 test suite against the balance constraint, cut-coverage invariants, and
@@ -30,12 +35,13 @@ test suite against the balance constraint, cut-coverage invariants, and
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import networkx as nx
 import numpy as np
 
 from repro.obs.trace import TRACER
+from repro.partition.graph import FusionGraph, insertion_order
 from repro.partition.types import PartitionResult
 from repro.utils.counters import OP_COUNTERS
 from repro.utils.errors import PartitionError
@@ -64,16 +70,50 @@ class _ArrayGraph:
         "_csr",
     )
 
-    def __init__(self, num_nodes: int, labels: Optional[List[object]] = None) -> None:
+    def __init__(
+        self,
+        num_nodes: int,
+        labels: Optional[List[object]] = None,
+        adj: Optional[List[List[int]]] = None,
+    ) -> None:
+        # Without ``adj`` the graph starts empty and grows by add_edge; with
+        # it, it is the finished unit-weight level 0.
         self.num_nodes = num_nodes
-        self.node_weight: List[float] = [0] * num_nodes
-        self.adj: List[List[int]] = [[] for _ in range(num_nodes)]
-        self.adj_weight: List[List[float]] = [[] for _ in range(num_nodes)]
         self.labels = labels
         # Mapping from this level's nodes to the coarser level's nodes.
         self.projection: Optional[List[int]] = None
-        self._adj_pos: List[Dict[int, int]] = [{} for _ in range(num_nodes)]
         self._csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        if adj is None:
+            self.node_weight: List[float] = [0] * num_nodes
+            self.adj: List[List[int]] = [[] for _ in range(num_nodes)]
+            self.adj_weight: List[List[float]] = [[] for _ in range(num_nodes)]
+            self._adj_pos: Optional[List[Dict[int, int]]] = [{} for _ in range(num_nodes)]
+        else:
+            self.node_weight = [1] * num_nodes
+            self.adj = adj
+            self.adj_weight = [[1] * len(neighbours) for neighbours in adj]
+            self._adj_pos = None
+
+    @classmethod
+    def from_fusion(cls, fusion: FusionGraph) -> "_ArrayGraph":
+        """Level 0: unit weights, adjacency in ``add_edge``-over-``edges`` order.
+
+        Adding the edges in ``graph.edges`` order gives every node its earlier
+        neighbours by ascending id, then the rest in adjacency order
+        (:func:`~repro.partition.graph.insertion_order`).
+        """
+        num_nodes = fusion.num_nodes
+        sources = fusion.sources
+        targets = fusion.indices[insertion_order(num_nodes, sources, fusion.indices)]
+        flat = targets.tolist()
+        bounds = fusion.indptr.tolist()
+        graph = cls(
+            num_nodes,
+            labels=fusion.labels.tolist(),
+            adj=[flat[start:stop] for start, stop in zip(bounds[:-1], bounds[1:])],
+        )
+        graph._csr = (sources, targets)
+        return graph
 
     def add_edge(self, u: int, v: int, weight) -> None:
         pos = self._adj_pos[u].get(v)
@@ -107,9 +147,9 @@ class _ArrayGraph:
     def weighted_degree(self, node: int) -> float:
         """Weighted degree, with self-loops counted twice (nx semantics)."""
         total = sum(self.adj_weight[node])
-        self_pos = self._adj_pos[node].get(node)
-        if self_pos is not None:
-            total += self.adj_weight[node][self_pos]
+        for neighbour, weight in zip(self.adj[node], self.adj_weight[node]):
+            if neighbour == node:
+                total += weight
         return total
 
     def label_of(self, node: int):
@@ -218,61 +258,68 @@ class MultilevelPartitioner:
     # Public API
     # ------------------------------------------------------------------ #
 
-    def partition(self, graph: nx.Graph) -> PartitionResult:
+    def partition(self, graph: Union[FusionGraph, nx.Graph]) -> PartitionResult:
         """Partition ``graph`` into ``num_parts`` parts."""
-        with TRACER.span(
-            "partition.multilevel",
-            nodes=graph.number_of_nodes(),
-            parts=self.num_parts,
-        ):
-            return self._partition(graph)
+        fusion = FusionGraph.coerce(graph)
+        result = self._trivial_partition(fusion)
+        if result is None:
+            result = self.partition_levels(fusion, self.coarsen(fusion))
+        return result
 
-    def _partition(self, graph: nx.Graph) -> PartitionResult:
-        if graph.number_of_nodes() == 0:
+    def _trivial_partition(self, fusion: FusionGraph) -> Optional[PartitionResult]:
+        """The partition of an empty graph or of one part; ``None`` otherwise."""
+        if fusion.num_nodes == 0:
             return PartitionResult({}, self.num_parts)
         if self.num_parts == 1:
-            return PartitionResult({node: 0 for node in graph.nodes}, 1)
-        if graph.number_of_nodes() < self.num_parts:
+            return PartitionResult({node: 0 for node in fusion.labels.tolist()}, 1)
+        if fusion.num_nodes < self.num_parts:
             raise PartitionError(
-                f"cannot split {graph.number_of_nodes()} nodes into "
-                f"{self.num_parts} parts"
+                f"cannot split {fusion.num_nodes} nodes into {self.num_parts} parts"
             )
+        return None
 
-        # Array form: dense ids in node-iteration order, unit node and edge
-        # weights (the partitioner works on its own weighting, as before).
-        labels = list(graph.nodes)
-        index = {label: i for i, label in enumerate(labels)}
-        weighted = _ArrayGraph(len(labels), labels=labels)
-        weighted.node_weight = [1] * len(labels)
-        for a, b in graph.edges:
-            weighted.add_edge(index[a], index[b], 1)
+    def coarsen(self, fusion: FusionGraph) -> List[_ArrayGraph]:
+        """The coarsening hierarchy of ``fusion``, finest level first.
 
+        Depends only on ``num_parts`` and ``seed``, so partitioners that
+        differ in imbalance, capacities or communication costs share it.
+        """
         with TRACER.span("partition.coarsen") as coarsen_span:
-            levels = self._coarsen(weighted)
+            levels = self._coarsen(_ArrayGraph.from_fusion(fusion))
             coarsen_span.set(levels=len(levels))
-        OP_COUNTERS.add("partition.calls")
-        OP_COUNTERS.add("partition.levels", len(levels))
+        return levels
+
+    def partition_levels(
+        self, fusion: FusionGraph, levels: List[_ArrayGraph]
+    ) -> PartitionResult:
+        """Partition ``fusion`` over a hierarchy built by :meth:`coarsen`."""
         coarsest = levels[-1]
-        with TRACER.span("partition.refine", levels=len(levels)):
-            assignment = self._initial_partition(coarsest)
-            assignment = self._refine(coarsest, assignment)
+        with TRACER.span(
+            "partition.multilevel", nodes=fusion.num_nodes, parts=self.num_parts
+        ):
+            OP_COUNTERS.add("partition.calls")
+            OP_COUNTERS.add("partition.levels", len(levels))
+            with TRACER.span("partition.refine", levels=len(levels)):
+                assignment = self._initial_partition(coarsest)
+                assignment = self._refine(coarsest, assignment)
 
-            for level_index in range(len(levels) - 2, -1, -1):
-                finer = levels[level_index]
-                # ``finer.projection`` maps this level's nodes to the nodes
-                # of the next (coarser) level, whose assignment we already
-                # know.
-                projection = finer.projection or []
-                assignment = [
-                    assignment[projection[node]] for node in range(finer.num_nodes)
-                ]
-                assignment = self._refine(finer, assignment)
+                for level_index in range(len(levels) - 2, -1, -1):
+                    finer = levels[level_index]
+                    # ``finer.projection`` maps this level's nodes to the
+                    # nodes of the next (coarser) level, whose assignment we
+                    # already know.
+                    projection = finer.projection or []
+                    assignment = [
+                        assignment[projection[node]] for node in range(finer.num_nodes)
+                    ]
+                    assignment = self._refine(finer, assignment)
 
-        result = PartitionResult(
-            {labels[node]: part for node, part in enumerate(assignment)},
-            self.num_parts,
-        )
-        result.validate_covers(graph)
+            labels = levels[0].labels
+            result = PartitionResult(
+                {labels[node]: part for node, part in enumerate(assignment)},
+                self.num_parts,
+            )
+            result.validate_covers(fusion)
         return result
 
     # ------------------------------------------------------------------ #
@@ -527,7 +574,7 @@ class MultilevelPartitioner:
 
 
 def partition_graph(
-    graph: nx.Graph,
+    graph: Union[FusionGraph, nx.Graph],
     num_parts: int,
     imbalance: float = 1.0,
     seed: int = 0,

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Set, Tuple, Union
 
 import networkx as nx
 
+from repro.partition.graph import FusionGraph
 from repro.utils.errors import PartitionError
 
 __all__ = ["PartitionResult"]
@@ -65,21 +66,17 @@ class PartitionResult:
         ideal = total / self.num_parts
         return max(sizes) / ideal if ideal > 0 else 1.0
 
-    def cut_edges(self, graph: nx.Graph) -> List[Tuple[int, int]]:
+    def cut_edges(self, graph: Union[FusionGraph, nx.Graph]) -> List[Tuple[int, int]]:
         """Edges of ``graph`` whose endpoints lie in different parts."""
-        cut = []
-        for a, b in graph.edges:
-            if self.assignment.get(a) != self.assignment.get(b):
-                cut.append((min(a, b), max(a, b)))
-        return sorted(cut)
+        return FusionGraph.coerce(graph).cut_edges(self.assignment)
 
-    def cut_size(self, graph: nx.Graph) -> int:
+    def cut_size(self, graph: Union[FusionGraph, nx.Graph]) -> int:
         """Number of cut edges."""
-        return len(self.cut_edges(graph))
+        return FusionGraph.coerce(graph).cut_size(self.assignment)
 
-    def validate_covers(self, graph: nx.Graph) -> None:
+    def validate_covers(self, graph: Union[FusionGraph, nx.Graph]) -> None:
         """Raise if the partition does not cover exactly the graph's nodes."""
-        nodes = set(graph.nodes)
+        nodes = set(graph.labels.tolist() if isinstance(graph, FusionGraph) else graph.nodes)
         assigned = set(self.assignment)
         if nodes != assigned:
             missing = nodes - assigned

@@ -70,23 +70,25 @@ def translate_stage() -> Stage:
 
 
 #: Version of every stage whose artifact pickles a
-#: :class:`~repro.mbqc.dependency.DependencyGraph`.  Version 2: the DAG
-#: pickles as CSR arrays instead of a networkx ``DiGraph``, and a
-#: persistent store must not thaw the old format into the new class.
-DEPENDENCY_ARTIFACT_VERSION = "2"
+#: :class:`~repro.compiler.compgraph.ComputationGraph`.  Version 2: its
+#: dependency DAG pickles as CSR arrays instead of a networkx ``DiGraph``.
+#: Version 3: its fusion graph pickles as CSR arrays instead of an
+#: ``nx.Graph``.  A persistent store must not thaw an old format into the
+#: new classes.
+COMPUTATION_ARTIFACT_VERSION = "3"
 
 
 def compgraph_stage() -> Stage:
     """pattern → computation graph (signal shifting + dependency DAG).
 
-    Version 2: see :data:`DEPENDENCY_ARTIFACT_VERSION`.
+    Version 3: see :data:`COMPUTATION_ARTIFACT_VERSION`.
     """
     return Stage(
         "compgraph",
         _compgraph,
         inputs=("pattern",),
         output="computation",
-        version=DEPENDENCY_ARTIFACT_VERSION,
+        version=COMPUTATION_ARTIFACT_VERSION,
     )
 
 
@@ -103,8 +105,8 @@ def grid_mapping_stage(
     mapping-level difference between them, so an OneAdapt compile reuses a
     cached OneQ mapping whenever the flag is off.
 
-    Version 2: the schedule embeds its computation graph, see
-    :data:`DEPENDENCY_ARTIFACT_VERSION`.
+    Version 3: the schedule embeds its computation graph, see
+    :data:`COMPUTATION_ARTIFACT_VERSION`.
     """
     rsg = ResourceStateType.from_name(rsg_type)
     config = MapperConfig(
@@ -130,7 +132,7 @@ def grid_mapping_stage(
             "placement_jitter": placement_jitter,
             "seed": seed,
         },
-        version=DEPENDENCY_ARTIFACT_VERSION,
+        version=COMPUTATION_ARTIFACT_VERSION,
     )
 
 
@@ -253,7 +255,7 @@ def distributed_stages(compiler) -> List[Stage]:
             output="qpu_schedules",
             params=mapping_params,
             # Per-QPU schedules embed induced computation graphs.
-            version=DEPENDENCY_ARTIFACT_VERSION,
+            version=COMPUTATION_ARTIFACT_VERSION,
         ),
         Stage(
             "scheduling",
@@ -262,6 +264,6 @@ def distributed_stages(compiler) -> List[Stage]:
             output="result",
             params=full_params,
             # The result embeds the computation graph and the problem's DAG.
-            version=DEPENDENCY_ARTIFACT_VERSION,
+            version=COMPUTATION_ARTIFACT_VERSION,
         ),
     ]

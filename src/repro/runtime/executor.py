@@ -160,7 +160,7 @@ class DistributedRuntime:
         for tasks in problem.main_tasks:
             for task in tasks:
                 generated.update(task.nodes)
-        expected = set(self.result.computation.graph.nodes)
+        expected = set(self.result.computation.nodes())
         missing = expected - generated
         if missing:
             raise ValidationError(

@@ -3,9 +3,13 @@
 import networkx as nx
 import pytest
 
+from repro.compiler.compgraph import computation_graph_from_pattern
+from repro.mbqc.translate import circuit_to_pattern
 from repro.partition.adaptive import AdaptivePartitionConfig, AdaptivePartitioner
 from repro.partition.modularity import modularity
-from repro.partition.multilevel import partition_graph
+from repro.partition.multilevel import MultilevelPartitioner, partition_graph
+from repro.pipeline.hashing import partition_hash
+from repro.programs import build_benchmark
 from repro.utils.errors import PartitionError
 
 
@@ -85,3 +89,43 @@ class TestAlgorithm2:
         config = AdaptivePartitionConfig(num_parts=1)
         result = AdaptivePartitioner(config).partition(small_computation.graph)
         assert set(result.assignment.values()) == {0}
+
+
+class TestTermination:
+    """Algorithm 2 stops at the first repeated (previous alpha -> alpha) step.
+
+    Both instances step alpha 1.0 -> 1.02 -> 1.0 -> ... until
+    ``max_iterations``; the search now memoises every alpha's candidate and
+    stops when the cycle repeats, with the partition unchanged (the pinned
+    hashes are those of the 64-pass search).
+    """
+
+    @pytest.mark.parametrize(
+        "program, qubits, num_parts, circuit_seed, expected_hash",
+        [
+            ("VQE", 24, 8, None, "b7096bf467212e100f4f"),
+            ("QAOA", 16, 4, 2033, "347b4c96c8c29d051250"),
+        ],
+    )
+    def test_cycle_stops_without_repartitioning(
+        self, monkeypatch, program, qubits, num_parts, circuit_seed, expected_hash
+    ):
+        kwargs = {} if circuit_seed is None else {"seed": circuit_seed}
+        computation = computation_graph_from_pattern(
+            circuit_to_pattern(build_benchmark(program, qubits, **kwargs))
+        )
+        partitioned = []
+        original = MultilevelPartitioner.partition_levels
+
+        def counting(self, fusion, levels):
+            partitioned.append(self.imbalance)
+            return original(self, fusion, levels)
+
+        monkeypatch.setattr(MultilevelPartitioner, "partition_levels", counting)
+        partitioner = AdaptivePartitioner(AdaptivePartitionConfig(num_parts=num_parts))
+        result = partitioner.partition(computation.fusion)
+
+        assert partition_hash(result) == expected_hash
+        assert len(partitioned) == len(set(partitioned)) == 2
+        assert [step.alpha for step in partitioner.trace] == [1.0, 1.02, 1.0]
+        assert [step.accepted for step in partitioner.trace] == [True, False, False]

@@ -157,7 +157,11 @@ class TestInvalidation:
         assert stage.key(["h"]) != bumped.key(["h"])
 
     def test_dependency_artifact_stages_are_bumped_past_version_one(self):
-        """Stages whose artifacts pickle a DependencyGraph changed format."""
+        """Stages whose artifacts pickle a ComputationGraph changed format.
+
+        Version 2 moved its dependency DAG onto arrays, version 3 its fusion
+        graph; keys of every older version must differ.
+        """
         from repro.pipeline.stages import compgraph_stage, grid_mapping_stage
 
         stages = {stage.name: stage for stage in distributed_stages(DCMBQCCompiler(DCMBQCConfig()))}
@@ -165,18 +169,19 @@ class TestInvalidation:
         assert stages["compgraph"].key(["h"]) == compgraph_stage().key(["h"])
         for name in ("compgraph", "grid_mapping", "qpu_mapping", "scheduling"):
             stage = stages[name]
-            version_one = Stage(
-                stage.name,
-                stage.fn,
-                inputs=stage.inputs,
-                output=stage.output,
-                params=dict(stage.params),
-                version="1",
-            )
+            assert stage.version == "3"
             hashes = ["h"] * len(stage.inputs)
-            assert stage.version == "2"
-            assert stage.key(hashes) != version_one.key(hashes)
-        # The partition artifact holds no DAG and keeps its keys.
+            for old_version in ("1", "2"):
+                old = Stage(
+                    stage.name,
+                    stage.fn,
+                    inputs=stage.inputs,
+                    output=stage.output,
+                    params=dict(stage.params),
+                    version=old_version,
+                )
+                assert stage.key(hashes) != old.key(hashes)
+        # The partition artifact holds no graph and keeps its keys.
         assert stages["partition"].version == "1"
 
     def test_unchanged_parameters_produce_byte_identical_artifacts(self, tmp_path):
