@@ -6,8 +6,13 @@ experiment); set ``DCMBQC_FULL_BENCH=1`` to evaluate the paper's full
 Table II grid, or ``DCMBQC_BENCH_SCALE=smoke`` for the smallest instances.
 
 Each benchmark prints its paper-style table to stdout (run pytest with
-``-s`` to see it live) and writes it to ``benchmarks/results/<name>.txt`` so
-the output can be diffed against the values recorded in EXPERIMENTS.md.
+``-s`` to see it live) and writes it, with any ``BENCH_<name>.json`` perf
+record, to a pytest temporary directory, so a test run leaves the tracked
+files alone.  ``--record-results`` (defined in the repository's root
+``conftest.py``) writes them to ``benchmarks/results/`` instead, where they
+can be diffed against the committed recordings::
+
+    PYTHONPATH=src python -m pytest -q benchmarks/test_fig10_scalability.py --record-results
 """
 
 from __future__ import annotations
@@ -43,15 +48,17 @@ def bench_workers() -> int:
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> pathlib.Path:
-    """Directory that receives the rendered tables."""
+def results_dir(request, tmp_path_factory) -> pathlib.Path:
+    """Directory that receives the rendered tables and perf records."""
+    if not request.config.getoption("record_results"):
+        return tmp_path_factory.mktemp("results")
     RESULTS_DIR.mkdir(exist_ok=True)
     return RESULTS_DIR
 
 
 @pytest.fixture
 def record_table(results_dir):
-    """Return a helper that prints a table and stores it under results/."""
+    """Return a helper that prints a table and stores it in ``results_dir``."""
 
     def _record(name: str, text: str) -> None:
         print()

@@ -24,12 +24,19 @@ neighbours.  Resource-state shapes influence the mapping through
 ``routing_uses`` (the 6-ring provides two routing segments per cell) and
 ``native_degree`` (high-degree nodes claim extra expansion cells), which is
 how the Figure 7 resource-state comparison arises.
+
+Cells are integer ids ``row * L + col``.  Each open layer keeps one
+``bytearray`` of cell states (0 free, ``k`` a routing cell used ``k``
+times, :data:`_PHOTON` a hosted photon), and the ring searches read a
+per-grid-size table of offsets; :class:`~repro.utils.grid.GridPoint`
+objects appear only in the emitted :class:`ExecutionLayer` placements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from functools import lru_cache
+from typing import Dict, List, NamedTuple, Tuple
 
 from repro.compiler.compgraph import ComputationGraph
 from repro.compiler.execution import ExecutionLayer, SingleQPUSchedule
@@ -41,10 +48,14 @@ from repro.hardware.resource_states import (
 from repro.obs.trace import TRACER
 from repro.utils.counters import OP_COUNTERS
 from repro.utils.errors import CompilationError
-from repro.utils.grid import GridPoint, l_shaped_path, manhattan_distance, spiral_order
+from repro.utils.grid import GridPoint, spiral_order
 from repro.utils.rng import make_rng
 
 __all__ = ["MapperConfig", "LayeredGridMapper"]
+
+#: Cell state of a cell hosting a photon: above every routing count, so one
+#: ``state < routing_uses`` test rejects photons and saturated routing cells.
+_PHOTON = 255
 
 
 @dataclass(frozen=True)
@@ -81,60 +92,76 @@ class MapperConfig:
         return RESOURCE_STATE_LIBRARY[ResourceStateType.from_name(self.rsg_type)]
 
 
-class _LayerState:
-    """Mutable bookkeeping for one (still open) execution layer."""
+class _GridTables(NamedTuple):
+    """Per-grid-size lookup tables of the mapper (see :func:`_grid_tables`)."""
 
-    def __init__(self, index: int, size: int, routing_uses: int = 1) -> None:
-        self.index = index
-        self.size = size
-        self.routing_uses = max(1, routing_uses)
-        self.node_cells: Dict[int, GridPoint] = {}
-        self.routing_cells: Dict[GridPoint, int] = {}
-        self.routing_segments = 0
-        # Occupied-cell set mirroring node_cells.values(); keeps the hot
-        # is_free/routing_cell_available probes O(1) instead of scanning
-        # every hosted photon per candidate cell.
-        self._occupied: set = set()
+    spiral: Tuple[int, ...]
+    nearest_rings: Tuple[Tuple[Tuple[int, int, int], ...], ...]
+    scan_rings: Tuple[Tuple[Tuple[int, int, int], ...], ...]
+    points: Tuple[GridPoint, ...]
 
-    def is_free(self, cell: GridPoint) -> bool:
-        """True if a node could be placed on ``cell``."""
-        return cell not in self._occupied and cell not in self.routing_cells
 
-    def has_space(self) -> bool:
-        """True if the layer can still host another photon.
+@lru_cache(maxsize=None)
+def _grid_tables(size: int) -> _GridTables:
+    """Lookup tables of a ``size x size`` grid.
 
-        Two budgets must both have head-room: the geometric one (every cell
-        is either a photon or a routing cell) and the aggregate routing one
-        (each resource state provides ``routing_uses`` routing segments, so
-        the total number of segments the layer can supply is bounded by the
-        cells not hosting photons).  The aggregate budget also accounts for
-        congested connections that could not reserve exact cells.
-        """
-        cells = self.size * self.size
-        geometric = len(self.node_cells) + len(self.routing_cells)
-        if geometric >= cells:
-            return False
-        routing_budget = (cells - len(self.node_cells) - 1) * self.routing_uses
-        return self.routing_segments < routing_budget
-
-    def place_node(self, node: int, cell: GridPoint) -> None:
-        self.node_cells[node] = cell
-        self._occupied.add(cell)
-
-    def routing_cell_available(self, cell: GridPoint, routing_uses: int) -> bool:
-        if cell in self._occupied:
-            return False
-        return self.routing_cells.get(cell, 0) < routing_uses
-
-    def mark_routing(self, cell: GridPoint) -> None:
-        self.routing_cells[cell] = self.routing_cells.get(cell, 0) + 1
-
-    def to_execution_layer(self) -> ExecutionLayer:
-        return ExecutionLayer(
-            index=self.index,
-            node_cells=dict(self.node_cells),
-            routing_segments=self.routing_segments,
+    ``spiral`` lists the cell ids centre-out; ``scan_rings[r - 1]`` holds the
+    ``(d_row, d_col, d_cell)`` offsets at Chebyshev radius ``r`` in row-major
+    scan order, and ``nearest_rings`` the same rings sorted by Manhattan
+    distance (ties in scan order), so the first free cell of a ring is the
+    nearest one; ``points`` maps cell ids to :class:`GridPoint`.
+    """
+    scan_rings = tuple(
+        tuple(
+            (d_row, d_col, d_row * size + d_col)
+            for d_row in range(-radius, radius + 1)
+            for d_col in range(-radius, radius + 1)
+            if max(abs(d_row), abs(d_col)) == radius
         )
+        for radius in range(1, size)
+    )
+    nearest_rings = tuple(
+        tuple(sorted(ring, key=lambda offset: abs(offset[0]) + abs(offset[1])))
+        for ring in scan_rings
+    )
+    return _GridTables(
+        spiral=tuple(point.row * size + point.col for point in spiral_order(size)),
+        nearest_rings=nearest_rings,
+        scan_rings=scan_rings,
+        points=tuple(GridPoint(row, col) for row in range(size) for col in range(size)),
+    )
+
+
+def _l_interior(source: int, destination: int, size: int) -> List[int]:
+    """Interior cells of the row-then-column L path from source to destination."""
+    row, col = divmod(source, size)
+    to_row, to_col = divmod(destination, size)
+    corner = to_row * size + col
+    row_step = size if to_row >= row else -size
+    col_step = 1 if to_col >= col else -1
+    interior = list(range(source + row_step, corner, row_step))
+    if source != corner != destination:
+        interior.append(corner)
+    interior.extend(range(corner + col_step, destination, col_step))
+    return interior
+
+
+class _Layer:
+    """Bookkeeping of one execution layer on integer cell ids.
+
+    ``cells`` holds every cell's state, ``nodes`` the hosted photons in
+    placement order, ``routed`` the number of distinct routing cells and
+    ``segments`` the routing segments consumed (including congested
+    connections that could not reserve exact cells).
+    """
+
+    __slots__ = ("cells", "nodes", "routed", "segments")
+
+    def __init__(self, area: int) -> None:
+        self.cells = bytearray(area)
+        self.nodes: List[int] = []
+        self.routed = 0
+        self.segments = 0
 
 
 class LayeredGridMapper:
@@ -143,6 +170,10 @@ class LayeredGridMapper:
     def __init__(self, config: MapperConfig) -> None:
         if config.grid_size < 1:
             raise CompilationError("grid size must be positive")
+        if config.usable_grid_size < 2:
+            # A 1x1 layer has no cell left for routing, so no layer could
+            # ever host a photon.
+            raise CompilationError("the mapper needs a usable grid of at least 2x2 cells")
         self.config = config
         self._rng = make_rng(config.seed)
 
@@ -161,94 +192,125 @@ class LayeredGridMapper:
 
     def _map(self, computation: ComputationGraph) -> SingleQPUSchedule:
         size = self.config.usable_grid_size
+        area = size * size
         spec = self.config.resource_spec
-        spiral = spiral_order(size)
+        routing_uses = spec.routing_uses
+        budget_uses = max(1, routing_uses)
+        tables = _grid_tables(size)
+        spiral, nearest_rings = tables.spiral, tables.nearest_rings
+        jitter = self.config.placement_jitter > 0.0
+        integers = self._rng.integers
 
-        layers: List[_LayerState] = [_LayerState(0, size, spec.routing_uses)]
+        def has_space(layer: _Layer) -> bool:
+            # Two budgets must both have head-room: the geometric one (every
+            # cell is either a photon or a routing cell) and the aggregate
+            # routing one (each resource state provides ``routing_uses``
+            # segments, so the cells not hosting photons bound the segments
+            # the layer can supply).
+            hosted = len(layer.nodes)
+            return (
+                hosted + layer.routed < area
+                and layer.segments < (area - hosted - 1) * budget_uses
+            )
+
+        layers: List[_Layer] = []
         node_layer: Dict[int, int] = {}
-        node_cell: Dict[int, GridPoint] = {}
+        node_cell: Dict[int, int] = {}
         fusee_pairs: List[Tuple[int, int]] = []
-        overflow: Set[int] = set()
+        probes = 0
         earliest_open = 0  # layers before this index are known to be full
 
-        def layer_at(index: int) -> _LayerState:
-            while index >= len(layers):
-                layers.append(_LayerState(len(layers), size, spec.routing_uses))
-            return layers[index]
-
-        # Parents per node, read from the dependency DAG's reverse CSR.
+        # Neighbours from the fusion graph's CSR, as the same set that
+        # ComputationGraph.neighbors builds (its iteration order is the
+        # order edges are realised in); parents from the dependency DAG's
+        # reverse CSR.
+        neighbor_lists = computation.fusion.neighbor_lists()
+        fusion_position = computation.fusion.position_of()
         dependency = computation.dependency
         parents_at = dependency.parent_lists()
         dependency_position = dependency.position_of()
 
         for node in computation.order:
-            neighbors = computation.neighbors(node)
+            neighbors = set(neighbor_lists[fusion_position[node]])
             placed_neighbors = [v for v in neighbors if v in node_layer]
 
             # Earliest layer allowed by real-time measurement dependencies.
             min_layer = 0
             position = dependency_position.get(node)
             if position is not None:
-                for parent in parents_at[position]:
-                    if parent in node_layer:
-                        min_layer = max(min_layer, node_layer[parent] + 1)
+                parent_layers = [
+                    node_layer[parent] for parent in parents_at[position] if parent in node_layer
+                ]
+                if parent_layers:
+                    min_layer = max(parent_layers) + 1
 
-            # Find the earliest feasible layer with a free cell.  Layers
-            # before ``earliest_open`` are known to be full already.
+            # The earliest feasible layer with head-room hosts the node:
+            # layers before ``earliest_open`` are full and a fresh layer is
+            # empty, and a layer with head-room has a free cell, which the
+            # ring search (whose last ring spans the grid) always finds.
             index = max(min_layer, earliest_open)
-            chosen_layer: Optional[_LayerState] = None
-            chosen_cell: Optional[GridPoint] = None
-            while True:
-                candidate = layer_at(index)
-                if candidate.has_space():
-                    target = self._placement_target(
-                        placed_neighbors, node_cell, node_layer, candidate, spiral
-                    )
-                    cell = self._nearest_free_cell(candidate, target, size)
-                    if cell is not None:
-                        chosen_layer, chosen_cell = candidate, cell
-                        break
+            while index < len(layers) and not has_space(layers[index]):
                 index += 1
-                if index > len(computation.order) + len(layers) + 1:
-                    # Defensive: should be unreachable because fresh layers
-                    # are always empty.
-                    overflow.add(node)
-                    chosen_layer = layer_at(index)
-                    chosen_cell = spiral[0]
-                    break
+            if index == len(layers):
+                layers.append(_Layer(area))
+            layer = layers[index]
 
-            assert chosen_layer is not None and chosen_cell is not None
-            chosen_layer.place_node(node, chosen_cell)
-            node_layer[node] = chosen_layer.index
-            node_cell[node] = chosen_cell
-            while earliest_open < len(layers) and not layers[earliest_open].has_space():
+            # The placement target: the centroid of the placed neighbours, or
+            # the layer's next spiral cell when none is placed yet.
+            if placed_neighbors:
+                rows = cols = 0
+                for neighbor in placed_neighbors:
+                    row, col = divmod(node_cell[neighbor], size)
+                    rows += row
+                    cols += col
+                row = round(rows / len(placed_neighbors))
+                col = round(cols / len(placed_neighbors))
+                if jitter:
+                    row += int(integers(-1, 2))
+                    col += int(integers(-1, 2))
+                row = min(max(row, 0), size - 1)
+                col = min(max(col, 0), size - 1)
+            else:
+                row, col = divmod(spiral[min(len(layer.nodes), area - 1)], size)
+            cell, probed = self._nearest_free_cell(layer.cells, row, col, size, nearest_rings)
+            probes += probed
+
+            layer.cells[cell] = _PHOTON
+            layer.nodes.append(node)
+            node_layer[node] = index
+            node_cell[node] = cell
+            while earliest_open < len(layers) and not has_space(layers[earliest_open]):
                 earliest_open += 1
 
             # Degree expansion: high-degree nodes claim extra adjacent cells.
             extra_cells = max(0, (len(neighbors) - spec.native_degree + 1) // 2)
-            self._claim_expansion_cells(chosen_layer, chosen_cell, extra_cells, size)
+            if extra_cells:
+                self._claim_expansion_cells(layer, cell, extra_cells, size, tables.scan_rings)
 
             # Realise edges towards already-placed neighbours.
             for neighbor in placed_neighbors:
                 fusee_pairs.append((neighbor, node))
-                later_index = max(node_layer[neighbor], chosen_layer.index)
-                routing_layer = layers[later_index]
-                source = node_cell[node]
-                destination = node_cell[neighbor]
-                cross_layer = node_layer[neighbor] != chosen_layer.index
+                neighbor_index = node_layer[neighbor]
+                routing_layer = layers[max(neighbor_index, index)]
                 self._route_intra_layer(
-                    routing_layer, source, destination, spec.routing_uses
+                    routing_layer, cell, node_cell[neighbor], size, routing_uses
                 )
                 # Every connection consumes one fusion segment; a connection
                 # whose partner waited in a delay line additionally needs an
                 # inter-layer fusion to re-inject the stored photon.
-                routing_layer.routing_segments += 2 if cross_layer else 1
+                routing_layer.segments += 2 if neighbor_index != index else 1
 
+        OP_COUNTERS.add("mapper.cell_probes", probes)
         OP_COUNTERS.add("mapper.placements", len(computation.order))
-        execution_layers = [layer.to_execution_layer() for layer in layers]
-        # Drop trailing layers that ended up empty (no photons generated).
-        while execution_layers and not execution_layers[-1].node_cells:
-            execution_layers.pop()
+        points = tables.points
+        execution_layers = [
+            ExecutionLayer(
+                index=index,
+                node_cells={node: points[node_cell[node]] for node in layer.nodes},
+                routing_segments=layer.segments,
+            )
+            for index, layer in enumerate(layers)
+        ]
 
         schedule = SingleQPUSchedule(
             layers=execution_layers,
@@ -256,7 +318,6 @@ class LayeredGridMapper:
             grid_size=self.config.grid_size,
             rsg_type=ResourceStateType.from_name(self.config.rsg_type),
             fusee_pairs=fusee_pairs,
-            overflow_nodes=overflow,
         )
         schedule.validate()
         return schedule
@@ -265,84 +326,51 @@ class LayeredGridMapper:
     # Placement helpers
     # ------------------------------------------------------------------ #
 
-    def _placement_target(
-        self,
-        placed_neighbors: Sequence[int],
-        node_cell: Dict[int, GridPoint],
-        node_layer: Dict[int, int],
-        layer: _LayerState,
-        spiral: Sequence[GridPoint],
-    ) -> GridPoint:
-        """Choose the cell the node would ideally occupy in ``layer``."""
-        anchors = [node_cell[neighbor] for neighbor in placed_neighbors]
-        if anchors:
-            row = round(sum(a.row for a in anchors) / len(anchors))
-            col = round(sum(a.col for a in anchors) / len(anchors))
-            if self.config.placement_jitter > 0.0:
-                row += int(self._rng.integers(-1, 2))
-                col += int(self._rng.integers(-1, 2))
-            size = layer.size
-            return GridPoint(min(max(row, 0), size - 1), min(max(col, 0), size - 1))
-        index = min(len(layer.node_cells), len(spiral) - 1)
-        return spiral[index]
-
     @staticmethod
     def _nearest_free_cell(
-        layer: _LayerState, target: GridPoint, size: int
-    ) -> Optional[GridPoint]:
-        """Find the free cell closest (by expanding Chebyshev rings) to ``target``."""
-        if target.in_bounds(size) and layer.is_free(target):
-            OP_COUNTERS.add("mapper.cell_probes")
-            return target
-        probes = 1
-        result: Optional[GridPoint] = None
-        for radius in range(1, size):
-            best: Optional[GridPoint] = None
-            best_distance: Optional[int] = None
-            for d_row in range(-radius, radius + 1):
-                for d_col in range(-radius, radius + 1):
-                    if max(abs(d_row), abs(d_col)) != radius:
-                        continue
-                    probes += 1
-                    cell = target.shifted(d_row, d_col)
-                    if cell.in_bounds(size) and layer.is_free(cell):
-                        distance = manhattan_distance(cell, target)
-                        if best is None or distance < best_distance:
-                            best, best_distance = cell, distance
-            if best is not None:
-                result = best
-                break
-        OP_COUNTERS.add("mapper.cell_probes", probes)
-        return result
+        cells: bytearray, row: int, col: int, size: int, rings
+    ) -> Tuple[int, int]:
+        """The free cell nearest to ``(row, col)`` and the cells probed.
 
+        Rings are searched by growing Chebyshev radius and, within the
+        first ring holding a free cell, by Manhattan distance.  Every cell
+        of a searched ring counts as probed, in bounds or not.  The layer
+        must have a free cell.
+        """
+        target = row * size + col
+        if not cells[target]:
+            return target, 1
+        probes = 1
+        for ring in rings:
+            probes += len(ring)
+            for d_row, d_col, d_cell in ring:
+                if 0 <= row + d_row < size and 0 <= col + d_col < size:
+                    if not cells[target + d_cell]:
+                        return target + d_cell, probes
+        raise CompilationError("the layer has no free cell")
+
+    @staticmethod
     def _claim_expansion_cells(
-        self, layer: _LayerState, around: GridPoint, count: int, size: int
+        layer: _Layer, around: int, count: int, size: int, rings
     ) -> None:
-        """Reserve ``count`` free cells adjacent to a high-degree node."""
-        if count <= 0:
-            return
-        claimed = 0
-        for radius in range(1, size):
-            if claimed >= count:
-                return
-            for d_row in range(-radius, radius + 1):
-                for d_col in range(-radius, radius + 1):
-                    if max(abs(d_row), abs(d_col)) != radius:
-                        continue
-                    cell = around.shifted(d_row, d_col)
-                    if cell.in_bounds(size) and layer.is_free(cell):
-                        layer.mark_routing(cell)
-                        layer.routing_segments += 1
-                        claimed += 1
-                        if claimed >= count:
+        """Reserve ``count`` free cells around a high-degree node, in ring scan order."""
+        row, col = divmod(around, size)
+        cells = layer.cells
+        for ring in rings:
+            for d_row, d_col, d_cell in ring:
+                if 0 <= row + d_row < size and 0 <= col + d_col < size:
+                    cell = around + d_cell
+                    if not cells[cell]:
+                        cells[cell] = 1
+                        layer.routed += 1
+                        layer.segments += 1
+                        count -= 1
+                        if not count:
                             return
 
+    @staticmethod
     def _route_intra_layer(
-        self,
-        layer: _LayerState,
-        source: GridPoint,
-        destination: GridPoint,
-        routing_uses: int,
+        layer: _Layer, source: int, destination: int, size: int, routing_uses: int
     ) -> None:
         """Reserve routing cells for a connection realised in ``layer``.
 
@@ -350,18 +378,20 @@ class LayeredGridMapper:
         is still counted (abstract overflow) so compilation always succeeds,
         but the consumed segments make the layer fill up and close sooner.
         """
-        distance = manhattan_distance(source, destination)
+        row, col = divmod(source, size)
+        to_row, to_col = divmod(destination, size)
+        distance = abs(row - to_row) + abs(col - to_col)
         if distance <= 1:
             return
-        for path in (
-            l_shaped_path(source, destination),
-            list(reversed(l_shaped_path(destination, source))),
+        cells = layer.cells
+        for interior in (
+            _l_interior(source, destination, size),
+            _l_interior(destination, source, size),
         ):
-            interior = [cell for cell in path[1:-1]]
-            if all(layer.routing_cell_available(cell, routing_uses) for cell in interior):
+            if all(cells[cell] < routing_uses for cell in interior):
                 for cell in interior:
-                    layer.mark_routing(cell)
-                layer.routing_segments += len(interior)
-                return
-        # Congested: account for the segments without reserving exact cells.
-        layer.routing_segments += max(0, distance - 1)
+                    if not cells[cell]:
+                        layer.routed += 1
+                    cells[cell] += 1
+                break
+        layer.segments += distance - 1

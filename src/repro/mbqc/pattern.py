@@ -172,7 +172,9 @@ class Pattern:
         outputs: Set[int] = set(self.output_nodes)
         measured: Set[int] = set()
         # Domain checks run on the bitset representation: "every domain node
-        # is already measured" is one mask AND per command.
+        # is already measured" is one mask AND per command; the complement
+        # of the measured mask, as wide as the pattern, is built only to
+        # name the offending node.
         measured_mask = 0
         for index, command in enumerate(self.commands):
             if isinstance(command, PrepareCommand):
@@ -204,9 +206,9 @@ class Pattern:
                     raise ValidationError(
                         f"command {index}: output node {command.node} measured"
                     )
-                unmeasured = (command.s_mask | command.t_mask) & ~measured_mask
-                if unmeasured:
-                    dep = (unmeasured & -unmeasured).bit_length() - 1
+                mask = command.s_mask | command.t_mask
+                if (mask & measured_mask) != mask:
+                    dep = _lowest_unmeasured(mask, measured_mask)
                     raise ValidationError(
                         f"command {index}: measurement of {command.node} depends "
                         f"on node {dep} which has not been measured yet"
@@ -219,9 +221,8 @@ class Pattern:
                     raise ValidationError(
                         f"command {index}: correcting non-alive node {command.node}"
                     )
-                unmeasured = command.mask & ~measured_mask
-                if unmeasured:
-                    dep = (unmeasured & -unmeasured).bit_length() - 1
+                if (command.mask & measured_mask) != command.mask:
+                    dep = _lowest_unmeasured(command.mask, measured_mask)
                     raise ValidationError(
                         f"command {index}: correction on {command.node} depends "
                         f"on unmeasured node {dep}"
@@ -233,6 +234,22 @@ class Pattern:
                 raise ValidationError(f"output node {node} was measured")
             if node not in alive:
                 raise ValidationError(f"output node {node} was never prepared")
+
+    def mask_bytes(self) -> int:
+        """Bytes of the pattern's domain masks.
+
+        Every mask is written out whole when the pattern is pickled, so this
+        is a lower bound on the pickled size that costs one pass over the
+        commands instead of a serialisation.
+        """
+        total = 0
+        for command in self.commands:
+            if isinstance(command, MeasureCommand):
+                total += (command.s_mask.bit_length() + 7) // 8
+                total += (command.t_mask.bit_length() + 7) // 8
+            elif isinstance(command, CorrectionCommand):
+                total += (command.mask.bit_length() + 7) // 8
+        return total
 
     def is_standard_form(self) -> bool:
         """Return True if commands appear in N*, E*, M*, (X|Z)* order."""
@@ -267,3 +284,9 @@ class Pattern:
             f"Pattern(name={self.name!r}, nodes={stats['nodes']}, "
             f"edges={stats['edges']}, measurements={stats['measurements']})"
         )
+
+
+def _lowest_unmeasured(mask: int, measured_mask: int) -> int:
+    """Lowest node of ``mask`` that is not in ``measured_mask``."""
+    unmeasured = mask & ~measured_mask
+    return (unmeasured & -unmeasured).bit_length() - 1

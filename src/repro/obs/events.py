@@ -12,7 +12,8 @@ happened, in order" — the thing to read when a run fails half-way.  One
 * ``cache.hit`` / ``cache.miss`` for artifact-cache probes, and
   ``cache.skip`` (with ``stage`` and ``bytes``) when a stage snapshot
   exceeds ``MEMO_MAX_ENTRY_BYTES`` and stays out of the in-process memo
-  (the stage span is then marked ``memo_skipped=True``);
+  (the stage span is then marked ``memo_skipped=True``); ``bytes`` is the
+  snapshot's size, or the lower bound that ruled it out unpickled;
 * ``error`` events carrying the exception type and full traceback string;
 * per-point ``sweep.point`` events from the sweep health monitor.
 

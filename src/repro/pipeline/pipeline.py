@@ -30,12 +30,15 @@ same stage list as ``compile(circuit)``.
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
+from repro.mbqc.pattern import Pattern
 from repro.obs.events import EVENTS
 from repro.obs.trace import TRACER
 from repro.pipeline.artifacts import ArtifactStore, caching_disabled
@@ -59,7 +62,9 @@ DEFAULT_MEMORY_CACHE_SIZE = 128
 #: in-process memo (they remain disk-cached): the memo is bounded by entry
 #: count, and a handful of paper-scale DistributedCompilationResults would
 #: otherwise dominate worker memory.  A skip emits a ``cache.skip`` event
-#: and marks the stage span ``memo_skipped=True``.
+#: and marks the stage span ``memo_skipped=True``.  An artifact whose
+#: :func:`snapshot_floor` already exceeds the bound is not pickled at all
+#: unless the artifact store needs the bytes.
 MEMO_MAX_ENTRY_BYTES = 8 * 1024 * 1024
 
 _MISSING = object()
@@ -90,6 +95,36 @@ def clear_memory_cache() -> None:
     """Drop every memoised stage artifact (used between test phases)."""
     if _memory_cache is not None:
         _memory_cache.clear()
+
+
+def snapshot_floor(artifact: object) -> int:
+    """A lower bound on the pickled size of ``artifact``, 0 when none is cheap.
+
+    For a :class:`~repro.mbqc.pattern.Pattern` it is the bytes of its domain
+    masks (about 10 ms for the 43 MB of a QFT-64 pattern, against about
+    0.2 s to pickle it).
+    """
+    if isinstance(artifact, Pattern):
+        return artifact.mask_bytes()
+    return 0
+
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector, restoring the caller's state on exit.
+
+    A compile allocates hundreds of thousands of long-lived objects, and
+    every full collection inside it walks all of them (about 0.3 s per
+    QFT-64 compile); the compile's cyclic garbage waits for the first
+    collection after the run instead.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass(frozen=True)
@@ -208,7 +243,14 @@ class Pipeline:
         return self._memo
 
     def run(self, initial: Mapping[str, object]) -> PipelineRun:
-        """Execute every stage against ``initial``, returning the run record."""
+        """Execute every stage against ``initial``, returning the run record.
+
+        The cyclic garbage collector is paused for the run.
+        """
+        with _gc_paused():
+            return self._run(initial)
+
+    def _run(self, initial: Mapping[str, object]) -> PipelineRun:
         state: Dict[str, object] = dict(initial)
         hashes: Dict[str, str] = {}
         records: List[StageRecord] = []
@@ -280,8 +322,7 @@ class Pipeline:
                             loaded = self.store.get(key)
                             if loaded is not None:
                                 value, status = loaded, "disk-hit"
-                                payload = pickle.dumps(loaded, pickle.HIGHEST_PROTOCOL)
-                                self._memoise(stage.name, key, payload, stage_span)
+                                self._memoise(stage.name, key, loaded, stage_span)
                                 self.telemetry.record_hit(stage.name, "disk")
 
                     if EVENTS.enabled and status in ("memory-hit", "disk-hit"):
@@ -307,8 +348,13 @@ class Pipeline:
                             )
                         self.telemetry.record_execution(stage.name, seconds)
                         if cacheable and key is not None:
-                            payload = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
-                            self._memoise(stage.name, key, payload, stage_span)
+                            payload = self._memoise(
+                                stage.name,
+                                key,
+                                value,
+                                stage_span,
+                                keep_payload=self.store is not None,
+                            )
                             if self.store is not None:
                                 self.store.put(key, value, payload=payload)
                     stage_span.set(status=status)
@@ -340,11 +386,26 @@ class Pipeline:
             final_output=self.stages[-1].output if self.stages else None,
         )
 
-    def _memoise(self, stage: str, key: str, payload: bytes, span) -> None:
-        """Put a snapshot in the memo unless it exceeds ``MEMO_MAX_ENTRY_BYTES``."""
-        if len(payload) <= MEMO_MAX_ENTRY_BYTES:
-            self.memo.put(key, payload)
-            return
+    def _memoise(
+        self, stage: str, key: str, value: object, span, keep_payload: bool = False
+    ) -> Optional[bytes]:
+        """Put a snapshot of ``value`` in the memo unless it exceeds ``MEMO_MAX_ENTRY_BYTES``.
+
+        Returns the pickled snapshot, or ``None`` when it was never made:
+        a value whose :func:`snapshot_floor` exceeds the bound is pickled
+        only if ``keep_payload`` asks for the bytes (the store writes them).
+        The ``cache.skip`` event reports the snapshot's size, or the floor
+        that ruled it out.
+        """
+        payload = None
+        size = snapshot_floor(value)
+        if keep_payload or size <= MEMO_MAX_ENTRY_BYTES:
+            payload = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
+            size = len(payload)
+            if size <= MEMO_MAX_ENTRY_BYTES:
+                self.memo.put(key, payload)
+                return payload
         span.set(memo_skipped=True)
         if EVENTS.enabled:
-            EVENTS.emit("cache.skip", stage=stage, bytes=len(payload))
+            EVENTS.emit("cache.skip", stage=stage, bytes=size)
+        return payload

@@ -4,7 +4,9 @@ The photonic MBQC architecture arranges resource-state generators (RSGs) on a
 2D grid (Section II-B of the paper); every logical resource layer is an
 ``L x L`` grid of cells.  This module provides the coordinate type and simple
 geometric helpers (Manhattan distance, L-shaped routing paths, traversal
-orders) that the placement and routing code builds on.
+orders).  The grid mapper places and routes on integer cell ids; it takes
+its spiral order from here, emits :class:`GridPoint` placements, and its
+integer L-shaped routes are tested against :func:`l_shaped_path`.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.compiler.mapper import LayeredGridMapper, MapperConfig
+from repro.compiler.mapper import LayeredGridMapper, MapperConfig, _l_interior
 from repro.hardware.resource_states import ResourceStateType
 from repro.utils.errors import CompilationError
+from repro.utils.grid import grid_points, l_shaped_path
 
 
 def _map(computation, grid_size=5, rsg="5-star", **kwargs):
@@ -25,6 +26,16 @@ class TestMapperConfig:
     def test_invalid_grid_rejected(self):
         with pytest.raises(CompilationError):
             LayeredGridMapper(MapperConfig(grid_size=0))
+
+    @pytest.mark.parametrize(
+        "config",
+        [MapperConfig(grid_size=1), MapperConfig(grid_size=3, boundary_reservation=True)],
+    )
+    def test_grid_without_routing_room_rejected(self, config):
+        # A 1x1 usable layer has no cell for routing, so it can never host a
+        # photon; the mapper refuses it instead of opening layers forever.
+        with pytest.raises(CompilationError, match="2x2"):
+            LayeredGridMapper(config)
 
 
 class TestMappingInvariants:
@@ -105,3 +116,13 @@ class TestGridAndResourceEffects:
     def test_utilisation_in_unit_interval(self, qft8_computation):
         schedule = _map(qft8_computation)
         assert 0.0 < schedule.utilisation() <= 1.0
+
+
+class TestIntegerCells:
+    @pytest.mark.parametrize("size", [2, 3, 5])
+    def test_l_interior_matches_the_grid_point_path(self, size):
+        for a in grid_points(size):
+            for b in grid_points(size):
+                path = l_shaped_path(a, b)[1:-1]
+                expected = [point.row * size + point.col for point in path]
+                assert _l_interior(a.row * size + a.col, b.row * size + b.col, size) == expected

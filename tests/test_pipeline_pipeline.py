@@ -1,5 +1,9 @@
 """Tests for the Pipeline pass-manager: caching, invalidation, provenance."""
 
+import gc
+import pickle
+from types import SimpleNamespace
+
 import pytest
 
 import repro.pipeline.pipeline as pipeline_module
@@ -7,6 +11,7 @@ from repro.circuit.circuit import QuantumCircuit
 from repro.compiler.compgraph import computation_graph_from_pattern
 from repro.core.compiler import DCMBQCCompiler
 from repro.core.config import DCMBQCConfig
+from repro.mbqc.pattern import Pattern
 from repro.mbqc.translate import circuit_to_pattern
 from repro.obs.events import EVENTS, read_events
 from repro.obs.trace import TRACER
@@ -344,3 +349,159 @@ class TestMemoSkip:
         stage_spans = [span for span in TRACER.spans() if span.name.startswith("stage.")]
         assert len(stage_spans) == 3
         assert all(span.attributes.get("memo_skipped") is True for span in stage_spans)
+
+
+class TestSnapshotFloor:
+    """A pattern whose mask bytes alone exceed the memo bound is not pickled
+    unless the artifact store needs its bytes."""
+
+    @pytest.fixture
+    def dumped(self, monkeypatch):
+        """Types passed to the pipeline's ``pickle.dumps``, in call order."""
+        calls = []
+
+        def dumps(value, protocol=None):
+            calls.append(type(value))
+            return pickle.dumps(value, protocol)
+
+        monkeypatch.setattr(
+            pipeline_module,
+            "pickle",
+            SimpleNamespace(
+                dumps=dumps, loads=pickle.loads, HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL
+            ),
+        )
+        return calls
+
+    @pytest.fixture
+    def floor(self, monkeypatch):
+        """Cap the memo just below the QFT pattern's mask bytes."""
+        floor = circuit_to_pattern(qft()).mask_bytes()
+        monkeypatch.setattr(pipeline_module, "MEMO_MAX_ENTRY_BYTES", floor - 1)
+        return floor
+
+    @staticmethod
+    def observed_run(tmp_path, pipeline):
+        path = tmp_path / f"run{len(list(tmp_path.iterdir()))}.events.jsonl"
+        TRACER.reset()
+        TRACER.enable(deterministic=True)
+        EVENTS.open(str(path), deterministic=True)
+        try:
+            run = pipeline.run(initial_program_state(qft()))
+        finally:
+            EVENTS.close()
+            spans = {
+                span.name: span.attributes.get("memo_skipped")
+                for span in TRACER.spans()
+                if span.name.startswith("stage.")
+            }
+            TRACER.disable()
+            TRACER.reset()
+        skips = [
+            (entry["stage"], entry["bytes"])
+            for entry in read_events(str(path))
+            if entry["event"] == "cache.skip"
+        ]
+        memo = {record.key: pipeline.memo.get(record.key) for record in run.records}
+        return run, skips, spans, memo
+
+    def test_floor_is_a_lower_bound_on_the_pickle(self):
+        pattern = circuit_to_pattern(qft())
+        assert 0 < pattern.mask_bytes() < len(pickle.dumps(pattern, pickle.HIGHEST_PROTOCOL))
+        assert pipeline_module.snapshot_floor(pattern) == pattern.mask_bytes()
+        assert pipeline_module.snapshot_floor(qft()) == 0
+
+    def test_oversized_pattern_is_never_pickled_without_a_store(self, floor, dumped):
+        fresh_pipeline().run(initial_program_state(qft()))
+        assert dumped and Pattern not in dumped
+
+    def test_memo_skip_and_events_match_a_full_pickle(self, tmp_path, floor, dumped, monkeypatch):
+        run, skips, spans, memo = self.observed_run(tmp_path, fresh_pipeline())
+        monkeypatch.setattr(pipeline_module, "snapshot_floor", lambda artifact: 0)
+        _, pickled_skips, pickled_spans, pickled_memo = self.observed_run(
+            tmp_path, fresh_pipeline()
+        )
+        assert dumped.count(Pattern) == 1  # only by the full-pickle run
+        translate_key = run.records[0].key
+        assert memo[translate_key] is None
+        assert memo == pickled_memo
+        assert spans == pickled_spans and spans["stage.translate"] is True
+        # The skip reports the floor that ruled the snapshot out.
+        assert skips[0] == ("translate", floor)
+        assert pickled_skips[0][0] == "translate" and pickled_skips[0][1] > floor
+        assert skips[1:] == pickled_skips[1:]
+
+    def test_with_a_store_the_pattern_is_pickled_once_and_written(self, tmp_path, floor, dumped):
+        pipeline = fresh_pipeline(tmp_path / "store")
+        run = pipeline.run(initial_program_state(qft()))
+        assert dumped.count(Pattern) == 1
+        key = run.records[0].key
+        assert key not in pipeline.memo
+        assert pipeline.store.get(key).content_hash() == run.state["pattern"].content_hash()
+
+    def test_disk_hit_of_an_oversized_pattern_is_not_pickled(self, tmp_path, floor, dumped):
+        fresh_pipeline(tmp_path / "store").run(initial_program_state(qft()))
+        dumped.clear()
+        pipeline = fresh_pipeline(tmp_path / "store")
+        run = pipeline.run(initial_program_state(qft()))
+        assert statuses(run)[0] == "disk-hit"
+        assert Pattern not in dumped
+        assert run.records[0].key not in pipeline.memo
+
+
+class TestGarbageCollectorPause:
+    @pytest.fixture(autouse=True)
+    def restore_gc(self):
+        enabled = gc.isenabled()
+        gc.enable()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @staticmethod
+    def pipeline(body):
+        """A one-stage pipeline that runs ``body`` and records the GC state."""
+        seen = []
+
+        def stage(circuit):
+            seen.append(gc.isenabled())
+            body()
+            seen.append(gc.isenabled())
+            return circuit
+
+        return Pipeline(
+            [Stage("probe", stage, inputs=("circuit",), output="out", cacheable=False)],
+            memo=LRUCache(maxsize=4),
+            telemetry=TelemetryRegistry(),
+        ), seen
+
+    def test_paused_during_a_run_and_restored_after(self):
+        pipeline, seen = self.pipeline(lambda: None)
+        pipeline.run({"circuit": qft()})
+        assert seen == [False, False] and gc.isenabled()
+
+    def test_restored_after_a_stage_raises(self):
+        def fail():
+            raise RuntimeError("stage failure")
+
+        pipeline, seen = self.pipeline(fail)
+        with pytest.raises(RuntimeError, match="stage failure"):
+            pipeline.run({"circuit": qft()})
+        assert seen == [False] and gc.isenabled()
+
+    def test_nested_runs_restore_only_at_the_outermost(self):
+        inner, inner_seen = self.pipeline(lambda: None)
+        outer, outer_seen = self.pipeline(lambda: inner.run({"circuit": qft()}))
+        outer.run({"circuit": qft()})
+        assert inner_seen == [False, False]
+        assert outer_seen == [False, False] and gc.isenabled()
+
+    def test_a_caller_that_disabled_the_gc_keeps_it_disabled(self):
+        gc.disable()
+        pipeline, seen = self.pipeline(lambda: None)
+        pipeline.run({"circuit": qft()})
+        assert seen == [False, False] and not gc.isenabled()
+
+    def test_a_real_compile_leaves_the_gc_enabled(self):
+        compiler = DCMBQCCompiler(DCMBQCConfig(num_qpus=2, grid_size=5))
+        compiler.compile_run(qft(), store=None, memo=LRUCache(maxsize=16))
+        assert gc.isenabled()
