@@ -73,8 +73,6 @@ class SingleQPUSchedule:
             connections realised through vertical carries.
         lifetime_cap: Optional bound applied to individual fusee waits by a
             dynamic-refresh compiler (OneAdapt); ``None`` for OneQ.
-        overflow_nodes: Photons that could not be placed within capacity and
-            were force-placed (diagnostic; empty in normal operation).
     """
 
     layers: List[ExecutionLayer]
@@ -83,7 +81,6 @@ class SingleQPUSchedule:
     rsg_type: ResourceStateType
     fusee_pairs: List[Tuple[int, int]] = field(default_factory=list)
     lifetime_cap: Optional[int] = None
-    overflow_nodes: Set[int] = field(default_factory=set)
 
     # ------------------------------------------------------------------ #
     # Structure

@@ -142,5 +142,4 @@ class OneAdaptCompiler:
             rsg_type=ResourceStateType.from_name(self.rsg_type),
             fusee_pairs=list(schedule.fusee_pairs),
             lifetime_cap=self.refresh_limit,
-            overflow_nodes=set(schedule.overflow_nodes),
         )

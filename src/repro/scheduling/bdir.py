@@ -37,20 +37,19 @@ whose hop windows add the least link over-subscription.  Fully-connected
 problems never take these paths, so their refinement (including the RNG
 stream) is unchanged.
 
-Every static view the primitives need (node→task map, fusion partners and
-dependency neighbours per main task, syncs per main task) is precomputed
-once per scheduler, and each candidate schedule is evaluated exactly once —
-the evaluation is the annealing loop's inner product and used to be
-recomputed three times per iteration.
+Every static view the primitives need (node→task map, sync positions, and
+per main task the tasks of its fusion partners, dependency neighbours and
+attached syncs) is read from the problem's one index
+(``LayerSchedulingProblem.delta_evaluator``), which the list scheduler and
+the evaluation share; the anchor sets are built there on first BDIR use.
+Each candidate schedule is evaluated exactly once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Tuple
 
 from repro.hardware.system import SystemModel, enumerate_routes
 from repro.obs.trace import TRACER
@@ -101,15 +100,21 @@ class BDIRScheduler:
             "bdir.refine", max_iterations=self.config.max_iterations
         ) as refine_span:
             rng = make_rng(self.config.seed)
-            self._prepare_static_views()
-            current = (
-                initial.copy() if initial is not None else list_schedule(self.problem)
-            )
-            # Each candidate gets one full kernel pass; a rejected move
+            problem = self.problem
+            index = problem.delta_evaluator()
+            self._node_task = index.node_key
+            self._sync_position = index.sync_position
+            self._main_anchors = index.main_anchors()
+            # Congestion-aware moves only make sense on sparse interconnects:
+            # a link table to measure load against, and at least one relayed
+            # sync.  Fully-connected problems (the paper's default systems)
+            # never enter these paths, keeping their refinement bit-identical.
+            self._sparse = problem.link_capacities is not None and index.relayed
+            current = initial.copy() if initial is not None else list_schedule(problem)
+            # Each candidate gets one full evaluation pass; a rejected move
             # simply keeps ``current_eval``.
-            kernel = self.problem.delta_evaluator()
             with TRACER.span("schedule.evaluate"):
-                current_eval = kernel.evaluate(current)
+                current_eval = index.evaluate(current)
             if self._sparse:
                 self._build_link_loads(current)
             best = current.copy()
@@ -127,7 +132,9 @@ class BDIRScheduler:
                         step_span.set(outcome="exhausted")
                         break
                     with TRACER.span("schedule.evaluate"):
-                        neighbour_eval = kernel.evaluate(neighbour)
+                        # Through the accessor: a re-route move changed the
+                        # routes the evaluation reads.
+                        neighbour_eval = problem.delta_evaluator().evaluate(neighbour)
                     delta = (
                         float(neighbour_eval.tau_photon)
                         - float(current_eval.tau_photon)
@@ -147,7 +154,7 @@ class BDIRScheduler:
                         if undo_route is not None:
                             # Rejected route moves must not leak into later
                             # iterations: restore the sync's previous route.
-                            self.problem.set_route(*undo_route)
+                            problem.set_route(*undo_route)
                     if float(current_eval.tau_photon) < best_cost:
                         best = current.copy()
                         best_cost = float(current_eval.tau_photon)
@@ -158,7 +165,7 @@ class BDIRScheduler:
             self._restore_routes(best_routes)
             # Inner repairs skip per-candidate validation; the schedule that
             # leaves the annealing loop is checked once, under its routes.
-            self.problem.validate(best)
+            problem.validate(best)
             refine_span.set(best_tau=int(best_cost))
         return best
 
@@ -169,87 +176,6 @@ class BDIRScheduler:
         for sync in self.problem.sync_tasks:
             if sync.route != routes[sync.sync_id]:
                 self.problem.set_route(sync.sync_id, routes[sync.sync_id])
-
-    # ------------------------------------------------------------------ #
-    # Static problem views (route-independent, cached on the problem)
-    # ------------------------------------------------------------------ #
-
-    def _prepare_static_views(self) -> None:
-        problem = self.problem
-        # Congestion-aware moves only make sense on sparse interconnects:
-        # a link table to measure load against, and at least one relayed
-        # sync.  Fully-connected problems (the paper's default systems)
-        # never enter these paths, keeping their refinement bit-identical.
-        # Relay hops follow the mutable route table, so this is re-derived
-        # per refine rather than cached with the structural views.
-        self._sparse = problem.link_capacities is not None and any(
-            sync.relay_hops for sync in problem.sync_tasks
-        )
-        views = getattr(problem, "_bdir_views", None)
-        if views is None:
-            views = self._build_static_views()
-            problem._bdir_views = views
-        self._node_task, self._sync_position, self._main_anchors = views
-
-    def _build_static_views(self):
-        """Node→task map, sync positions, and per-main anchor sets.
-
-        All three depend only on the problem's task structure — never on
-        routes or schedules — so a portfolio of refinement starts (and any
-        repeated refine on the same problem) shares one construction; the
-        anchor pass walks every dependency edge and dominates refine setup
-        on 64-qubit problems otherwise.
-        """
-        problem = self.problem
-        self._node_task: Dict[int, TaskKey] = problem.node_task_map()
-        # Routes are mutable (re-route moves), so syncs are looked up live
-        # by position instead of caching possibly-stale task objects.
-        self._sync_position: Dict[int, int] = {
-            sync.sync_id: position for position, sync in enumerate(problem.sync_tasks)
-        }
-        syncs_of_main: Dict[TaskKey, List[TaskKey]] = {}
-        for sync in problem.sync_tasks:
-            for key in sync.main_keys:
-                syncs_of_main.setdefault(key, []).append(sync.key)
-
-        # Anchor tasks per main task: the tasks generating fusion partners
-        # and dependency neighbours of any of its photons, plus its attached
-        # synchronisation tasks.  Only the min/max anchor start matters, so
-        # the anchors collapse to a set of task keys.
-        anchors: Dict[TaskKey, Set[TaskKey]] = {}
-        for tasks in problem.main_tasks:
-            for task in tasks:
-                anchors[task.key] = set()
-        for u, v in problem.local_fusee_pairs:
-            task_u = self._node_task.get(u)
-            task_v = self._node_task.get(v)
-            if task_u is None or task_v is None or task_u == task_v:
-                continue
-            anchors[task_u].add(task_v)
-            anchors[task_v].add(task_u)
-        if problem.dependency is not None:
-            # Dependency anchors by vectorised task lookups over the DAG's
-            # edge arrays: each edge becomes a (task, task) pair, and only
-            # the distinct cross-task pairs reach the Python sets.
-            dag = problem.dependency
-            keys = list(anchors)
-            key_index = {key: i for i, key in enumerate(keys)}
-            dag_pos = dag.positions(list(self._node_task))
-            found = dag_pos >= 0
-            owners = np.array([key_index[key] for key in self._node_task.values()], dtype=np.int64)
-            task_of = np.full(dag.num_nodes, -1, dtype=np.int64)
-            task_of[dag_pos[found]] = owners[found]
-            task_s = task_of[dag.sources]
-            task_t = task_of[dag.indices]
-            cross = (task_s >= 0) & (task_t >= 0) & (task_s != task_t)
-            pairs = np.unique(task_s[cross] * len(keys) + task_t[cross])
-            for a, b in zip((pairs // len(keys)).tolist(), (pairs % len(keys)).tolist()):
-                anchors[keys[a]].add(keys[b])
-                anchors[keys[b]].add(keys[a])
-        for key, sync_keys in syncs_of_main.items():
-            anchors[key].update(sync_keys)
-        self._main_anchors = anchors
-        return self._node_task, self._sync_position, anchors
 
     # ------------------------------------------------------------------ #
     # Algorithm 3 primitives
@@ -567,8 +493,8 @@ class BDIRScheduler:
         # earlier.
         priorities[key] = float(target)
         pinned = {key: max(0, target)}
-        # The active-set scheduler reuses the problem's cached statics and
-        # skips per-candidate validation; the refine loop validates the best
+        # The active-set scheduler reuses the problem's index and skips
+        # per-candidate validation; the refine loop validates the best
         # schedule once before returning it.
         OP_COUNTERS.add("bdir.incremental_repairs")
         return list_schedule(

@@ -28,11 +28,11 @@ the per-cycle work is sub-linear in the number of syncs:
   entries are compacted out lazily.  ``next_prio`` is *not* monotone (pins
   flip it to infinity and back), which is why the release is a superset
   with exact re-checks rather than the decision itself.
-* **Cached statics.**  Per-sync hop windows (start-relative offsets),
-  capacity tables and relay totals depend only on the problem and its route
-  table, so they are cached on the problem keyed by the route version
-  instead of being rebuilt per call — BDIR calls this scheduler once per
-  annealing iteration.
+* **Problem index.**  Per-sync hop windows (start-relative offsets),
+  capacity tables and the horizon are read from the problem's one index
+  (``LayerSchedulingProblem.delta_evaluator``), shared with BDIR and the
+  evaluation and kept current across re-routes, instead of being rebuilt
+  per call — BDIR calls this scheduler once per annealing iteration.
 * **Optional validation.**  ``validate=False`` skips the post-hoc
   constraint check for trusted inner-loop callers (BDIR validates the best
   schedule once per refine instead of every candidate).
@@ -69,55 +69,6 @@ def default_priorities(problem: LayerSchedulingProblem) -> Dict[TaskKey, float]:
     for sync in problem.sync_tasks:
         priorities[sync.key] = (sync.index_a + sync.index_b) / 2.0
     return priorities
-
-
-class _SchedulerStatics:
-    """Per-problem scheduler inputs that only depend on the route table."""
-
-    __slots__ = (
-        "route_version",
-        "capacity",
-        "buffer_limit",
-        "syncs",
-        "qpu_windows",
-        "link_windows",
-        "buffer_windows",
-        "relayed",
-        "total_tasks",
-        "horizon_limit",
-    )
-
-    def __init__(self, problem: LayerSchedulingProblem) -> None:
-        self.route_version = getattr(problem, "_route_version", 0)
-        pipelined = problem.pipelined
-        num_qpus = problem.num_qpus
-        self.capacity = [problem.capacity_of(qpu) for qpu in range(num_qpus)]
-        self.buffer_limit = [problem.buffer_limit_of(qpu) for qpu in range(num_qpus)]
-        self.syncs: List[SyncTask] = list(problem.sync_tasks)
-        self.qpu_windows = {
-            s.sync_id: s.qpu_windows(0, pipelined) for s in self.syncs
-        }
-        self.link_windows = {
-            s.sync_id: s.link_windows(0, pipelined) for s in self.syncs
-        }
-        self.buffer_windows = {
-            s.sync_id: s.buffer_windows(0, pipelined) for s in self.syncs
-        }
-        self.relayed = any(s.relay_hops for s in self.syncs)
-        self.total_tasks = problem.num_main_tasks + problem.num_sync_tasks
-        total_relay_hops = sum(s.relay_hops for s in self.syncs)
-        self.horizon_limit = 4 * self.total_tasks + 16 + 4 * total_relay_hops
-
-
-def _statics(problem: LayerSchedulingProblem) -> _SchedulerStatics:
-    cached = getattr(problem, "_scheduler_statics", None)
-    if cached is not None and cached.route_version == getattr(
-        problem, "_route_version", 0
-    ):
-        return cached
-    cached = _SchedulerStatics(problem)
-    problem._scheduler_statics = cached
-    return cached
 
 
 def list_schedule(
@@ -164,14 +115,14 @@ def _list_schedule(
             raise SchedulingError(f"pinned task {key} is not part of the problem")
 
     num_qpus = problem.num_qpus
-    statics = _statics(problem)
-    capacity = statics.capacity
-    buffer_limit = statics.buffer_limit
+    problem_index = problem.delta_evaluator()
+    capacity = problem_index.capacity
+    buffer_limit = problem_index.buffer_limit
     link_limits = problem.link_capacities
-    sync_qpu_windows = statics.qpu_windows
-    sync_link_windows = statics.link_windows
-    sync_buffer_windows = statics.buffer_windows
-    relayed = statics.relayed
+    sync_qpu_windows = problem_index.qpu_windows
+    sync_link_windows = problem_index.link_windows
+    sync_buffer_windows = problem_index.buffer_windows
+    relayed = problem_index.relayed
 
     # Flat per-QPU views of the main-task queues.
     main_prio: List[List[float]] = [
@@ -184,7 +135,7 @@ def _list_schedule(
     # Syncs in global (priority, sync_id) order — the scan order of every
     # phase.  ``order`` holds positions into ``syncs``; per-endpoint release
     # lists are the same order filtered by QPU.
-    syncs = statics.syncs
+    syncs = problem.sync_tasks
     sync_count = len(syncs)
     sync_prio: List[float] = [prio[s.key] for s in syncs]
     sync_pin: List[int] = [pins.get(s.key, 0) for s in syncs]
@@ -242,8 +193,8 @@ def _list_schedule(
     schedule = Schedule()
     start_times = schedule.start_times
     next_main_index = [0] * num_qpus
-    total_tasks = statics.total_tasks
-    horizon_limit = statics.horizon_limit
+    total_tasks = problem_index.total_tasks
+    horizon_limit = problem_index.horizon_limit
 
     time = 0
     cycles = 0

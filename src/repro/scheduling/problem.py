@@ -410,8 +410,7 @@ class LayerSchedulingProblem:
         mapping: Dict[int, TaskKey] = {}
         for tasks in self.main_tasks:
             for task in tasks:
-                for node in task.nodes:
-                    mapping[node] = task.key
+                mapping.update(dict.fromkeys(task.nodes, task.key))
         return mapping
 
     def syncs_of_main(self, key: TaskKey) -> List[SyncTask]:
@@ -456,9 +455,9 @@ class LayerSchedulingProblem:
         """Replace one sync task's relay route (the BDIR re-route move).
 
         The new route must run between the same endpoint QPUs and cross
-        only links that exist in the interconnect.  Cached evaluation
-        state that depends on routes is refreshed lazily via a version
-        stamp, so re-routing does not pay a full kernel rebuild.
+        only links that exist in the interconnect.  The route version
+        bump makes the next :meth:`delta_evaluator` read re-derive the
+        index's route-dependent tables, not rebuild the whole index.
         """
         for position, sync in enumerate(self.sync_tasks):
             if sync.sync_id == sync_id:
@@ -575,71 +574,82 @@ class LayerSchedulingProblem:
     def evaluate(self, schedule: Schedule) -> ScheduleEvaluation:
         """Compute the objective breakdown of a schedule (Definition IV.1d).
 
-        The problem's static structure (node→task mapping, fusee pairs, the
-        topologically-ordered dependency closure) is compiled once into a
-        flat-array kernel on first use; every call then reduces to a handful
-        of vectorised passes over the task start times.  This is the inner
-        loop of BDIR, which evaluates one schedule per annealing iteration.
+        The problem's index (see :meth:`delta_evaluator`) holds the
+        node→task table, the fusee pairs and the topologically-ordered
+        dependency closure as flat arrays, so every call reduces to a
+        handful of vectorised passes over the task start times.  This is
+        the inner loop of BDIR, which evaluates one schedule per annealing
+        iteration.
         """
         with TRACER.span("schedule.evaluate"):
-            return self._kernel().evaluate(schedule)
+            return self.delta_evaluator().evaluate(schedule)
 
-    def _kernel(self) -> "_EvaluationKernel":
-        kernel = getattr(self, "_evaluation_kernel", None)
-        if kernel is None:
-            kernel = _EvaluationKernel(self)
-            self._evaluation_kernel = kernel
-        return kernel
+    def delta_evaluator(self) -> "_ProblemIndex":
+        """This problem's index, built on first use and kept route-current.
 
-    def delta_evaluator(self) -> "_EvaluationKernel":
-        """This problem's evaluation kernel, built on first use.
-
-        BDIR scores every annealing move with the kernel's full vectorised
-        pass and keeps the current evaluation when a move is rejected.  The
-        compile benchmark (``compilebench/layers.py``) looks this method up
-        by name to time ``scheduling.index_build_s``; rename both together.
+        One object carries every table derived from the problem: the list
+        scheduler's capacity tables, hop windows and horizon, BDIR's
+        node→task map, sync positions and anchor sets, and the Algorithm 1
+        kernel that scores schedules.  The list scheduler, BDIR and
+        :meth:`evaluate` all read it through this accessor: a read is one
+        attribute lookup and one route-version compare, and after
+        :meth:`set_route` only the route-dependent tables are re-derived.
+        The compile benchmark (``compilebench/layers.py``) looks this method
+        up by name to time ``scheduling.index_build_s``; rename both
+        together.
         """
-        return self._kernel()
+        index = getattr(self, "_index", None)
+        if index is None:
+            with TRACER.span("scheduling.index"):
+                index = self._index = _ProblemIndex(self)
+        elif index.route_version != self._route_version:
+            index.refresh_routes()
+        return index
 
     def __getstate__(self):
-        # The evaluation kernel and scheduler statics are derived caches of
-        # plain arrays; rebuild them after unpickling instead of shipping
-        # them through artifact stores.
+        # The index is a derived cache of plain arrays; rebuild it after
+        # unpickling instead of shipping it through artifact stores.
         state = dict(self.__dict__)
-        state.pop("_evaluation_kernel", None)
-        state.pop("_scheduler_statics", None)
-        state.pop("_bdir_views", None)
+        state.pop("_index", None)
         return state
 
 
-class _EvaluationKernel:
-    """Precompiled array form of one problem's objective function.
+class _ProblemIndex:
+    """Every table derived from one :class:`LayerSchedulingProblem`.
 
-    Built once per :class:`LayerSchedulingProblem` (instances are immutable
-    after construction in practice); mirrors Algorithm 1 exactly, including
-    tie-breaking: the worst fusee pair / measuree is the *first* strict
-    maximum in pair order / topological order respectively.
+    Structural tables (tasks, photons, capacities, the dependency closure)
+    are built once; the route-dependent ones (hop windows, relay array,
+    horizon) are re-derived by :meth:`refresh_routes` after a re-route.
+    The evaluation mirrors Algorithm 1 exactly, including tie-breaking: the
+    worst fusee pair / measuree is the *first* strict maximum in pair order
+    / topological order respectively.
     """
 
     def __init__(self, problem: LayerSchedulingProblem) -> None:
         self.problem = problem
 
+        # List scheduler tables.
+        qpus = range(problem.num_qpus)
+        self.capacity = [problem.capacity_of(qpu) for qpu in qpus]
+        self.buffer_limit = [problem.buffer_limit_of(qpu) for qpu in qpus]
+        self.total_tasks = problem.num_main_tasks + problem.num_sync_tasks
+
         # Task table: mains in (qpu, index) order, then syncs.
-        self.task_keys: List[TaskKey] = [t.key for t in problem.all_main_tasks()]
-        num_mains = len(self.task_keys)
-        self.num_mains = num_mains
+        self.task_keys: List[TaskKey] = [task.key for task in problem.all_main_tasks()]
+        self.num_mains = len(self.task_keys)
         self.task_keys.extend(sync.key for sync in problem.sync_tasks)
         task_index = {key: i for i, key in enumerate(self.task_keys)}
 
-        # Node table: every photon generated by a main task.
-        node_task: Dict[int, int] = {}
-        for tasks in problem.main_tasks:
-            for task in tasks:
-                for node in task.nodes:
-                    node_task[node] = task_index[task.key]
-        self.node_ids = list(node_task)
+        # Node table: every photon generated by a main task, as the dict
+        # view BDIR reads (photon → task key) and as task indices.
+        self.node_key = problem.node_task_map()
+        self.node_ids = list(self.node_key)
         node_pos = {node: i for i, node in enumerate(self.node_ids)}
-        self.node_task = np.fromiter(node_task.values(), dtype=np.int64, count=len(node_task))
+        self.node_task = np.fromiter(
+            (task_index[key] for key in self.node_key.values()),
+            dtype=np.int64,
+            count=len(self.node_key),
+        )
 
         # Fusee pairs (Part 1 of Algorithm 1): removees drop out up front;
         # an unplaced (non-removed) photon is a permanent inconsistency.
@@ -659,26 +669,20 @@ class _EvaluationKernel:
         self.fusee_u = np.array([node_pos[u] for u, _ in kept_pairs], dtype=np.int64)
         self.fusee_v = np.array([node_pos[v] for _, v in kept_pairs], dtype=np.int64)
 
-        # Sync gaps: task indices of each sync and its two mains, plus the
-        # relay latency (extra hops beyond a direct link) each sync adds on
-        # sparse interconnects.  All-zero for direct routes.  Routes can be
-        # replaced by BDIR's re-route move, so the relay array carries a
-        # version stamp and is refreshed lazily instead of rebuilding the
-        # whole kernel.
-        self.sync_idx = np.array(
-            [task_index[s.key] for s in problem.sync_tasks], dtype=np.int64
-        )
+        # Sync gaps: task indices of each sync and its two mains.  Routes can
+        # be replaced but positions cannot, so BDIR looks syncs up live by
+        # position.
+        syncs = problem.sync_tasks
+        self.sync_position = {sync.sync_id: i for i, sync in enumerate(syncs)}
+        self.sync_ids = [sync.sync_id for sync in syncs]
+        self.sync_idx = np.array([task_index[s.key] for s in syncs], dtype=np.int64)
         self.sync_main_a = np.array(
-            [task_index[s.main_keys[0]] for s in problem.sync_tasks], dtype=np.int64
+            [task_index[s.main_keys[0]] for s in syncs], dtype=np.int64
         )
         self.sync_main_b = np.array(
-            [task_index[s.main_keys[1]] for s in problem.sync_tasks], dtype=np.int64
+            [task_index[s.main_keys[1]] for s in syncs], dtype=np.int64
         )
-        self.sync_relay = np.array(
-            [s.relay_hops for s in problem.sync_tasks], dtype=np.int64
-        )
-        self.sync_ids = [s.sync_id for s in problem.sync_tasks]
-        self._route_version = getattr(problem, "_route_version", 0)
+        self._index_routes()
 
         # Measuree propagation (Part 2): restrict the dependency DAG to
         # scheduled photons, freeze one topological order, and group edges by
@@ -691,15 +695,16 @@ class _EvaluationKernel:
         self.present_pos = np.array([], dtype=np.int64)
         self.present_nodes: List[int] = []
         self.present_removed = np.array([], dtype=bool)
+        self.dag_pos = np.array([], dtype=np.int64)
         if problem.dependency is not None:
             dag = problem.dependency
-            dag_pos = dag.positions(self.node_ids)
-            kernel_of = np.full(dag.num_nodes, -1, dtype=np.int64)
-            kernel_of[dag_pos[dag_pos >= 0]] = np.flatnonzero(dag_pos >= 0)
+            self.dag_pos = dag_pos = dag.positions(self.node_ids)
+            node_of = np.full(dag.num_nodes, -1, dtype=np.int64)
+            node_of[dag_pos[dag_pos >= 0]] = np.flatnonzero(dag_pos >= 0)
             topo = dag.topological_positions()
-            topo = topo[kernel_of[topo] >= 0]
+            topo = topo[node_of[topo] >= 0]
             self.present_nodes = dag.labels[topo].tolist()
-            self.present_pos = kernel_of[topo]
+            self.present_pos = node_of[topo]
             self.present_removed = np.array(
                 [n in removed for n in self.present_nodes], dtype=bool
             )
@@ -726,21 +731,77 @@ class _EvaluationKernel:
         self.num_measuree_edges = sum(
             len(src) for src, _, _ in self.measuree_levels
         )
+        self._anchors: Optional[Dict[TaskKey, Set[TaskKey]]] = None
         OP_COUNTERS.add("evaluate.kernel_builds")
 
-    def _refresh_routes(self) -> None:
-        """Resync the relay array after a BDIR re-route (cheap, no rebuild)."""
-        version = getattr(self.problem, "_route_version", 0)
-        if version != self._route_version:
-            self.sync_relay = np.array(
-                [s.relay_hops for s in self.problem.sync_tasks], dtype=np.int64
-            )
-            self._route_version = version
-            OP_COUNTERS.add("evaluate.route_refreshes")
+    def _index_routes(self) -> None:
+        """Derive the tables that follow the route table."""
+        problem = self.problem
+        pipelined = problem.pipelined
+        self.route_version = problem._route_version
+        syncs = problem.sync_tasks
+        # Hop windows relative to the start cycle, per sync_id.
+        self.qpu_windows = {s.sync_id: s.qpu_windows(0, pipelined) for s in syncs}
+        self.link_windows = {s.sync_id: s.link_windows(0, pipelined) for s in syncs}
+        self.buffer_windows = {s.sync_id: s.buffer_windows(0, pipelined) for s in syncs}
+        # Relay latency (extra hops beyond a direct link) of each sync;
+        # all-zero for direct routes.
+        self.sync_relay = np.array([s.relay_hops for s in syncs], dtype=np.int64)
+        total_relay_hops = int(self.sync_relay.sum())
+        self.relayed = total_relay_hops > 0
+        self.horizon_limit = 4 * self.total_tasks + 16 + 4 * total_relay_hops
+
+    def refresh_routes(self) -> None:
+        """Resync the route-dependent tables after a re-route (no rebuild)."""
+        self._index_routes()
+        OP_COUNTERS.add("evaluate.route_refreshes")
+
+    def main_anchors(self) -> Dict[TaskKey, Set[TaskKey]]:
+        """BDIR's anchor tasks per main task, built on first BDIR use.
+
+        The anchors of a main task are the tasks generating fusion partners
+        and dependency neighbours of any of its photons, plus its attached
+        synchronisation tasks.  Only the min/max anchor start matters, so
+        they collapse to a set of task keys.  They depend on the task
+        structure alone, never on routes or schedules.
+        """
+        if self._anchors is not None:
+            return self._anchors
+        problem = self.problem
+        keys = self.task_keys[: self.num_mains]
+        anchors: Dict[TaskKey, Set[TaskKey]] = {key: set() for key in keys}
+        node_key = self.node_key
+        for u, v in problem.local_fusee_pairs:
+            task_u = node_key.get(u)
+            task_v = node_key.get(v)
+            if task_u is None or task_v is None or task_u == task_v:
+                continue
+            anchors[task_u].add(task_v)
+            anchors[task_v].add(task_u)
+        if problem.dependency is not None:
+            # Dependency anchors by vectorised task lookups over the DAG's
+            # edge arrays: each edge becomes a (task, task) pair, and only
+            # the distinct cross-task pairs reach the Python sets.
+            dag = problem.dependency
+            found = self.dag_pos >= 0
+            task_of = np.full(dag.num_nodes, -1, dtype=np.int64)
+            task_of[self.dag_pos[found]] = self.node_task[found]
+            task_s = task_of[dag.sources]
+            task_t = task_of[dag.indices]
+            cross = (task_s >= 0) & (task_t >= 0) & (task_s != task_t)
+            count = len(keys)
+            pairs = np.unique(task_s[cross] * count + task_t[cross])
+            for a, b in zip((pairs // count).tolist(), (pairs % count).tolist()):
+                anchors[keys[a]].add(keys[b])
+                anchors[keys[b]].add(keys[a])
+        for sync in problem.sync_tasks:
+            for key in sync.main_keys:
+                anchors[key].add(sync.key)
+        self._anchors = anchors
+        return anchors
 
     def evaluate(self, schedule: Schedule) -> ScheduleEvaluation:
         """One full vectorised objective pass over the schedule's start times."""
-        self._refresh_routes()
         start_times = schedule.start_times
         starts = np.fromiter(
             (start_times[key] for key in self.task_keys),

@@ -1,16 +1,16 @@
-"""Property test: the cached evaluation kernel ≡ a freshly built one, move by move.
+"""Property test: the cached problem index ≡ a freshly built one, move by move.
 
 `LayerSchedulingProblem.evaluate` compiles the problem into a flat-array
-kernel on first use and reuses it for every later call — BDIR's annealing
-loop scores each candidate with it.  The kernel is only valid while it
+index on first use and reuses it for every later call — BDIR's annealing
+loop scores each candidate with it.  The index is only valid while it
 tracks the problem: a BDIR re-route (`set_route`) bumps the problem's
-``_route_version`` and the kernel must refresh its relay array before the
+``_route_version`` and the index must refresh its relay array before the
 next pass.  Hypothesis drives randomised sequences of accepted and rejected
 moves — task start shifts and, on sparse interconnects, re-routes that are
 rolled back on rejection — and after *every* step asserts the cached
-kernel's result equals, field for field (tau components, makespan, worst
+index's result equals, field for field (tau components, makespan, worst
 sync/gap, the local lifetime report), the evaluation of a copy of the
-problem that has no cached index and so builds its kernel from scratch.
+problem that has no cached index and so builds its own from scratch.
 
 Four topologies × 60 examples ≈ 240 independent sequences.
 """
@@ -60,9 +60,9 @@ def _alternate_route(problem, sync):
 
 
 def _assert_matches_fresh(problem, schedule):
-    """The cached kernel agrees with a kernel built from the current routes."""
+    """The cached index agrees with an index built from the current routes."""
     fresh = replace(problem)
-    assert getattr(fresh, "_evaluation_kernel", None) is None
+    assert getattr(fresh, "_index", None) is None
     assert problem.evaluate(schedule) == fresh.evaluate(schedule)
 
 
@@ -119,7 +119,7 @@ def test_delta_equals_full_evaluate(topology, data):
                 current = candidate
             else:
                 # A rejected re-route is rolled back, as BDIR does; the
-                # restored routes must reach the cached kernel too.
+                # restored routes must reach the cached index too.
                 if undo_route is not None:
                     problem.set_route(*undo_route)
                 _assert_matches_fresh(problem, current)

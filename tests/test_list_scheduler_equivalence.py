@@ -3,7 +3,7 @@
 `list_schedule` was rewritten around an active-set scan (per-endpoint
 release pointers at threshold ``next_prio[q] + K_max[q]``, one shared
 (priority, sync_id)-ordered active list, a global pointer for the forced
-phase-3 pick) plus per-problem cached statics.  The release thresholds are
+phase-3 pick) plus tables read from the problem's index.  The release thresholds are
 supersets of the exact due conditions — which are re-checked verbatim at
 scan time — so the *decision sequence* must be unchanged, not just the
 objective value.
@@ -287,8 +287,8 @@ class TestBitIdentity:
         )
 
 
-def test_statics_cache_invalidates_on_reroute():
-    """Cached scheduler statics refresh when the route table changes."""
+def test_problem_index_invalidates_on_reroute():
+    """The problem index's hop windows refresh when the route table changes."""
     from repro.hardware.system import enumerate_routes
 
     problem = _problem_for("ring")

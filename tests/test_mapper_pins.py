@@ -4,7 +4,8 @@
 per-layer-set mapper that the integer-cell mapper replaced.  Every case
 maps one computation graph and digests what a schedule exposes: the layer
 index, each layer's node → cell placement in insertion order, its
-``routing_segments``, the ``fusee_pairs``, the ``overflow_nodes``, the
+``routing_segments``, the ``fusee_pairs``, the photons left unplaced
+(recorded as ``overflow_nodes``, empty in every case), the
 ``mapper.cell_probes`` / ``mapper.placements`` counters, and the jitter
 RNG's next draw (which pins the ``integers`` call sequence).
 
@@ -93,7 +94,9 @@ def _record(computation: ComputationGraph, config: MapperConfig) -> Dict[str, ob
             for layer in schedule.layers
         ],
         "fusee_pairs": [list(pair) for pair in schedule.fusee_pairs],
-        "overflow_nodes": sorted(schedule.overflow_nodes),
+        "overflow_nodes": sorted(
+            set(computation.graph.nodes) - set(schedule.node_layer_index())
+        ),
         "cell_probes": counters.get("mapper.cell_probes", 0),
         "placements": counters.get("mapper.placements", 0),
         "next_draw": int(mapper._rng.integers(0, 2**31)),

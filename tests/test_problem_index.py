@@ -1,0 +1,124 @@
+"""The problem index: one build per problem, route refreshes, pickling.
+
+``LayerSchedulingProblem.delta_evaluator`` builds one index per problem
+that the list scheduler, BDIR and ``evaluate`` share.  These tests pin
+that a whole list-schedule → refine → evaluate run builds it once, that a
+re-route refreshes it in place instead of rebuilding it, and that a
+pickled problem (what the pipeline memo hands back on every hit) arrives
+without an index and reproduces every result of the original exactly.
+"""
+
+from __future__ import annotations
+
+import pickle
+
+import pytest
+
+from repro.core.compiler import DCMBQCCompiler
+from repro.core.config import DCMBQCConfig
+from repro.hardware.system import enumerate_routes
+from repro.programs.qft import qft_circuit
+from repro.scheduling.bdir import BDIRConfig, BDIRScheduler
+from repro.scheduling.list_scheduler import list_schedule
+from repro.utils.counters import OP_COUNTERS
+
+TOPOLOGIES = [None, "ring"]
+
+_RESULTS = {}
+
+
+def _compiled(topology):
+    """A QFT-8 compile on 4 QPUs (list-scheduled, refined and evaluated)."""
+    if topology not in _RESULTS:
+        config = dict(num_qpus=4, seed=3)
+        if topology is not None:
+            config["topology"] = topology
+        result, _ = DCMBQCCompiler(DCMBQCConfig(**config)).compile_run(
+            qft_circuit(8), store=None, use_cache=False
+        )
+        _RESULTS[topology] = result
+    return _RESULTS[topology]
+
+
+def _fresh_problem(topology):
+    """An independent copy of the compiled problem, without an index."""
+    return pickle.loads(pickle.dumps(_compiled(topology).problem))
+
+
+def _run(problem):
+    """List schedule, seeded refine and evaluations, in decision order."""
+    initial = list_schedule(problem)
+    first = problem.evaluate(initial)
+    refined = BDIRScheduler(problem, BDIRConfig(seed=5)).refine(initial)
+    return (
+        list(initial.start_times.items()),
+        first,
+        list(refined.start_times.items()),
+        problem.evaluate(refined),
+        [sync.route for sync in problem.sync_tasks],
+    )
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_unpickled_problem_has_no_index_and_reproduces_results(topology):
+    result = _compiled(topology)
+    problem = _fresh_problem(topology)
+    # Use the problem the way a compile does, so its index is populated
+    # (including BDIR's anchor sets and, on the ring, route refreshes).
+    list_schedule(problem)
+    BDIRScheduler(problem, BDIRConfig(seed=1)).refine()
+    problem.evaluate(result.schedule)
+    assert problem.__dict__.get("_index") is not None
+
+    clone = pickle.loads(pickle.dumps(problem))
+    assert "_index" not in clone.__dict__
+    assert [s.route for s in clone.sync_tasks] == [s.route for s in problem.sync_tasks]
+    assert _run(clone) == _run(problem)
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_one_index_build_per_problem(topology):
+    problem = _fresh_problem(topology)
+    before = OP_COUNTERS.snapshot()
+    initial = list_schedule(problem)
+    refined = BDIRScheduler(problem, BDIRConfig(seed=2)).refine(initial)
+    problem.evaluate(refined)
+    counters = OP_COUNTERS.delta_since(before)
+    assert counters.get("evaluate.kernel_builds", 0) == 1
+
+
+def test_list_schedule_and_evaluate_skip_bdir_anchors():
+    problem = _fresh_problem(None)
+    problem.evaluate(list_schedule(problem))
+    assert problem.delta_evaluator()._anchors is None
+
+
+def test_set_route_refreshes_the_index_without_a_rebuild():
+    problem = _fresh_problem("ring")
+    initial = list_schedule(problem)
+    index = problem.delta_evaluator()
+    relayed = [sync for sync in problem.sync_tasks if sync.relay_hops]
+    assert relayed, "a 4-QPU ring relays between opposite QPUs"
+    sync = relayed[0]
+    detour = next(
+        route
+        for route in enumerate_routes(problem.link_capacities, sync.qpu_a, sync.qpu_b)
+        if route != sync.route_qpus
+    )
+
+    before = OP_COUNTERS.snapshot()
+    problem.set_route(sync.sync_id, detour)
+    rerouted = list_schedule(problem)
+    problem.evaluate(rerouted)
+    counters = OP_COUNTERS.delta_since(before)
+    assert counters.get("evaluate.route_refreshes", 0) == 1
+    assert counters.get("evaluate.kernel_builds", 0) == 0
+    assert problem.delta_evaluator() is index
+    assert index.qpu_windows[sync.sync_id] == problem.sync_tasks[
+        problem.delta_evaluator().sync_position[sync.sync_id]
+    ].qpu_windows(0, problem.pipelined)
+
+    problem.set_route(sync.sync_id, sync.route)
+    assert list(list_schedule(problem).start_times.items()) == list(
+        initial.start_times.items()
+    )
