@@ -17,7 +17,7 @@ The package is organised bottom-up:
   (Algorithm 3);
 * :mod:`repro.core` — the DC-MBQC distributed compiler;
 * :mod:`repro.pipeline` — the staged compilation pipeline: content-addressed
-  artifact caching, provenance manifests, batch compile service;
+  artifact caching, provenance manifests;
 * :mod:`repro.sweep` — declarative parameter grids, parallel runner,
   resumable result store;
 * :mod:`repro.runtime` — distributed execution replay and reliability
@@ -36,7 +36,6 @@ Quick start::
 
 from repro.core import DCMBQCCompiler, DCMBQCConfig, compare_with_baseline
 from repro.compiler import OneQCompiler, OneAdaptCompiler
-from repro.pipeline import CompileService
 from repro.programs import build_benchmark
 
 __version__ = "1.1.0"
@@ -45,7 +44,6 @@ __all__ = [
     "DCMBQCCompiler",
     "DCMBQCConfig",
     "compare_with_baseline",
-    "CompileService",
     "OneQCompiler",
     "OneAdaptCompiler",
     "build_benchmark",

@@ -82,6 +82,7 @@ from repro.programs import build_benchmark
 from repro.programs.registry import benchmark_names, paper_grid_size
 from repro.reporting import experiments, render
 from repro.sweep import GRID_REGISTRY, ResultStore, SweepRunner
+from repro.utils.errors import ValidationError
 
 __all__ = ["main", "build_parser", "EXPERIMENT_REGISTRY"]
 
@@ -540,7 +541,11 @@ def _system_overrides(args: argparse.Namespace) -> Dict[str, object]:
     if spec_path:
         from repro.hardware.system import system_from_json
 
-        system = system_from_json(spec_path)
+        try:
+            system = system_from_json(spec_path)
+        except (OSError, json.JSONDecodeError, ValidationError) as exc:
+            print(f"error: cannot load system spec {spec_path}: {exc}", file=sys.stderr)
+            raise SystemExit(2) from None
         first = system.qpus[0]
         overrides.update(
             num_qpus=system.num_qpus,
@@ -600,8 +605,8 @@ def _config_from_args(args: argparse.Namespace) -> DCMBQCConfig:
 def _apply_cache_arguments(args: argparse.Namespace) -> None:
     """Propagate the cache flags to the environment (reaches sweep workers)."""
     if args.no_cache:
-        # Disable every cache layer, the in-process memo and task-level
-        # computation caches included — not just the disk store.
+        # Disable every cache layer, the in-process stage memo and the
+        # per-process computation graphs included — not just the disk store.
         os.environ[CACHE_DIR_ENV] = ""
         os.environ[CACHE_DISABLE_ENV] = "1"
     elif args.cache_dir:

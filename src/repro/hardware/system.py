@@ -27,6 +27,7 @@ re-checks all of it during replay.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -628,6 +629,15 @@ def system_to_json(system: SystemModel) -> Dict[str, object]:
     }
 
 
+@contextmanager
+def _spec_field(name: str):
+    """Re-raise a malformed value of the system-spec field ``name`` as a typed error."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"system spec field {name!r} is invalid: {exc!r}") from None
+
+
 def system_from_json(source: Union[str, Dict[str, object]]) -> SystemModel:
     """Load a :class:`SystemModel` from a JSON file path or parsed dict.
 
@@ -640,20 +650,32 @@ def system_from_json(source: Union[str, Dict[str, object]]) -> SystemModel:
           "links": [[0, 1], [1, 2, 2]]
         }
 
-    Named topologies may omit ``links`` (the builder derives them).
+    Named topologies may omit ``links`` (the builder derives them).  A
+    malformed document raises :class:`ValidationError` naming the bad field.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as handle:
             document = json.load(handle)
     else:
-        document = dict(source)
+        document = source
+    if not isinstance(document, dict):
+        raise ValidationError("system spec must be a JSON object")
 
     qpu_entries = document.get("qpus")
     if not qpu_entries:
         raise ValidationError("system spec must list at least one QPU under 'qpus'")
-    qpus = []
-    for entry in qpu_entries:
-        qpus.append(
+    if not isinstance(qpu_entries, list) or not all(
+        isinstance(entry, dict) for entry in qpu_entries
+    ):
+        raise ValidationError("system spec field 'qpus' must be a list of QPU objects")
+    raw_links = document.get("links")
+    if raw_links is not None and not (
+        isinstance(raw_links, list) and all(isinstance(entry, list) for entry in raw_links)
+    ):
+        raise ValidationError("system spec field 'links' must be a list of link lists")
+
+    with _spec_field("qpus"):
+        qpus = [
             QPUSpec(
                 grid_size=int(entry["grid_size"]),
                 rsg_type=ResourceStateType.from_name(
@@ -663,19 +685,22 @@ def system_from_json(source: Union[str, Dict[str, object]]) -> SystemModel:
                     entry.get("connection_capacity", DEFAULT_CONNECTION_CAPACITY)
                 ),
             )
-        )
-
-    topology = InterconnectTopology(document.get("topology", "custom"))
-    raw_links = document.get("links")
-    links = [tuple(int(x) for x in entry) for entry in raw_links] if raw_links else None
+            for entry in qpu_entries
+        ]
+    with _spec_field("topology"):
+        topology = InterconnectTopology(document.get("topology", "custom"))
+    with _spec_field("links"):
+        links = [tuple(int(x) for x in entry) for entry in raw_links] if raw_links else None
     if topology is not InterconnectTopology.CUSTOM and links is not None:
         # An explicit adjacency wins over the named shape.
         topology = InterconnectTopology.CUSTOM
     link_capacity = document.get("link_capacity")
+    with _spec_field("link_capacity"):
+        link_capacity = None if link_capacity is None else int(link_capacity)
     return build_system(
         num_qpus=len(qpus),
         qpu=qpus,
         topology=topology,
-        link_capacity=None if link_capacity is None else int(link_capacity),
+        link_capacity=link_capacity,
         custom_links=links,
     )

@@ -9,23 +9,12 @@ subsystem makes the stages explicit and memoises their artifacts:
 * :mod:`repro.pipeline.stage` — the declarative :class:`Stage` abstraction
   (inputs/outputs, parameters, versioned cache keys);
 * :mod:`repro.pipeline.pipeline` — the :class:`Pipeline` pass-manager:
-  cache short-circuiting, per-run provenance manifests, telemetry;
+  cache short-circuiting, per-run provenance manifests, telemetry, and the
+  in-process stage memo (a bounded :class:`LRUCache`);
 * :mod:`repro.pipeline.artifacts` — the on-disk content-addressed
   :class:`ArtifactStore` (``DCMBQC_ARTIFACT_CACHE_DIR``, size-bounded LRU);
 * :mod:`repro.pipeline.stages` — concrete stages wrapping the existing
-  compiler phases, shared by OneQ, OneAdapt and DC-MBQC;
-* :mod:`repro.pipeline.service` — :class:`CompileService`, a batch API that
-  dedupes shared upstream prefixes and fans out over the sweep runner.
-
-Quick start::
-
-    from repro.pipeline import CompileService
-
-    service = CompileService(workers=4)
-    report = service.compile_batch(
-        [{"program": "QFT", "num_qubits": 16, "num_qpus": qpus} for qpus in (2, 4, 8)]
-    )
-    print(report.summary(), report.results()[0])
+  compiler phases, shared by OneQ, OneAdapt and DC-MBQC.
 """
 
 from repro.pipeline.artifacts import (
@@ -45,13 +34,13 @@ from repro.pipeline.hashing import (
     pattern_hash,
 )
 from repro.pipeline.pipeline import (
+    LRUCache,
     Pipeline,
     PipelineRun,
     StageRecord,
     clear_memory_cache,
     memory_cache,
 )
-from repro.pipeline.service import BatchCompileReport, CompileService
 from repro.pipeline.stage import Stage
 from repro.pipeline.stages import (
     compgraph_stage,
@@ -66,12 +55,11 @@ from repro.pipeline.telemetry import TELEMETRY, StageCounters, TelemetryRegistry
 
 __all__ = [
     "ArtifactStore",
-    "BatchCompileReport",
     "CACHE_DIR_ENV",
     "CACHE_DISABLE_ENV",
     "CACHE_LIMIT_ENV",
     "caching_disabled",
-    "CompileService",
+    "LRUCache",
     "Pipeline",
     "PipelineRun",
     "Stage",

@@ -10,7 +10,8 @@ entries by treating them as misses and deleting the file.
 The cache is bounded: once the directory exceeds
 ``DCMBQC_ARTIFACT_CACHE_LIMIT_MB`` (default 256 MiB) the least-recently-used
 entries (by mtime, refreshed on every ``get``) are evicted, mirroring the
-in-memory :class:`repro.sweep.cache.LRUCache` policy on disk.
+in-process stage memo's :class:`repro.pipeline.pipeline.LRUCache` policy on
+disk.
 
 Environment variables:
 

@@ -33,10 +33,12 @@ from __future__ import annotations
 import gc
 import os
 import pickle
+import threading
 import time
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, TypeVar
 
 from repro.mbqc.pattern import Pattern
 from repro.obs.events import EVENTS
@@ -48,6 +50,7 @@ from repro.pipeline.telemetry import TELEMETRY, TelemetryRegistry
 from repro.utils.errors import CompilationError
 
 __all__ = [
+    "LRUCache",
     "Pipeline",
     "PipelineRun",
     "StageRecord",
@@ -69,19 +72,67 @@ MEMO_MAX_ENTRY_BYTES = 8 * 1024 * 1024
 
 _MISSING = object()
 
-_memory_cache = None
+V = TypeVar("V")
 
 
-def memory_cache():
-    """The process-global stage memo cache (bounded LRU), created lazily.
+class LRUCache:
+    """A thread-safe mapping bounded to ``maxsize`` least-recently-used entries."""
 
-    Reuses :class:`repro.sweep.cache.LRUCache`; the bound comes from
-    ``DCMBQC_PIPELINE_MEMORY_CACHE_SIZE`` (default 128 artifacts).
+    def __init__(self, maxsize: int) -> None:
+        if maxsize < 1:
+            raise ValueError("maxsize must be at least 1")
+        self.maxsize = maxsize
+        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, key: Hashable) -> bool:
+        with self._lock:
+            return key in self._entries
+
+    def get(self, key: Hashable, default: Optional[V] = None):
+        """Return the cached value (marking it recently used) or ``default``."""
+        with self._lock:
+            if key not in self._entries:
+                return default
+            self._entries.move_to_end(key)
+            return self._entries[key]
+
+    def put(self, key: Hashable, value: object) -> None:
+        """Insert ``value``, evicting the least-recently-used overflow entry."""
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
+
+    def get_or_create(self, key: Hashable, factory: Callable[[], V]) -> V:
+        """Return the cached value, creating it via ``factory`` on a miss."""
+        value = self.get(key, _MISSING)
+        if value is _MISSING:
+            value = factory()
+            self.put(key, value)
+        return value
+
+    def clear(self) -> None:
+        """Drop every entry."""
+        with self._lock:
+            self._entries.clear()
+
+
+_memory_cache: Optional[LRUCache] = None
+
+
+def memory_cache() -> LRUCache:
+    """The process-global stage memo cache, created lazily.
+
+    The bound comes from ``DCMBQC_PIPELINE_MEMORY_CACHE_SIZE`` (default 128
+    artifacts).
     """
     global _memory_cache
     if _memory_cache is None:
-        from repro.sweep.cache import LRUCache  # deferred: avoids import cycle
-
         raw = os.environ.get(MEMORY_CACHE_SIZE_ENV, "")
         try:
             size = max(1, int(raw))

@@ -6,8 +6,8 @@ process-pool runner (:mod:`repro.sweep.runner`) pulls points, executes the
 registered task function (:mod:`repro.sweep.tasks`) and writes one row per
 point back to a durable JSONL run table (:mod:`repro.sweep.store`) that can
 be resumed after interruption and exported to CSV.  Named grids for every
-paper artefact live in :mod:`repro.sweep.grids`; the shared bounded
-computation-graph cache in :mod:`repro.sweep.cache`.
+paper artefact live in :mod:`repro.sweep.grids`; the per-process
+computation graph of each benchmark instance in :mod:`repro.sweep.cache`.
 
 Quick start::
 
@@ -18,7 +18,7 @@ Quick start::
     store.export_csv("results/table3.csv")
 """
 
-from repro.sweep.cache import COMPUTATION_CACHE, LRUCache, build_computation
+from repro.sweep.cache import COMPUTATION_CACHE, build_computation
 from repro.sweep.grid import ParameterGrid, SweepPoint
 from repro.sweep.grids import (
     GRID_REGISTRY,
@@ -43,7 +43,6 @@ __all__ = [
     "BenchmarkScale",
     "COMPUTATION_CACHE",
     "GRID_REGISTRY",
-    "LRUCache",
     "ParameterGrid",
     "ResultStore",
     "SweepOutcome",

@@ -1,115 +1,30 @@
-"""Bounded LRU cache for computation graphs shared across sweep tasks.
+"""The per-process computation graph of each benchmark instance.
 
-Translating a benchmark circuit into a measurement pattern and computation
-graph dominates setup time, so every task caches the result.  The seed
-implementation kept an unbounded module-global dict in
-``repro.reporting.experiments``; a paper-scale sweep (15 instances × many
-configurations) would hold every graph alive forever.  This module provides
-an explicit-eviction LRU with a configurable bound
-(``DCMBQC_COMPUTATION_CACHE_SIZE``, default 64 entries) that both the
-reporting drivers and the sweep workers share.
-
-Each worker process of :mod:`repro.sweep.runner` has its own copy — the
-cache intentionally does not cross process boundaries (a computation graph
-is cheap to rebuild relative to shipping it through a pipe).
+:func:`build_computation` runs circuit → pattern → computation graph
+through the staged pipeline, whose stage memo and on-disk artifact store
+(``DCMBQC_ARTIFACT_CACHE_DIR``) cache both steps.  On top of them,
+:data:`COMPUTATION_CACHE` hands every caller in one process the same graph
+object for one instance.  It holds at most 64 graphs, and each worker
+process of :mod:`repro.sweep.runner` has its own.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from collections import OrderedDict
-from typing import Callable, Hashable, Optional, Tuple, TypeVar
+from typing import Tuple
 
 from repro.compiler.compgraph import ComputationGraph
+from repro.pipeline import LRUCache, Pipeline, caching_disabled, resolve_store
+from repro.pipeline.stages import compgraph_stage, translate_stage
 from repro.programs import build_benchmark
 
-__all__ = ["LRUCache", "COMPUTATION_CACHE", "build_computation"]
-
-V = TypeVar("V")
-
-DEFAULT_CACHE_SIZE = 64
-
-
-class LRUCache:
-    """A thread-safe mapping bounded to ``maxsize`` least-recently-used entries."""
-
-    def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE) -> None:
-        if maxsize < 1:
-            raise ValueError("maxsize must be at least 1")
-        self.maxsize = maxsize
-        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: Hashable) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def get(self, key: Hashable, default: Optional[V] = None):
-        """Return the cached value (marking it recently used) or ``default``."""
-        with self._lock:
-            if key not in self._entries:
-                return default
-            self._entries.move_to_end(key)
-            return self._entries[key]
-
-    def put(self, key: Hashable, value: object) -> None:
-        """Insert ``value``, evicting the least-recently-used overflow entry."""
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-
-    def get_or_create(self, key: Hashable, factory: Callable[[], V]) -> V:
-        """Return the cached value, creating it via ``factory`` on a miss."""
-        with self._lock:
-            if key in self._entries:
-                self.hits += 1
-                self._entries.move_to_end(key)
-                return self._entries[key]
-            self.misses += 1
-        value = factory()
-        self.put(key, value)
-        return value
-
-    def clear(self) -> None:
-        """Drop every entry and reset the hit/miss counters."""
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-
-
-def _cache_size_from_environment() -> int:
-    raw = os.environ.get("DCMBQC_COMPUTATION_CACHE_SIZE", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return DEFAULT_CACHE_SIZE
-
+__all__ = ["COMPUTATION_CACHE", "build_computation"]
 
 #: Process-wide cache of benchmark computation graphs.
-COMPUTATION_CACHE = LRUCache(maxsize=_cache_size_from_environment())
+COMPUTATION_CACHE = LRUCache(maxsize=64)
 
 
 def _build_via_pipeline(program: str, num_qubits: int, seed: int) -> ComputationGraph:
-    """Run circuit → pattern → computation graph through the staged pipeline.
-
-    The pipeline memoises both stage artifacts in the process-local cache
-    and, when ``DCMBQC_ARTIFACT_CACHE_DIR`` is set, the shared on-disk
-    artifact store — so sweep workers varying only downstream parameters
-    (k_max, alpha, QPU count) never re-translate the same benchmark.
-    """
-    # Deferred import: repro.pipeline reuses this module's LRUCache.
-    from repro.pipeline import Pipeline, resolve_store
-    from repro.pipeline.stages import compgraph_stage, translate_stage
-
+    """Run circuit → pattern → computation graph through the staged pipeline."""
     circuit = build_benchmark(program, num_qubits, seed=seed)
     pipeline = Pipeline(
         [translate_stage(), compgraph_stage()], store=resolve_store()
@@ -125,8 +40,6 @@ def build_computation(
     When ``DCMBQC_PIPELINE_DISABLE_CACHE=1`` (the CLI's ``--no-cache``) the
     LRU is bypassed too, so cold-compile measurements stay honest.
     """
-    from repro.pipeline.artifacts import caching_disabled
-
     if caching_disabled():
         return _build_via_pipeline(program, num_qubits, seed)
     key: Tuple[str, int, int] = (program.upper(), num_qubits, seed)

@@ -3,9 +3,9 @@
 :class:`SweepRunner` fans the points of a grid out across a
 ``concurrent.futures.ProcessPoolExecutor``.  Each worker process executes
 :func:`execute_point` — a module-level function so it pickles — and builds
-its benchmark computation graphs locally: the
-:data:`repro.sweep.cache.COMPUTATION_CACHE` LRU is per-process and
-deliberately does not cross the pipe.  The parent process is the only
+its benchmark computation graphs locally: the pipeline's stage memo is
+per-process and does not cross the pipe; workers share artifacts only
+through the on-disk artifact store.  The parent process is the only
 writer of the :class:`~repro.sweep.store.ResultStore`, so the JSONL run
 table never interleaves.
 

@@ -20,11 +20,12 @@ from repro.core.compiler import DCMBQCCompiler
 from repro.core.config import DCMBQCConfig
 from repro.hardware.resource_states import ResourceStateType
 from repro.metrics.improvement import improvement_factor
+from repro.pipeline import LRUCache
 from repro.programs.registry import paper_grid_size
 from repro.scheduling.bdir import BDIRConfig
 from repro.scheduling.list_scheduler import list_schedule
 from repro.scheduling.portfolio import portfolio_refine
-from repro.sweep.cache import LRUCache, build_computation
+from repro.sweep.cache import build_computation
 from repro.sweep.grid import SweepPoint
 
 __all__ = ["TASK_REGISTRY", "task", "config_for_point"]
@@ -272,33 +273,20 @@ def run_fault(point: SweepPoint) -> Dict[str, object]:
     return row
 
 
-#: OneQ baseline schedules are deterministic in (instance, grid, seed); the
-#: sensitivity grids vary K_max/alpha_max over a fixed instance, so caching
-#: avoids recompiling the identical baseline for every point of a figure.
-_ONEQ_BASELINE_CACHE = LRUCache(maxsize=32)
-
-
 @task("sensitivity")
 def run_sensitivity(point: SweepPoint) -> Dict[str, object]:
     """DC-MBQC vs OneQ at one (K_max, alpha_max) setting (Figures 8/9).
 
     Unlike the ``compare`` task this reports the distributed cut size as
-    well, which Figure 9 plots against the imbalance bound.
+    well, which Figure 9 plots against the imbalance bound.  The sensitivity
+    grids vary K_max/alpha_max over a fixed instance, so the OneQ baseline's
+    ``grid_mapping`` stage is a pipeline memo (or artifact store) hit after
+    the first point.
     """
-    from repro.pipeline.artifacts import caching_disabled
-
     computation = build_computation(point.program, point.num_qubits, point.circuit_seed)
-    grid = paper_grid_size(point.num_qubits)
-    build_baseline = lambda: OneQCompiler(grid_size=grid, seed=point.seed).compile(
-        computation
-    )
-    if caching_disabled():
-        baseline = build_baseline()
-    else:
-        baseline = _ONEQ_BASELINE_CACHE.get_or_create(
-            (point.program.upper(), point.num_qubits, point.circuit_seed, grid, point.seed),
-            build_baseline,
-        )
+    baseline = OneQCompiler(
+        grid_size=paper_grid_size(point.num_qubits), seed=point.seed
+    ).compile(computation)
     result = DCMBQCCompiler(config_for_point(point)).compile(computation)
     return {
         "program": point.label,

@@ -151,6 +151,15 @@ class TestSystemModelFlags:
         summary = json.loads(capsys.readouterr().out)["summary"]
         assert summary["num_qpus"] == 3
 
+    def test_malformed_system_spec_is_a_clean_error(self, tmp_path, capsys):
+        path = tmp_path / "system.json"
+        path.write_text('{"qpus": [{}, {}]}')
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compile", "--program", "QFT", "--qubits", "8", "--no-cache",
+                  "--system-spec", str(path)])
+        assert excinfo.value.code == 2
+        assert "system spec field 'qpus' is invalid" in capsys.readouterr().err
+
     def test_sweep_with_topology_override(self, tmp_path, capsys):
         exit_code = main(
             ["sweep", "--grid", "table6", "--scale", "smoke", "--out",

@@ -192,6 +192,30 @@ class TestSerialisation:
         with pytest.raises(ValidationError):
             system_from_json({"qpus": []})
 
+    @pytest.mark.parametrize(
+        "document, field",
+        [
+            ({"qpus": 3}, "'qpus'"),
+            ({"qpus": [7, 7]}, "'qpus'"),
+            ({"qpus": "ab"}, "'qpus'"),
+            ({"qpus": [{}, {}]}, "'qpus'.*grid_size"),
+            ({"qpus": [{"grid_size": 5}] * 2, "links": 5}, "'links'"),
+            ([1, 2], "JSON object"),
+            ({"qpus": [{"grid_size": "five"}]}, "'qpus'"),
+            ({"qpus": [{"grid_size": 5}], "topology": "mesh"}, "'topology'"),
+            ({"qpus": [{"grid_size": 5}] * 2, "links": [["a", 1]]}, "'links'"),
+        ],
+    )
+    def test_malformed_document_rejected_naming_the_field(self, document, field):
+        with pytest.raises(ValidationError, match=field):
+            system_from_json(document)
+
+    def test_malformed_file_rejected(self, tmp_path):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps([[0, 1], [1, 2]]))
+        with pytest.raises(ValidationError, match="JSON object"):
+            system_from_json(str(path))
+
     def test_describe_lists_everything(self):
         system = build_system(2, [spec(grid=3), spec(grid=4, kmax=2)])
         description = system.describe()

@@ -119,11 +119,11 @@ class TestPipelineIntegration:
     def _pipeline(tmp_path):
         from repro.pipeline import (
             ArtifactStore,
+            LRUCache,
             Pipeline,
             TelemetryRegistry,
             single_qpu_stages,
         )
-        from repro.sweep.cache import LRUCache
 
         return Pipeline(
             single_qpu_stages(grid_size=5, seed=0),

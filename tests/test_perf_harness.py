@@ -14,7 +14,8 @@ import pathlib
 from repro.cli import main as cli_main, render_profile_table
 from repro.core.compiler import DCMBQCCompiler
 from repro.core.config import DCMBQCConfig
-from repro.sweep.cache import LRUCache, build_computation
+from repro.pipeline.pipeline import LRUCache
+from repro.sweep.cache import build_computation
 from repro.sweep.grids import figure10_grid
 from repro.sweep.tasks import TASK_REGISTRY
 from repro.utils.counters import OpCounters, OP_COUNTERS

@@ -1,7 +1,11 @@
 """Tests for the Pipeline pass-manager: caching, invalidation, provenance."""
 
 import gc
+import os
+import pathlib
 import pickle
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -23,9 +27,9 @@ from repro.pipeline import (
     TelemetryRegistry,
     single_qpu_stages,
 )
+from repro.pipeline.pipeline import LRUCache
 from repro.pipeline.stages import distributed_stages, initial_program_state, translate_stage
 from repro.programs import build_benchmark
-from repro.sweep.cache import LRUCache
 from repro.utils.errors import CompilationError
 
 
@@ -505,3 +509,18 @@ class TestGarbageCollectorPause:
         compiler = DCMBQCCompiler(DCMBQCConfig(num_qpus=2, grid_size=5))
         compiler.compile_run(qft(), store=None, memo=LRUCache(maxsize=16))
         assert gc.isenabled()
+
+
+def test_importing_the_pipeline_loads_no_sweep_module():
+    """The pipeline owns its memo type, so it never reaches into repro.sweep."""
+    env = dict(os.environ)
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, repro.pipeline; "
+        "print(sorted(name for name in sys.modules if name.startswith('repro.sweep')))"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert completed.stdout.strip() == "[]"

@@ -14,7 +14,6 @@ from repro.pipeline import TELEMETRY, CACHE_DIR_ENV, clear_memory_cache
 from repro.sweep import grids
 from repro.sweep.cache import COMPUTATION_CACHE
 from repro.sweep.runner import run_grid
-from repro.sweep.tasks import _ONEQ_BASELINE_CACHE
 
 
 @pytest.fixture
@@ -29,7 +28,6 @@ def warm_cache_environment(tmp_path, monkeypatch):
 def _reset_process_caches():
     """Simulate a fresh worker process: only the on-disk store survives."""
     COMPUTATION_CACHE.clear()
-    _ONEQ_BASELINE_CACHE.clear()
     clear_memory_cache()
     TELEMETRY.reset()
 
@@ -53,6 +51,9 @@ class TestWarmFigure8Sweep:
         assert TELEMETRY.counters("partition").executions == 1
         assert TELEMETRY.counters("qpu_mapping").executions == 1
         assert TELEMETRY.counters("scheduling").executions == 3
+        # The OneQ baseline is the same for every K_max: the stage memo
+        # serves points 2 and 3.
+        assert TELEMETRY.counters("grid_mapping").executions == 1
 
         _reset_process_caches()  # fresh process, warm disk
 
@@ -68,6 +69,7 @@ class TestWarmFigure8Sweep:
         assert TELEMETRY.counters("partition").executions == 0
         assert TELEMETRY.counters("qpu_mapping").executions == 0
         assert TELEMETRY.counters("scheduling").executions == 0
+        assert TELEMETRY.counters("grid_mapping").executions == 0
         assert warm_rows == cold_rows
 
     def test_warm_rerun_reports_cache_hits_in_records(self, warm_cache_environment):
