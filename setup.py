@@ -5,8 +5,7 @@ without the ``wheel`` package: ``pip install -e .`` falls back to the legacy
 ``setup.py develop`` path when PEP 660 editable builds are unavailable.
 
 Runtime dependencies are the imports of ``src/repro``: numpy (array
-kernels), networkx (graph containers and exports) and scipy (imported by
-``repro.partition.spectral``, which ``repro.partition`` loads).
+kernels) and networkx (graph containers and exports).
 """
 
 from setuptools import find_packages, setup
@@ -17,5 +16,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["numpy", "networkx", "scipy"],
+    install_requires=["numpy", "networkx"],
 )

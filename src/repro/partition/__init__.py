@@ -9,8 +9,6 @@ quality (modularity) of the resulting subgraphs.  This package provides:
   partitioners read,
 * :mod:`~repro.partition.types` — the :class:`PartitionResult` value object,
 * :mod:`~repro.partition.modularity` — Newman modularity,
-* :mod:`~repro.partition.community` — Louvain community detection (own
-  implementation plus a networkx-backed variant),
 * :mod:`~repro.partition.multilevel` — a METIS-style multilevel k-way
   partitioner (heavy-edge-matching coarsening, region-growing initial
   partition, FM boundary refinement) with an explicit imbalance factor,
@@ -21,21 +19,15 @@ quality (modularity) of the resulting subgraphs.  This package provides:
 from repro.partition.graph import FusionGraph
 from repro.partition.types import PartitionResult
 from repro.partition.modularity import modularity
-from repro.partition.community import louvain_communities, greedy_modularity_communities
 from repro.partition.multilevel import MultilevelPartitioner, partition_graph
 from repro.partition.adaptive import AdaptivePartitioner, AdaptivePartitionConfig
-from repro.partition.spectral import spectral_partition, fiedler_bisection
 
 __all__ = [
     "FusionGraph",
     "PartitionResult",
     "modularity",
-    "louvain_communities",
-    "greedy_modularity_communities",
     "MultilevelPartitioner",
     "partition_graph",
     "AdaptivePartitioner",
     "AdaptivePartitionConfig",
-    "spectral_partition",
-    "fiedler_bisection",
 ]

@@ -162,8 +162,8 @@ def parse_fault(text: str) -> FaultSpec:
             cycle_time = float(value[:-2])
         except ValueError as exc:
             raise FaultInjectionError(f"bad cycle time in {text!r}") from exc
-        if cycle_time <= 0:
-            raise FaultInjectionError("photon-loss cycle time must be positive")
+        if not 0 < cycle_time < float("inf"):
+            raise FaultInjectionError("photon-loss cycle time must be positive and finite")
         return FaultSpec(kind="photon-loss", cycle_time_ns=cycle_time)
 
     match = _FAULT_RE.fullmatch(text)
@@ -184,6 +184,8 @@ def parse_fault(text: str) -> FaultSpec:
     at_cycle: Optional[int] = None
     at_fraction: Optional[float] = None
     if time.endswith("%"):
+        if int(time[:-1]) > 100:
+            raise FaultInjectionError(f"fault time in {text!r} falls after the program ends")
         at_fraction = int(time[:-1]) / 100.0
     else:
         at_cycle = int(time)
@@ -263,6 +265,7 @@ class FaultInjector:
         self.result = result
         self.seed = seed
         self.runtime = DistributedRuntime(result)
+        self._system = result.config.system_model()
         self._trace = trace
         self._makespan = result.problem.makespan_of(result.schedule)
         self._sync_by_id = {s.sync_id: s for s in result.problem.sync_tasks}
@@ -278,6 +281,10 @@ class FaultInjector:
                 f"unknown recovery policy {policy!r}; expected one of "
                 f"{RECOVERY_POLICIES}"
             )
+        if fault.qpu is not None and not 0 <= fault.qpu < self._system.num_qpus:
+            raise FaultInjectionError(f"fault {fault.describe()!r} names no QPU of the system")
+        if fault.link is not None and not self._system.are_connected(*fault.link):
+            raise FaultInjectionError(f"fault {fault.describe()!r} names no link of the system")
         fault_cycle = fault.resolve_cycle(self._makespan)
         with TRACER.span(
             "runtime.fault_injection",
@@ -475,7 +482,7 @@ class FaultInjector:
         """Detour routes around a dead element; ``(None, reason)`` if stuck."""
         if fault.kind not in ("qpu-death", "link-death"):
             return {}, ""  # brownouts keep their routes and shift in time
-        system = self.result.config.system_model()
+        system = self._system
         dead_qpus, dead_links = self._degraded_sets(fault)
         if fault.kind == "qpu-death":
             degraded = system.without_qpu(fault.qpu)
@@ -692,7 +699,7 @@ class FaultInjector:
         from repro.hardware.qpu import InterconnectTopology
 
         config = self.result.config
-        system = config.system_model()
+        system = self._system
         if fault.kind == "link-death":
             links = tuple(
                 (link.qpu_a, link.qpu_b, link.capacity)

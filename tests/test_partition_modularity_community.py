@@ -1,9 +1,8 @@
-"""Tests for modularity and community detection."""
+"""Tests for Newman modularity."""
 
 import networkx as nx
 import pytest
 
-from repro.partition.community import greedy_modularity_communities, louvain_communities
 from repro.partition.modularity import modularity, modularity_of_communities
 
 
@@ -49,59 +48,3 @@ class TestModularity:
         value = modularity_of_communities(graph, [set(range(6)), set(range(6, 12))])
         assert value > 0.4
 
-
-class TestLouvain:
-    def test_partitions_cover_all_nodes(self):
-        graph = nx.karate_club_graph()
-        communities = louvain_communities(graph, seed=1)
-        covered = set().union(*communities)
-        assert covered == set(graph.nodes)
-        assert sum(len(c) for c in communities) == graph.number_of_nodes()
-
-    def test_two_cliques_found(self):
-        graph = _two_cliques()
-        communities = louvain_communities(graph, seed=0)
-        assert len(communities) == 2
-        assert {frozenset(c) for c in communities} == {
-            frozenset(range(6)),
-            frozenset(range(6, 12)),
-        }
-
-    def test_positive_modularity_on_structured_graph(self):
-        graph = nx.karate_club_graph()
-        communities = louvain_communities(graph, seed=3)
-        assert modularity_of_communities(graph, communities) > 0.3
-
-    def test_comparable_to_networkx_louvain(self):
-        graph = nx.karate_club_graph()
-        ours = modularity_of_communities(graph, louvain_communities(graph, seed=3))
-        theirs = nx.community.modularity(
-            graph, nx.community.louvain_communities(graph, seed=3)
-        )
-        assert ours > 0.8 * theirs
-
-    def test_edgeless_graph_gives_singletons(self):
-        graph = nx.empty_graph(4)
-        communities = louvain_communities(graph)
-        assert len(communities) == 4
-
-    def test_empty_graph(self):
-        assert louvain_communities(nx.Graph()) == []
-
-
-class TestGreedyCommunities:
-    def test_two_cliques(self):
-        graph = _two_cliques()
-        communities = greedy_modularity_communities(graph)
-        assert {frozenset(c) for c in communities} == {
-            frozenset(range(6)),
-            frozenset(range(6, 12)),
-        }
-
-    def test_target_parts_respected(self):
-        graph = nx.path_graph(8)
-        communities = greedy_modularity_communities(graph, target_parts=2)
-        assert len(communities) >= 2
-
-    def test_empty_graph(self):
-        assert greedy_modularity_communities(nx.Graph()) == []

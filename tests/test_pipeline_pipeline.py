@@ -511,16 +511,28 @@ class TestGarbageCollectorPause:
         assert gc.isenabled()
 
 
-def test_importing_the_pipeline_loads_no_sweep_module():
-    """The pipeline owns its memo type, so it never reaches into repro.sweep."""
+def _modules_loaded_by(imports, package):
+    """The ``package`` modules a fresh interpreter holds after ``import imports``."""
     env = dict(os.environ)
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     probe = (
-        "import sys, repro.pipeline; "
-        "print(sorted(name for name in sys.modules if name.startswith('repro.sweep')))"
+        f"import sys, {imports}; "
+        f"print(sorted(name for name in sys.modules "
+        f"if name == {package!r} or name.startswith({package + '.'!r})))"
     )
     completed = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert completed.stdout.strip() == "[]"
+    return completed.stdout.strip()
+
+
+def test_importing_the_pipeline_loads_no_sweep_module():
+    """The pipeline owns its memo type, so it never reaches into repro.sweep."""
+    assert _modules_loaded_by("repro.pipeline", "repro.sweep") == "[]"
+
+
+def test_importing_the_compiler_loads_no_scipy():
+    """scipy is not a declared dependency, so no compile path may import it."""
+    imports = "repro, repro.core, repro.cli, repro.runtime.executor"
+    assert _modules_loaded_by(imports, "scipy") == "[]"

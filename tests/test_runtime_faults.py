@@ -64,6 +64,9 @@ class TestParseFault:
             "link:2-2@5",  # self-link
             "loss:100",  # missing ns suffix
             "loss:-5ns",  # non-positive cycle time
+            "loss:nanns",  # non-finite cycle time
+            "loss:infns",
+            "qpu:1@150%",  # after the program ends
             "qpu:0@5+0:cap=1",  # zero-length brownout
             "qpu:0@5+4:cap=0",  # zero capacity is a death, not a brownout
             "nonsense",
@@ -191,6 +194,20 @@ class TestFaultPolicies:
         injector = FaultInjector(ring_result, trace=ring_trace)
         with pytest.raises(FaultInjectionError):
             injector.inject(parse_fault("qpu:0@5"), "pray")
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "qpu:4@5",  # the ring has QPUs 0-3
+            "qpu:7@3+2:cap=1",
+            "link:0-2@5",  # not a ring link
+            "link:0-9@3",
+        ],
+    )
+    def test_fault_naming_nothing_real_rejected(self, ring_result, ring_trace, spec):
+        injector = FaultInjector(ring_result, trace=ring_trace)
+        with pytest.raises(FaultInjectionError):
+            injector.inject(parse_fault(spec), "fail-fast")
 
 
 class TestResultUntouched:
