@@ -56,7 +56,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from repro.core import DCMBQCCompiler, DCMBQCConfig, compare_with_baseline
 from repro.hardware.qpu import InterconnectTopology
@@ -685,12 +685,33 @@ def _export_obs(args: argparse.Namespace) -> Dict[str, Dict[str, object]]:
     return info
 
 
+def _bad_fault_spec(spec: str, exc: Exception) -> NoReturn:
+    print(f"error: bad --inject-fault spec {spec!r}: {exc}", file=sys.stderr)
+    raise SystemExit(2) from None
+
+
+def _parse_fault_specs(specs: Sequence[str]) -> List[Tuple[str, object]]:
+    """``(spec, FaultSpec)`` pairs, parsed before any compile work starts."""
+    if not specs:
+        return []
+    from repro.runtime.faults import FaultInjectionError, parse_fault
+
+    parsed = []
+    for spec in specs:
+        try:
+            parsed.append((spec, parse_fault(spec)))
+        except FaultInjectionError as exc:
+            _bad_fault_spec(spec, exc)
+    return parsed
+
+
 def _run_compile(args: argparse.Namespace) -> int:
     _apply_cache_arguments(args)
     tracing = _apply_trace_arguments(args)
     _apply_obs_arguments(
         args, program=args.program, qubits=args.qubits, qpus=args.qpus
     )
+    faults = _parse_fault_specs(args.inject_fault or ())
     circuit = build_benchmark(args.program, args.qubits, seed=args.seed)
     config = _config_from_args(args)
     store = resolve_store(args.cache_dir, enabled=not args.no_cache)
@@ -709,19 +730,23 @@ def _run_compile(args: argparse.Namespace) -> int:
     summary = result.summary()
     manifest = run.manifest()
     fault_rows = None
-    if args.inject_fault:
-        from repro.runtime.faults import parse_fault, run_fault_scenario
+    if faults:
+        from repro.runtime.faults import FaultInjectionError, run_fault_scenario
 
-        fault_rows = [
-            run_fault_scenario(
-                result,
-                parse_fault(spec),
-                args.recovery,
-                seed=args.fault_seed,
-                shots=args.fault_shots,
-            )
-            for spec in args.inject_fault
-        ]
+        fault_rows = []
+        for spec, fault in faults:
+            try:
+                fault_rows.append(
+                    run_fault_scenario(
+                        result,
+                        fault,
+                        args.recovery,
+                        seed=args.fault_seed,
+                        shots=args.fault_shots,
+                    )
+                )
+            except FaultInjectionError as exc:
+                _bad_fault_spec(spec, exc)
     trace_info = _export_trace(args) if tracing else None
     obs_info = _export_obs(args)
     if args.json:

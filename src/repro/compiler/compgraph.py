@@ -186,7 +186,7 @@ def computation_graph_from_pattern(
         # identical copy.
         order = measurement_order(working)
     with TRACER.span("compgraph.fusion_graph"):
-        fusion = FusionGraph.from_edges(working.nodes, working.edges())
+        fusion = FusionGraph.from_edges(working.node_array(), working.edge_array())
     return ComputationGraph(
         fusion=fusion,
         dependency=dependency,

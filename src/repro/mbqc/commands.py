@@ -11,31 +11,42 @@ An MBQC pattern is a sequence of commands over a set of node labels:
 * ``X(i, S)`` / ``Z(i, S)`` — Pauli byproduct corrections conditioned on the
   parity of the outcomes of the nodes in ``S``.
 
-Domains are stored as **integer bitsets** (bit ``n`` set means node ``n`` is
-in the domain); the parity convention means the same node never needs to
-appear twice, so a set-with-parity-semantics is exactly an XOR of bitmasks.
-Signal shifting and dependency construction operate on the masks directly —
-a domain union/symmetric-difference is one big-int ``|``/``^`` and a signal
-parity is one ``&`` plus a popcount.  The frozen-set views (``s_domain``,
-``t_domain``, ``domain``) remain available for the public API and hashing.
+A :class:`~repro.mbqc.pattern.Pattern` stores its commands as columns (a
+kind code such as :data:`M_CODE`, a node, a second node, an angle) and
+every domain as a sorted node list in one CSR over the commands.  The
+dataclasses below are the per-command view of those columns, built on
+demand for the simulator, ``repr`` and tests; their domains are frozen
+sets, with the equivalent integer bitsets (bit ``n`` set iff node ``n`` is
+in the domain) as ``s_mask``/``t_mask``/``mask``.
+
+Bitsets remain the scratch algebra of signal shifting, where resolving a
+domain is a run of big-int XORs: :func:`domain_mask` encodes a domain,
+:func:`mask_bits` decodes one, and :func:`decode_masks` decodes many at once
+into CSR columns.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, Sequence, Tuple, Union
+from typing import FrozenSet, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
 __all__ = [
     "CommandKind",
+    "N_CODE",
+    "E_CODE",
+    "M_CODE",
+    "X_CODE",
+    "Z_CODE",
     "PrepareCommand",
     "EntangleCommand",
     "MeasureCommand",
     "CorrectionCommand",
     "Command",
     "domain_mask",
+    "sorted_domain",
     "mask_bits",
     "decode_masks",
 ]
@@ -51,6 +62,10 @@ class CommandKind(str, enum.Enum):
     MEASURE = "M"
     X_CORRECTION = "X"
     Z_CORRECTION = "Z"
+
+
+#: Column codes of the command kinds, in :class:`CommandKind` order.
+N_CODE, E_CODE, M_CODE, X_CODE, Z_CODE = range(len(CommandKind))
 
 
 def domain_mask(nodes: DomainLike) -> int:
@@ -72,6 +87,16 @@ def domain_mask(nodes: DomainLike) -> int:
     return mask
 
 
+def sorted_domain(nodes: DomainLike) -> List[int]:
+    """A domain as its sorted, distinct node labels (a mask is decoded)."""
+    if isinstance(nodes, int):
+        return list(mask_bits(domain_mask(nodes)))
+    domain = sorted({int(node) for node in nodes})
+    if domain and domain[0] < 0:
+        raise ValueError("domain node labels must be non-negative")
+    return domain
+
+
 #: Work above which :func:`mask_bits` decodes through numpy.  The
 #: lowest-set-bit loop pays about ``2560 + width`` units per set bit (a fixed
 #: step cost plus O(width) big-int ops); the numpy decode pays a fixed call
@@ -90,8 +115,8 @@ def _set_bits(packed: np.ndarray) -> np.ndarray:
     than one scan of their bytes.
     """
     nonzero = np.flatnonzero(packed)
-    rows, cols = np.nonzero(np.unpackbits(packed[nonzero, None], axis=1, bitorder="little"))
-    return nonzero[rows] * 8 + cols
+    bits = np.flatnonzero(np.unpackbits(packed[nonzero], bitorder="little"))
+    return nonzero[bits >> 3] * 8 + (bits & 7)
 
 
 def mask_bits(mask: int) -> Tuple[int, ...]:
@@ -146,10 +171,6 @@ def decode_masks(masks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
     return np.concatenate(owners), np.concatenate(labels)
 
 
-def _domain(nodes: DomainLike) -> FrozenSet[int]:
-    return frozenset(mask_bits(domain_mask(nodes)))
-
-
 @dataclass(frozen=True)
 class PrepareCommand:
     """``N(node)`` — prepare ``node`` in ``|+>``."""
@@ -196,57 +217,34 @@ class MeasureCommand:
     ``(-1)^{parity(s_domain)} * angle + parity(t_domain) * pi``.
 
     Domains may be given as iterables of node labels or as integer bitsets;
-    they are stored as the bitsets ``s_mask`` / ``t_mask``.
+    they are stored as frozen sets.
     """
 
     node: int
     angle: float = 0.0
-    s_mask: int = 0
-    t_mask: int = 0
+    s_domain: FrozenSet[int] = frozenset()
+    t_domain: FrozenSet[int] = frozenset()
 
     kind: CommandKind = field(default=CommandKind.MEASURE, init=False, repr=False)
 
     def __init__(
-        self,
-        node: int,
-        angle: float = 0.0,
-        s_domain: DomainLike = 0,
-        t_domain: DomainLike = 0,
-        *,
-        s_mask: int = None,
-        t_mask: int = None,
+        self, node: int, angle: float = 0.0, s_domain: DomainLike = (), t_domain: DomainLike = ()
     ) -> None:
-        # The keyword-only mask parameters mirror the stored field names so
-        # ``dataclasses.replace`` (which passes fields back by name) keeps
-        # working; they take precedence over the domain aliases.
         object.__setattr__(self, "node", int(node))
         object.__setattr__(self, "angle", float(angle))
-        object.__setattr__(
-            self, "s_mask", domain_mask(s_domain if s_mask is None else s_mask)
-        )
-        object.__setattr__(
-            self, "t_mask", domain_mask(t_domain if t_mask is None else t_mask)
-        )
+        object.__setattr__(self, "s_domain", frozenset(sorted_domain(s_domain)))
+        object.__setattr__(self, "t_domain", frozenset(sorted_domain(t_domain)))
         object.__setattr__(self, "kind", CommandKind.MEASURE)
 
-    def __setstate__(self, state) -> None:
-        # Accept pickles from the pre-bitset format, where the domains were
-        # stored as frozensets under s_domain/t_domain.
-        if "s_mask" not in state:
-            state = dict(state)
-            state["s_mask"] = domain_mask(state.pop("s_domain", ()))
-            state["t_mask"] = domain_mask(state.pop("t_domain", ()))
-        self.__dict__.update(state)
+    @property
+    def s_mask(self) -> int:
+        """The X-domain as an integer bitset."""
+        return domain_mask(self.s_domain)
 
     @property
-    def s_domain(self) -> FrozenSet[int]:
-        """The X-domain as a frozen set of node labels."""
-        return frozenset(mask_bits(self.s_mask))
-
-    @property
-    def t_domain(self) -> FrozenSet[int]:
-        """The Z-domain as a frozen set of node labels."""
-        return frozenset(mask_bits(self.t_mask))
+    def t_mask(self) -> int:
+        """The Z-domain as an integer bitset."""
+        return domain_mask(self.t_domain)
 
     @property
     def is_pauli_z(self) -> bool:
@@ -259,7 +257,7 @@ class MeasureCommand:
         X-plane angle 0 with empty domains, which is how removees appear once
         signal shifting has run.
         """
-        return not self.s_mask and not self.t_mask and self.angle == 0.0
+        return not self.s_domain and not self.t_domain and self.angle == 0.0
 
     def with_domains(
         self, s_domain: DomainLike, t_domain: DomainLike
@@ -269,10 +267,10 @@ class MeasureCommand:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         extras = ""
-        if self.s_mask:
-            extras += f", s={list(mask_bits(self.s_mask))}"
-        if self.t_mask:
-            extras += f", t={list(mask_bits(self.t_mask))}"
+        if self.s_domain:
+            extras += f", s={sorted(self.s_domain)}"
+        if self.t_domain:
+            extras += f", t={sorted(self.t_domain)}"
         return f"M({self.node}, {self.angle:.4g}{extras})"
 
 
@@ -281,25 +279,17 @@ class CorrectionCommand:
     """``X(node, domain)`` or ``Z(node, domain)`` — conditional Pauli correction."""
 
     node: int
-    mask: int
+    domain: FrozenSet[int]
     pauli: str = "X"
 
     kind: CommandKind = field(init=False, repr=False, default=CommandKind.X_CORRECTION)
 
-    def __init__(
-        self,
-        node: int,
-        domain: DomainLike = 0,
-        pauli: str = "X",
-        *,
-        mask: int = None,
-    ) -> None:
-        # ``mask`` mirrors the stored field name for dataclasses.replace.
+    def __init__(self, node: int, domain: DomainLike = (), pauli: str = "X") -> None:
         pauli = pauli.upper()
         if pauli not in ("X", "Z"):
             raise ValueError("correction must be X or Z")
         object.__setattr__(self, "node", int(node))
-        object.__setattr__(self, "mask", domain_mask(domain if mask is None else mask))
+        object.__setattr__(self, "domain", frozenset(sorted_domain(domain)))
         object.__setattr__(self, "pauli", pauli)
         object.__setattr__(
             self,
@@ -307,20 +297,13 @@ class CorrectionCommand:
             CommandKind.X_CORRECTION if pauli == "X" else CommandKind.Z_CORRECTION,
         )
 
-    def __setstate__(self, state) -> None:
-        # Accept pickles from the pre-bitset format (frozenset under domain).
-        if "mask" not in state:
-            state = dict(state)
-            state["mask"] = domain_mask(state.pop("domain", ()))
-        self.__dict__.update(state)
-
     @property
-    def domain(self) -> FrozenSet[int]:
-        """The correction domain as a frozen set of node labels."""
-        return frozenset(mask_bits(self.mask))
+    def mask(self) -> int:
+        """The correction domain as an integer bitset."""
+        return domain_mask(self.domain)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.pauli}({self.node}, s={list(mask_bits(self.mask))})"
+        return f"{self.pauli}({self.node}, s={sorted(self.domain)})"
 
 
 Command = object  # union of the four dataclasses above; kept loose on purpose

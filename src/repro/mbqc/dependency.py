@@ -9,9 +9,9 @@ classically (Section II-A).  This module builds that graph from a
 compiler needs.
 
 The graph is stored as flat arrays — a node-label table, a CSR adjacency by
-source (``indptr``/``indices``) and a ``uint8`` kind code per edge — built
-straight from the pattern's bitset domains.  The reverse (parent) CSR and
-the topological order are derived on first use and cached.  A networkx
+source (``indptr``/``indices``) and a ``uint8`` kind code per edge — whose
+edges are gathered straight from the pattern's domain CSR.  The reverse
+(parent) CSR and the topological order are derived on first use and cached.  A networkx
 ``DiGraph`` is available as the :attr:`DependencyGraph.graph` export for
 tests and examples; no compile-path consumer builds it.
 """
@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import networkx as nx
 import numpy as np
 
-from repro.mbqc.commands import CorrectionCommand, MeasureCommand, decode_masks
+from repro.mbqc.commands import M_CODE, X_CODE
 from repro.mbqc.pattern import Pattern
 from repro.utils.csr import LabelIndex, csr_indptr, row_slots
 from repro.utils.errors import ValidationError
@@ -477,9 +477,9 @@ def build_dependency_graph(
 ) -> DependencyGraph:
     """Build the typed dependency graph of ``pattern``.
 
-    The edges come straight from the commands' domain bitsets: every mask
-    is decoded in one vectorised pass, and the graph's arrays are built
-    from the resulting ``(source, target, kind)`` columns.
+    The edges are the pattern's domain CSR rows: the entries of a
+    measurement's s-row (t-row) are the sources of its X (Z) edges, read
+    row after row in command order with no per-edge Python work.
 
     Args:
         pattern: Source pattern.
@@ -492,26 +492,28 @@ def build_dependency_graph(
             no real-time wait.  Set to False to obtain the raw dependency
             structure of the measurement calculus.
     """
-    masks: List[int] = []
-    targets: List[int] = []
-    codes: List[int] = []
-    for command in pattern.commands:
-        if isinstance(command, MeasureCommand):
-            if drop_pauli_dependencies and is_pauli_angle(command.angle):
-                continue
-            masks += (command.s_mask, command.t_mask)
-            targets += (command.node, command.node)
-            codes += (1, 2)
-        elif include_output_corrections and isinstance(command, CorrectionCommand):
-            masks.append(command.mask)
-            targets.append(command.node)
-            codes.append(1 if command.pauli == "X" else 2)
-    owner, sources = decode_masks(masks)
+    kinds = pattern.kinds
+    selected = kinds == M_CODE
+    if drop_pauli_dependencies:
+        measures = np.flatnonzero(selected)
+        pauli = [is_pauli_angle(angle) for angle in pattern.angles[measures].tolist()]
+        selected[measures[np.asarray(pauli, dtype=bool)]] = False
+    if include_output_corrections:
+        selected |= kinds >= X_CODE
+    commands = np.flatnonzero(selected)
+    # Two rows per command; an X/Z's second row is empty.
+    rows = np.column_stack((2 * commands, 2 * commands + 1)).ravel()
+    row_kinds = np.repeat(kinds[commands], 2)
+    codes = np.where(
+        row_kinds == M_CODE, 1 + (rows & 1), np.where(row_kinds == X_CODE, 1, 2)
+    ).astype(np.uint8)
+    indptr = pattern.domain_indptr
+    counts = indptr[rows + 1] - indptr[rows]
     dag = DependencyGraph.from_edges(
-        pattern.nodes,
-        sources,
-        np.asarray(targets, dtype=np.int64)[owner],
-        np.asarray(codes, dtype=np.uint8)[owner],
+        pattern.node_array(),
+        pattern.domain_nodes[row_slots(indptr, rows)],
+        np.repeat(pattern.targets[rows // 2], counts),
+        np.repeat(codes, counts),
     )
     if not dag.is_acyclic():
         raise ValidationError("pattern produces a cyclic dependency graph")
@@ -525,7 +527,6 @@ def measurement_order(pattern: Pattern) -> List[int]:
     the result is a total order over all nodes that respects every real-time
     dependency; the grid mapper uses it as its default placement order.
     """
-    measured = [cmd.node for cmd in pattern.measure_commands]
-    measured_set = set(measured)
-    tail = [node for node in pattern.nodes if node not in measured_set]
-    return measured + sorted(tail)
+    measured = pattern.targets[pattern.kinds == M_CODE]
+    tail = np.setdiff1d(pattern.node_array(), measured)
+    return measured.tolist() + tail.tolist()

@@ -64,9 +64,6 @@ class PatternSimulator:
         self.rng = make_rng(seed)
         self.forced_outcomes = dict(forced_outcomes or {})
         self.outcomes: Dict[int, int] = {}
-        # Bitset of reported-1 outcomes; signal parities are one AND+popcount.
-        self._outcome_mask = 0
-
         self._live_nodes: List[int] = list(pattern.input_nodes)
         n_inputs = len(self._live_nodes)
         if input_state is None:
@@ -124,13 +121,14 @@ class PatternSimulator:
     def _execute_entangle(self, command: EntangleCommand) -> None:
         self._apply_cz(command.node_a, command.node_b)
 
-    def _parity(self, mask: int) -> int:
-        """Signal parity of a domain bitset given the recorded outcomes."""
-        return (mask & self._outcome_mask).bit_count() & 1
+    def _parity(self, domain) -> int:
+        """Signal parity of a domain given the recorded outcomes."""
+        outcomes = self.outcomes
+        return sum(outcomes[node] for node in domain) & 1
 
     def _execute_measure(self, command: MeasureCommand) -> None:
-        s = self._parity(command.s_mask)
-        t = self._parity(command.t_mask)
+        s = self._parity(command.s_domain)
+        t = self._parity(command.t_domain)
         angle = ((-1.0) ** s) * command.angle + t * math.pi
 
         axis = self._axis(command.node)
@@ -171,15 +169,13 @@ class PatternSimulator:
             branch = minus_branch if outcome == 1 else plus_branch
             probability = p_minus if outcome == 1 else p_plus
         self.outcomes[command.node] = outcome
-        if outcome:
-            self._outcome_mask |= 1 << command.node
 
         branch = branch / math.sqrt(probability)
         self._live_nodes.pop(axis)
         self._state = branch.reshape(-1)
 
     def _execute_correction(self, command: CorrectionCommand) -> None:
-        if self._parity(command.mask) == 0:
+        if self._parity(command.domain) == 0:
             return
         matrix = _X if command.pauli == "X" else _Z
         self._apply_single(matrix, command.node)

@@ -23,17 +23,16 @@ with :func:`standardize` without changing any domain.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, FrozenSet, List
+
+import numpy as np
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.decompose import CZGate, JCZProgram, JGate, decompose_to_jcz
-from repro.mbqc.commands import (
-    CorrectionCommand,
-    EntangleCommand,
-    MeasureCommand,
-    PrepareCommand,
-)
-from repro.mbqc.pattern import Pattern
+from repro.mbqc.commands import E_CODE, M_CODE, N_CODE, X_CODE, Z_CODE
+from repro.mbqc.pattern import _STANDARD_RANK, Pattern
+from repro.obs.trace import TRACER
+from repro.utils.csr import row_slots
 
 __all__ = ["jcz_to_pattern", "circuit_to_pattern", "standardize"]
 
@@ -45,15 +44,29 @@ def jcz_to_pattern(program: JCZProgram) -> Pattern:
     output nodes are the final wire nodes after all J gates.  Commands appear
     in generation order; call :func:`standardize` to obtain standard form.
     """
-    num_qubits = program.num_qubits
-    pattern = Pattern(name=program.name)
-    pattern.input_nodes = list(range(num_qubits))
+    with TRACER.span("translate.pattern"):
+        pattern = _build_pattern(program)
+    with TRACER.span("translate.validate"):
+        pattern.validate()
+    return pattern
 
-    current: Dict[int, int] = {q: q for q in range(num_qubits)}
-    # Pending correction domains are integer bitsets; the commutation rules
-    # below are plain XOR/OR mask arithmetic.
-    x_domain: Dict[int, int] = {q: 0 for q in range(num_qubits)}
-    z_domain: Dict[int, int] = {q: 0 for q in range(num_qubits)}
+
+def _build_pattern(program: JCZProgram) -> Pattern:
+    """Append the pattern's columns command by command (no validation)."""
+    num_qubits = program.num_qubits
+    kinds: List[int] = []
+    targets: List[int] = []
+    partners: List[int] = []
+    angles: List[float] = []
+    lengths: List[int] = [0]
+    domains: List[int] = []
+
+    current: List[int] = list(range(num_qubits))
+    # Pending correction domains are small frozen sets; the commutation
+    # rules below are set symmetric differences.
+    empty: FrozenSet[int] = frozenset()
+    x_domain: Dict[int, FrozenSet[int]] = dict.fromkeys(current, empty)
+    z_domain: Dict[int, FrozenSet[int]] = dict.fromkeys(current, empty)
     next_node = num_qubits
 
     for op in program.operations:
@@ -61,37 +74,57 @@ def jcz_to_pattern(program: JCZProgram) -> Pattern:
             u = current[op.qubit]
             v = next_node
             next_node += 1
-            pattern.prepare(v)
-            pattern.entangle(u, v)
-            # Pending X on u becomes Z on v when commuted through E(u, v).
-            x_domain[v] = 0
-            z_domain[v] = x_domain[u]
-            # Measure u with the pending corrections folded into the domains.
-            pattern.measure(
-                u, angle=-op.angle, s_domain=x_domain[u], t_domain=z_domain[u]
-            )
-            # The J pattern's own byproduct: X_v conditioned on the outcome of u.
-            x_domain[v] ^= 1 << u
+            # N(v), E(u, v), then M(u) with the pending corrections folded
+            # into its domains.
+            pending_x = x_domain.pop(u)
+            s_domain = sorted(pending_x)
+            t_domain = sorted(z_domain.pop(u))
+            kinds += (N_CODE, E_CODE, M_CODE)
+            targets += (v, u, u)
+            partners += (-1, v, -1)
+            angles += (0.0, 0.0, -op.angle)
+            lengths += (0, 0, 0, 0, len(s_domain), len(t_domain))
+            domains += s_domain
+            domains += t_domain
+            # Pending X on u becomes Z on v when commuted through E(u, v);
+            # the J pattern's own byproduct is X_v conditioned on u.
+            z_domain[v] = pending_x
+            x_domain[v] = frozenset((u,))
             current[op.qubit] = v
         elif isinstance(op, CZGate):
             u = current[op.qubit_a]
             v = current[op.qubit_b]
-            pattern.entangle(u, v)
+            kinds.append(E_CODE)
+            targets.append(u)
+            partners.append(v)
+            angles.append(0.0)
+            lengths += (0, 0)
             # CZ commutes X on one side into Z on the other side.
-            z_domain[v] ^= x_domain[u]
-            z_domain[u] ^= x_domain[v]
+            z_domain[v] = z_domain[v] ^ x_domain[u]
+            z_domain[u] = z_domain[u] ^ x_domain[v]
         else:  # pragma: no cover - defensive
             raise TypeError(f"unexpected operation {op!r}")
 
-    pattern.output_nodes = [current[q] for q in range(num_qubits)]
-    for qubit in range(num_qubits):
-        node = current[qubit]
-        if x_domain[node]:
-            pattern.correct(node, x_domain[node], "X")
-        if z_domain[node]:
-            pattern.correct(node, z_domain[node], "Z")
-    pattern.validate()
-    return pattern
+    for node in current:
+        for code, domain in ((X_CODE, x_domain[node]), (Z_CODE, z_domain[node])):
+            if domain:
+                kinds.append(code)
+                targets.append(node)
+                partners.append(-1)
+                angles.append(0.0)
+                lengths += (len(domain), 0)
+                domains += sorted(domain)
+    return Pattern.from_columns(
+        kinds,
+        targets,
+        partners,
+        angles,
+        np.cumsum(lengths),
+        domains,
+        input_nodes=range(num_qubits),
+        output_nodes=current,
+        name=program.name,
+    )
 
 
 def circuit_to_pattern(circuit: QuantumCircuit, standard_form: bool = False) -> Pattern:
@@ -102,7 +135,9 @@ def circuit_to_pattern(circuit: QuantumCircuit, standard_form: bool = False) -> 
         standard_form: If True, return the pattern re-ordered into
             N*, E*, M*, C* standard form.
     """
-    pattern = jcz_to_pattern(decompose_to_jcz(circuit))
+    with TRACER.span("translate.decompose"):
+        program = decompose_to_jcz(circuit)
+    pattern = jcz_to_pattern(program)
     if standard_form:
         pattern = standardize(pattern)
     return pattern
@@ -117,27 +152,21 @@ def standardize(pattern: Pattern) -> Pattern:
     measurements of other nodes, and the relative order of measurements is
     preserved, so all adaptive domains still refer to earlier outcomes.
     """
-    prepares: List[PrepareCommand] = []
-    entangles: List[EntangleCommand] = []
-    measures: List[MeasureCommand] = []
-    corrections: List[CorrectionCommand] = []
-    for command in pattern.commands:
-        if isinstance(command, PrepareCommand):
-            prepares.append(command)
-        elif isinstance(command, EntangleCommand):
-            entangles.append(command)
-        elif isinstance(command, MeasureCommand):
-            measures.append(command)
-        elif isinstance(command, CorrectionCommand):
-            corrections.append(command)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unexpected command {command!r}")
-    result = Pattern(
-        input_nodes=list(pattern.input_nodes),
-        output_nodes=list(pattern.output_nodes),
-        commands=[*prepares, *entangles, *measures, *corrections],
+    order = np.argsort(_STANDARD_RANK[pattern.kinds], kind="stable")
+    rows = np.column_stack((2 * order, 2 * order + 1)).ravel()
+    indptr = pattern.domain_indptr
+    lengths = indptr[rows + 1] - indptr[rows]
+    result = Pattern.from_columns(
+        pattern.kinds[order],
+        pattern.targets[order],
+        pattern.partners[order],
+        pattern.angles[order],
+        np.concatenate(([0], np.cumsum(lengths))),
+        pattern.domain_nodes[row_slots(indptr, rows)],
+        input_nodes=pattern.input_nodes,
+        output_nodes=pattern.output_nodes,
         name=pattern.name,
-        removed_nodes=set(pattern.removed_nodes),
+        removed_nodes=pattern.removed_nodes,
     )
     result.validate()
     return result

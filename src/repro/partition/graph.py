@@ -87,11 +87,14 @@ class FusionGraph:
         """The graph ``add_nodes_from(nodes)`` then ``add_edges_from(edges)`` builds.
 
         Every endpoint must be listed in ``nodes``; a repeated edge keeps its
-        first position.
+        first position.  ``edges`` may be an ``(m, 2)`` array.
         """
-        labels = _label_array(list(nodes))
+        labels = _label_array(nodes if isinstance(nodes, np.ndarray) else list(nodes))
         graph = cls(labels, np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64))
-        found = graph.positions([node for edge in edges for node in edge])
+        if isinstance(edges, np.ndarray):
+            found = graph.positions(edges.reshape(-1))
+        else:
+            found = graph.positions([node for edge in edges for node in edge])
         if (found < 0).any():
             raise ValueError("edge endpoints missing from the node list")
         num_nodes = graph.num_nodes

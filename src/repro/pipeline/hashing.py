@@ -25,13 +25,7 @@ import numpy as np
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.compiler.compgraph import ComputationGraph
-from repro.mbqc.commands import (
-    CorrectionCommand,
-    EntangleCommand,
-    MeasureCommand,
-    PrepareCommand,
-    mask_bits,
-)
+from repro.mbqc.commands import E_CODE, M_CODE, N_CODE, X_CODE
 from repro.mbqc.dependency import KIND_NAMES
 from repro.mbqc.pattern import Pattern
 from repro.partition.types import PartitionResult
@@ -117,22 +111,21 @@ def circuit_hash(circuit: QuantumCircuit) -> str:
     return hash_parts("circuit", circuit.num_qubits, circuit.name, gates)
 
 
-def _command_canonical(command: object) -> object:
-    if isinstance(command, PrepareCommand):
-        return ("N", command.node)
-    if isinstance(command, EntangleCommand):
-        return ("E", *command.sorted_nodes())
-    if isinstance(command, MeasureCommand):
-        return (
-            "M",
-            command.node,
-            repr(command.angle),
-            list(mask_bits(command.s_mask)),
-            list(mask_bits(command.t_mask)),
-        )
-    if isinstance(command, CorrectionCommand):
-        return (command.pauli, command.node, list(mask_bits(command.mask)))
-    raise TypeError(f"cannot hash command {command!r}")
+def _canonical_commands(pattern: Pattern) -> List[object]:
+    """Every command as a tuple: ``("N", node)``, ``("E", low, high)``,
+    ``("M", node, repr(angle), s, t)`` or ``(pauli, node, domain)``, with
+    each domain a sorted label list (its CSR row)."""
+    commands: List[object] = []
+    for code, node, partner, angle, first, second in pattern.rows():
+        if code == N_CODE:
+            commands.append(("N", node))
+        elif code == E_CODE:
+            commands.append(("E", min(node, partner), max(node, partner)))
+        elif code == M_CODE:
+            commands.append(("M", node, repr(angle), first, second))
+        else:
+            commands.append(("X" if code == X_CODE else "Z", node, first))
+    return commands
 
 
 def pattern_hash(pattern: Pattern) -> str:
@@ -143,7 +136,7 @@ def pattern_hash(pattern: Pattern) -> str:
         list(pattern.input_nodes),
         list(pattern.output_nodes),
         sorted(pattern.removed_nodes),
-        [_command_canonical(command) for command in pattern.commands],
+        _canonical_commands(pattern),
     )
 
 

@@ -40,7 +40,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, TypeVar
 
-from repro.mbqc.pattern import Pattern
 from repro.obs.events import EVENTS
 from repro.obs.trace import TRACER
 from repro.pipeline.artifacts import ArtifactStore, caching_disabled
@@ -65,9 +64,7 @@ DEFAULT_MEMORY_CACHE_SIZE = 128
 #: in-process memo (they remain disk-cached): the memo is bounded by entry
 #: count, and a handful of paper-scale DistributedCompilationResults would
 #: otherwise dominate worker memory.  A skip emits a ``cache.skip`` event
-#: and marks the stage span ``memo_skipped=True``.  An artifact whose
-#: :func:`snapshot_floor` already exceeds the bound is not pickled at all
-#: unless the artifact store needs the bytes.
+#: and marks the stage span ``memo_skipped=True``.
 MEMO_MAX_ENTRY_BYTES = 8 * 1024 * 1024
 
 _MISSING = object()
@@ -146,18 +143,6 @@ def clear_memory_cache() -> None:
     """Drop every memoised stage artifact (used between test phases)."""
     if _memory_cache is not None:
         _memory_cache.clear()
-
-
-def snapshot_floor(artifact: object) -> int:
-    """A lower bound on the pickled size of ``artifact``, 0 when none is cheap.
-
-    For a :class:`~repro.mbqc.pattern.Pattern` it is the bytes of its domain
-    masks (about 10 ms for the 43 MB of a QFT-64 pattern, against about
-    0.2 s to pickle it).
-    """
-    if isinstance(artifact, Pattern):
-        return artifact.mask_bytes()
-    return 0
 
 
 @contextmanager
@@ -399,13 +384,7 @@ class Pipeline:
                             )
                         self.telemetry.record_execution(stage.name, seconds)
                         if cacheable and key is not None:
-                            payload = self._memoise(
-                                stage.name,
-                                key,
-                                value,
-                                stage_span,
-                                keep_payload=self.store is not None,
-                            )
+                            payload = self._memoise(stage.name, key, value, stage_span)
                             if self.store is not None:
                                 self.store.put(key, value, payload=payload)
                     stage_span.set(status=status)
@@ -437,26 +416,16 @@ class Pipeline:
             final_output=self.stages[-1].output if self.stages else None,
         )
 
-    def _memoise(
-        self, stage: str, key: str, value: object, span, keep_payload: bool = False
-    ) -> Optional[bytes]:
+    def _memoise(self, stage: str, key: str, value: object, span) -> bytes:
         """Put a snapshot of ``value`` in the memo unless it exceeds ``MEMO_MAX_ENTRY_BYTES``.
 
-        Returns the pickled snapshot, or ``None`` when it was never made:
-        a value whose :func:`snapshot_floor` exceeds the bound is pickled
-        only if ``keep_payload`` asks for the bytes (the store writes them).
-        The ``cache.skip`` event reports the snapshot's size, or the floor
-        that ruled it out.
+        Returns the pickled snapshot, which the artifact store reuses.
         """
-        payload = None
-        size = snapshot_floor(value)
-        if keep_payload or size <= MEMO_MAX_ENTRY_BYTES:
-            payload = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
-            size = len(payload)
-            if size <= MEMO_MAX_ENTRY_BYTES:
-                self.memo.put(key, payload)
-                return payload
+        payload = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
+        if len(payload) <= MEMO_MAX_ENTRY_BYTES:
+            self.memo.put(key, payload)
+            return payload
         span.set(memo_skipped=True)
         if EVENTS.enabled:
-            EVENTS.emit("cache.skip", stage=stage, bytes=size)
+            EVENTS.emit("cache.skip", stage=stage, bytes=len(payload))
         return payload

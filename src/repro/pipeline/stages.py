@@ -60,12 +60,13 @@ def _compgraph(pattern: Pattern) -> ComputationGraph:
 def translate_stage() -> Stage:
     """circuit → measurement pattern (measurement-calculus translation).
 
-    Version 2: patterns serialise with bitset domains (s_mask/t_mask).  The
-    command classes migrate old pickles on load, but bumping the version
-    keeps persistent stores from mixing artifact formats across releases.
+    Version 2: patterns serialised with bitset domains (s_mask/t_mask).
+    Version 3: patterns pickle as command columns plus a domain CSR, with no
+    command objects, so a store must not thaw a version-2 pickle into the
+    new class.
     """
     return Stage(
-        "translate", _translate, inputs=("circuit",), output="pattern", version="2"
+        "translate", _translate, inputs=("circuit",), output="pattern", version="3"
     )
 
 

@@ -413,10 +413,6 @@ class LayerSchedulingProblem:
                 mapping.update(dict.fromkeys(task.nodes, task.key))
         return mapping
 
-    def syncs_of_main(self, key: TaskKey) -> List[SyncTask]:
-        """Synchronisation tasks associated with one main task."""
-        return [sync for sync in self.sync_tasks if key in sync.main_keys]
-
     def capacity_of(self, qpu: int) -> int:
         """``K_max`` of one QPU (per-QPU override or the shared default)."""
         if self.qpu_capacities is not None:

@@ -57,6 +57,8 @@ class LabelIndex:
             return np.full(values.shape, -1, dtype=np.int64)
         if self._dense:
             table = self._table
+            if values.min(initial=0) >= 0 and values.max(initial=0) < len(table):
+                return table[values]
             inside = (values >= 0) & (values < len(table))
             return np.where(inside, table[np.where(inside, values, 0)], -1)
         slot = np.minimum(np.searchsorted(self._sorted, values), self._size - 1)

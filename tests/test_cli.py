@@ -196,3 +196,31 @@ class TestSystemModelFlags:
         summary = json.loads(capsys.readouterr().out)
         assert summary["summary"]["failed"] == 0
         assert summary["summary"]["completed"] > 0
+
+
+class TestFaultFlags:
+    COMPILE = ["compile", "--program", "QFT", "--qubits", "8", "--qpus", "2", "--no-cache"]
+
+    def test_unparsable_spec_fails_before_any_compile(self, capsys, monkeypatch):
+        from repro.core.compiler import DCMBQCCompiler
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compile ran for an unparsable fault spec")
+
+        monkeypatch.setattr(DCMBQCCompiler, "compile_run", refuse)
+        with pytest.raises(SystemExit) as excinfo:
+            main([*self.COMPILE, "--inject-fault", "nonsense"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad --inject-fault spec 'nonsense': ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_spec_naming_no_qpu_of_the_system_is_a_clean_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*self.COMPILE, "--inject-fault", "qpu:7@3"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: bad --inject-fault spec 'qpu:7@3': "
+            "fault 'qpu:7@3' names no QPU of the system\n"
+        )

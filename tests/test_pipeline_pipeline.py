@@ -6,7 +6,6 @@ import pathlib
 import pickle
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import pytest
 
@@ -28,7 +27,12 @@ from repro.pipeline import (
     single_qpu_stages,
 )
 from repro.pipeline.pipeline import LRUCache
-from repro.pipeline.stages import distributed_stages, initial_program_state, translate_stage
+from repro.pipeline.stages import (
+    compgraph_stage,
+    distributed_stages,
+    initial_program_state,
+    translate_stage,
+)
 from repro.programs import build_benchmark
 from repro.utils.errors import CompilationError
 
@@ -355,102 +359,33 @@ class TestMemoSkip:
         assert all(span.attributes.get("memo_skipped") is True for span in stage_spans)
 
 
-class TestSnapshotFloor:
-    """A pattern whose mask bytes alone exceed the memo bound is not pickled
-    unless the artifact store needs its bytes."""
-
-    @pytest.fixture
-    def dumped(self, monkeypatch):
-        """Types passed to the pipeline's ``pickle.dumps``, in call order."""
-        calls = []
-
-        def dumps(value, protocol=None):
-            calls.append(type(value))
-            return pickle.dumps(value, protocol)
-
-        monkeypatch.setattr(
-            pipeline_module,
-            "pickle",
-            SimpleNamespace(
-                dumps=dumps, loads=pickle.loads, HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL
-            ),
+class TestPatternMemo:
+    def test_cold_qft64_compile_memoises_its_translate_output(self):
+        """The pattern pickles as columns plus a domain CSR: QFT-64's fits
+        the memo bound, with no command objects in the snapshot."""
+        pipeline = Pipeline(
+            [translate_stage(), compgraph_stage()],
+            memo=LRUCache(maxsize=16),
+            telemetry=TelemetryRegistry(),
         )
-        return calls
+        run = pipeline.run(initial_program_state(qft(num_qubits=64)))
+        assert statuses(run) == ["executed", "executed"]
+        payload = pipeline.memo.get(run.records[0].key)
+        assert payload is not None
+        assert len(payload) <= pipeline_module.MEMO_MAX_ENTRY_BYTES
+        assert b"MeasureCommand" not in payload
+        assert pickle.loads(payload) == run.state["pattern"]
+        rerun = pipeline.run(initial_program_state(qft(num_qubits=64)))
+        assert statuses(rerun) == ["memory-hit", "memory-hit"]
 
-    @pytest.fixture
-    def floor(self, monkeypatch):
-        """Cap the memo just below the QFT pattern's mask bytes."""
-        floor = circuit_to_pattern(qft()).mask_bytes()
-        monkeypatch.setattr(pipeline_module, "MEMO_MAX_ENTRY_BYTES", floor - 1)
-        return floor
+    def test_a_cold_compile_builds_no_command_objects(self, monkeypatch):
+        def refuse(pattern):
+            raise AssertionError("the compile path built the command view")
 
-    @staticmethod
-    def observed_run(tmp_path, pipeline):
-        path = tmp_path / f"run{len(list(tmp_path.iterdir()))}.events.jsonl"
-        TRACER.reset()
-        TRACER.enable(deterministic=True)
-        EVENTS.open(str(path), deterministic=True)
-        try:
-            run = pipeline.run(initial_program_state(qft()))
-        finally:
-            EVENTS.close()
-            spans = {
-                span.name: span.attributes.get("memo_skipped")
-                for span in TRACER.spans()
-                if span.name.startswith("stage.")
-            }
-            TRACER.disable()
-            TRACER.reset()
-        skips = [
-            (entry["stage"], entry["bytes"])
-            for entry in read_events(str(path))
-            if entry["event"] == "cache.skip"
-        ]
-        memo = {record.key: pipeline.memo.get(record.key) for record in run.records}
-        return run, skips, spans, memo
-
-    def test_floor_is_a_lower_bound_on_the_pickle(self):
-        pattern = circuit_to_pattern(qft())
-        assert 0 < pattern.mask_bytes() < len(pickle.dumps(pattern, pickle.HIGHEST_PROTOCOL))
-        assert pipeline_module.snapshot_floor(pattern) == pattern.mask_bytes()
-        assert pipeline_module.snapshot_floor(qft()) == 0
-
-    def test_oversized_pattern_is_never_pickled_without_a_store(self, floor, dumped):
-        fresh_pipeline().run(initial_program_state(qft()))
-        assert dumped and Pattern not in dumped
-
-    def test_memo_skip_and_events_match_a_full_pickle(self, tmp_path, floor, dumped, monkeypatch):
-        run, skips, spans, memo = self.observed_run(tmp_path, fresh_pipeline())
-        monkeypatch.setattr(pipeline_module, "snapshot_floor", lambda artifact: 0)
-        _, pickled_skips, pickled_spans, pickled_memo = self.observed_run(
-            tmp_path, fresh_pipeline()
-        )
-        assert dumped.count(Pattern) == 1  # only by the full-pickle run
-        translate_key = run.records[0].key
-        assert memo[translate_key] is None
-        assert memo == pickled_memo
-        assert spans == pickled_spans and spans["stage.translate"] is True
-        # The skip reports the floor that ruled the snapshot out.
-        assert skips[0] == ("translate", floor)
-        assert pickled_skips[0][0] == "translate" and pickled_skips[0][1] > floor
-        assert skips[1:] == pickled_skips[1:]
-
-    def test_with_a_store_the_pattern_is_pickled_once_and_written(self, tmp_path, floor, dumped):
-        pipeline = fresh_pipeline(tmp_path / "store")
-        run = pipeline.run(initial_program_state(qft()))
-        assert dumped.count(Pattern) == 1
-        key = run.records[0].key
-        assert key not in pipeline.memo
-        assert pipeline.store.get(key).content_hash() == run.state["pattern"].content_hash()
-
-    def test_disk_hit_of_an_oversized_pattern_is_not_pickled(self, tmp_path, floor, dumped):
-        fresh_pipeline(tmp_path / "store").run(initial_program_state(qft()))
-        dumped.clear()
-        pipeline = fresh_pipeline(tmp_path / "store")
-        run = pipeline.run(initial_program_state(qft()))
-        assert statuses(run)[0] == "disk-hit"
-        assert Pattern not in dumped
-        assert run.records[0].key not in pipeline.memo
+        monkeypatch.setattr(Pattern, "commands", property(refuse))
+        config = DCMBQCConfig(num_qpus=2, grid_size=5)
+        _, run = DCMBQCCompiler(config).compile_run(qft(), store=None, use_cache=False)
+        assert run.executions == 5
 
 
 class TestGarbageCollectorPause:

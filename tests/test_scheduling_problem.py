@@ -67,11 +67,6 @@ class TestConstruction:
         assert mapping[2] == ("main", 0, 1)
         assert mapping[11] == ("main", 1, 1)
 
-    def test_syncs_of_main(self):
-        problem = _toy_problem()
-        assert len(problem.syncs_of_main(("main", 0, 1))) == 1
-        assert problem.syncs_of_main(("main", 0, 0)) == []
-
 
 class TestValidation:
     def _valid_schedule(self):
