@@ -6,7 +6,7 @@ connection capacity, tracks how long every photon sits in a delay line, and
 (optionally) samples photon loss and fusion failures from the hardware
 models.  It is the executable ground truth used by the integration tests to
 confirm that schedules produced by the compiler are actually realisable and
-that the reported required photon lifetime matches the longest observed
+that the reported required photon lifetime bounds the longest observed
 storage time.
 
 :mod:`repro.runtime.faults` extends the replay into a degradation

@@ -12,17 +12,37 @@ on the multi-QPU system it was compiled for:
 * every photon's storage interval is tracked: a fusee waits from its
   generation cycle until the cycle its partner is generated, a measuree
   additionally waits for the classical outcomes it depends on, and a
-  connector waits for its synchronisation task.
+  connector waits until its synchronisation task engages it.
 
-The maximum observed storage duration must equal the required photon
-lifetime reported by the compiler — that cross-check is the core integration
-test of the library.
+The maximum observed storage duration is checked against the required
+photon lifetime τ reported by the compiler: it must satisfy
+``max_storage <= τ``.  The bound is not an equality.  A connector whose
+synchronisation starts before the photon is generated is released at its
+generation (it waits 0 cycles), while the compiler's remote gap charges
+``|t - s|`` in both directions, so τ can exceed every observed wait.  QFT-8
+on a 4-QPU line (atomic relays, ``K_max`` 1) schedules a two-hop sync at
+cycle 0 whose photons are generated at cycles 41 and 47: the compiler
+charges it 47 + 2 = 49 = τ, and the replay observes at most 44 cycles.
+That cross-check is the core integration test of the library.
+
+The replay is one scalar pass over the task lists and the dependency DAG's
+arrays, independent of the scheduling kernel's evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.compiler import DistributedCompilationResult
 from repro.hardware.loss import DelayLineModel
@@ -39,9 +59,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhotonStorageRecord:
+class PhotonStorageRecord(NamedTuple):
     """How long one photon had to be stored and why.
+
+    A named tuple, so a record compares equal to the plain tuple
+    ``(node, generated_at, released_at, reason)``.
 
     Attributes:
         node: Photon (computation-graph node) identifier.
@@ -326,82 +348,84 @@ class DistributedRuntime:
     def _run(self) -> ExecutionTrace:
         self.validate()
         problem = self.result.problem
-        schedule = self.result.schedule
+        start_times = self.result.schedule.start_times
+        removed = self.result.computation.removed_nodes
+        # A record is built straight from its field tuple: the named
+        # tuple's generated ``__new__`` costs a Python frame per record.
+        new = tuple.__new__
 
         node_generated: Dict[int, int] = {}
         qpu_busy: Dict[int, int] = {}
         for tasks in problem.main_tasks:
             for task in tasks:
-                start = schedule.start_of(task.key)
+                start = start_times[task.key]
                 qpu_busy[task.qpu] = qpu_busy.get(task.qpu, 0) + 1
                 for node in task.nodes:
                     node_generated[node] = start
 
         records: List[PhotonStorageRecord] = []
-        removed = self.result.computation.removed_nodes
+        append = records.append
 
         # Fusees: wait for the fusion partner.
-        for u, v in problem.local_fusee_pairs:
-            if u in removed or v in removed:
-                continue
-            later = max(node_generated[u], node_generated[v])
-            for node in (u, v):
-                records.append(
-                    PhotonStorageRecord(
-                        node=node,
-                        generated_at=node_generated[node],
-                        released_at=later,
-                        reason="fusee",
-                    )
-                )
-
-        # Measurees: wait for the classical signals of their parents.
-        dependency = self.result.computation.dependency
-        mtime: Dict[int, int] = {}
-        for node in dependency.topological_order():
-            if node not in node_generated:
-                continue
-            earliest = node_generated[node] + 1
-            for parent in dependency.parents(node):
-                if parent in mtime:
-                    earliest = max(earliest, mtime[parent] + 1)
-            mtime[node] = earliest
-            if node in removed:
-                continue
-            records.append(
-                PhotonStorageRecord(
-                    node=node,
-                    generated_at=node_generated[node],
-                    released_at=earliest,
-                    reason="measuree",
-                )
-            )
-
-        # Connectors: wait for their synchronisation task; a relayed sync
-        # releases its photons only once the entanglement has crossed every
-        # extra hop of its route (matching the evaluation kernel's
-        # relay-extended remote gap).
-        sync_events = 0
-        for sync in problem.sync_tasks:
-            sync_events += 1
-            sync_start = schedule.start_of(sync.key) + sync.relay_hops
-            for node in sync.connector:
-                if node not in node_generated or node in removed:
+        with TRACER.span("replay.fusee"):
+            for u, v in problem.local_fusee_pairs:
+                if u in removed or v in removed:
                     continue
-                records.append(
-                    PhotonStorageRecord(
-                        node=node,
-                        generated_at=node_generated[node],
-                        released_at=max(node_generated[node], sync_start),
-                        reason="connector",
-                    )
-                )
+                generated_u = node_generated[u]
+                generated_v = node_generated[v]
+                later = generated_u if generated_u > generated_v else generated_v
+                append(new(PhotonStorageRecord, (u, generated_u, later, "fusee")))
+                append(new(PhotonStorageRecord, (v, generated_v, later, "fusee")))
+
+        # Measurees: wait for the classical signals of their parents.  One
+        # pass over the DAG's positions in topological order; ``mtime``
+        # holds each position's measurement cycle, -1 until it is measured
+        # (a photon no main task generates has no outcome to wait for).
+        with TRACER.span("replay.measuree"):
+            dependency = self.result.computation.dependency
+            labels = dependency.labels.tolist()
+            indptr, parents = (array.tolist() for array in dependency.reverse_csr())
+            generated_at = [node_generated.get(label) for label in labels]
+            mtime = [-1] * len(labels)
+            for position in dependency.topological_positions().tolist():
+                generated = generated_at[position]
+                if generated is None:
+                    continue
+                earliest = generated + 1
+                for parent in parents[indptr[position]:indptr[position + 1]]:
+                    measured = mtime[parent]
+                    if measured >= earliest:
+                        earliest = measured + 1
+                mtime[position] = earliest
+                node = labels[position]
+                if node not in removed:
+                    append(new(PhotonStorageRecord, (node, generated, earliest, "measuree")))
+
+        # Connectors: wait until their synchronisation task engages them.
+        # A direct sync engages both photons at its start.  A relayed sync
+        # engages the receiving photon (on ``qpu_b``) only when the
+        # entanglement arrives, ``relay_hops`` cycles later; the sending
+        # photon (on ``qpu_a``) is engaged at departure under the pipelined
+        # model, and on arrival under the atomic one, whose whole transfer
+        # is one operation.
+        pipelined = self.result.config.relay_model == "pipelined"
+        with TRACER.span("replay.connector"):
+            for sync in problem.sync_tasks:
+                start = start_times[sync.key]
+                arrival = start + sync.relay_hops
+                departure = start if pipelined else arrival
+                for node, engaged in zip(sync.connector, (departure, arrival)):
+                    generated = node_generated.get(node)
+                    if generated is None or node in removed:
+                        continue
+                    released = engaged if engaged > generated else generated
+                    append(new(PhotonStorageRecord, (node, generated, released, "connector")))
 
         return ExecutionTrace(
-            total_cycles=problem.makespan_of(schedule),
+            total_cycles=problem.makespan_of(self.result.schedule),
             storage_records=records,
             qpu_busy_cycles=qpu_busy,
-            sync_events=sync_events,
+            sync_events=len(problem.sync_tasks),
         )
 
     # ------------------------------------------------------------------ #

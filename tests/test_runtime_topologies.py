@@ -104,21 +104,49 @@ class TestInterconnectConstrainsCompilation:
             DistributedRuntime(line).validate()
 
     def test_connector_release_includes_relay_latency(self):
-        line = compile_for("QFT", 12, topology="line")
+        """Pipelined: the sender is released at departure, the receiver on arrival."""
+        self.assert_connector_releases("pipelined")
+
+    def test_atomic_connector_release_waits_for_arrival(self):
+        """Atomic: both photons are released once the whole relay is done."""
+        self.assert_connector_releases("atomic")
+
+    @staticmethod
+    def assert_connector_releases(relay_model):
+        line = compile_for("QFT", 12, topology="line", relay_model=relay_model)
         trace = DistributedRuntime(line).run()
-        relayed = [s for s in line.problem.sync_tasks if s.relay_hops > 0]
-        assert relayed
-        sync = relayed[0]
-        schedule_start = line.schedule.start_of(sync.key)
-        releases = {
-            record.node: record.released_at
+        # One record per connector photon, two per sync, in sync order.
+        connectors = [r for r in trace.storage_records if r.reason == "connector"]
+        syncs = line.problem.sync_tasks
+        assert len(connectors) == 2 * len(syncs)
+        assert any(sync.relay_hops for sync in syncs)
+        for k, sync in enumerate(syncs):
+            start = line.schedule.start_of(sync.key)
+            arrival = start + sync.relay_hops
+            departure = start if relay_model == "pipelined" else arrival
+            sender, receiver = connectors[2 * k : 2 * k + 2]
+            assert (sender.node, receiver.node) == sync.connector
+            assert sender.released_at == max(sender.generated_at, departure)
+            assert receiver.released_at == max(receiver.generated_at, arrival)
+
+    def test_pipelined_sender_is_not_charged_the_relay(self):
+        """Regression: QPE-12 on a 4-QPU line at K_max 1 replayed 41 > τ = 40.
+
+        Connector photon 632 (generated at cycle 12) sends sync 30 along
+        the route (3, 2, 1) at cycle 52.  The pipelined model engages it at
+        departure, so it waits 40 cycles, not the 41 it would wait until
+        the entanglement arrives at QPU 1.
+        """
+        result = compile_for("QPE", 12, topology="line", connection_capacity=1)
+        sync = result.problem.sync_tasks[30]
+        assert sync.connector[0] == 632 and sync.route == (3, 2, 1)
+        assert result.schedule.start_of(sync.key) == 52
+        trace = DistributedRuntime(result).run()
+        connector = [
+            record
             for record in trace.storage_records
-            if record.reason == "connector" and record.node in sync.connector
-        }
-        for node, released in releases.items():
-            assert released >= schedule_start  # waited at least until the sync
-        assert any(
-            released == schedule_start + sync.relay_hops
-            or released > schedule_start
-            for released in releases.values()
-        )
+            if record.node == 632 and record.reason == "connector"
+        ]
+        assert connector == [(632, 12, 52, "connector")]
+        assert result.required_photon_lifetime == 40
+        assert trace.max_storage <= result.required_photon_lifetime
