@@ -1,6 +1,6 @@
 """Command-line interface for the DC-MBQC reproduction.
 
-Eight subcommands cover the common workflows::
+Seven subcommands cover the common workflows::
 
     python -m repro.cli compile --program QFT --qubits 16 --qpus 4
     python -m repro.cli compare --program VQE --qubits 16 --qpus 8 --rsg 4-ring
@@ -9,7 +9,6 @@ Eight subcommands cover the common workflows::
     python -m repro.cli sweep status results/table3/results.jsonl
     python -m repro.cli trace summarize out.json --json
     python -m repro.cli trace flamegraph out.json --out out.collapsed
-    python -m repro.cli metrics export metrics.json
     python -m repro.cli obs report --trace out.json --events run.events.jsonl
     python -m repro.cli bench diff old/BENCH_figure10.json new/BENCH_figure10.json
 
@@ -29,12 +28,12 @@ as JSON; ``--trace-resources`` / ``--trace-malloc`` annotate spans with
 RSS/CPU deltas and tracemalloc peaks.  ``trace summarize`` renders an
 exported trace as a text tree plus a self-time table (``--json`` for the
 machine-readable form), ``trace flamegraph`` emits collapsed stacks for
-flamegraph.pl/speedscope, ``metrics export`` renders a metrics dump as
-Prometheus text, ``obs report`` merges trace + events + metrics into one
-markdown run report, ``sweep status`` digests a result store into a health
-summary (failure rate, duration quantiles, stragglers, tracebacks), and
-``bench diff`` compares two ``BENCH_*.json`` perf trajectories, exiting
-non-zero on op-counter regressions.
+flamegraph.pl/speedscope, ``obs report`` merges trace + events + metrics
+(histogram quantiles included) into one markdown run report, ``sweep
+status`` digests a result store into a health summary (failure rate,
+duration quantiles, stragglers, tracebacks), and ``bench diff`` compares two
+``BENCH_*.json`` perf trajectories, exiting non-zero on op-counter
+regressions.
 
 ``compile`` and ``sweep`` route through the staged compilation pipeline
 (:mod:`repro.pipeline`): ``--cache-dir`` points the content-addressed
@@ -71,7 +70,6 @@ from repro.obs.export import (
     write_chrome_trace,
     write_collapsed_stacks,
 )
-from repro.obs.exposition import render_prometheus
 from repro.obs.metrics import METRICS
 from repro.obs.report import build_report
 from repro.obs.resources import RESOURCES, RESOURCES_ENV, TRACEMALLOC_ENV
@@ -297,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="PATH.json",
             help="dump the metrics registry (histogram buckets included) as "
-            "JSON after the run; render it with `metrics export`",
+            "JSON after the run; render it with `obs report --metrics`",
         )
         sub.add_argument(
             "--trace-resources",
@@ -436,29 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="write collapsed stacks here (default: stdout)",
-    )
-
-    metrics_parser = subparsers.add_parser(
-        "metrics", help="metrics registry tools"
-    )
-    metrics_sub = metrics_parser.add_subparsers(dest="metrics_command", required=True)
-    metrics_export_parser = metrics_sub.add_parser(
-        "export",
-        help="render a metrics dump (from --metrics) as Prometheus text",
-    )
-    metrics_export_parser.add_argument(
-        "path", help="metrics dump JSON (from compile/sweep --metrics)"
-    )
-    metrics_export_parser.add_argument(
-        "--prefix",
-        default="",
-        help="restrict the exposition to one metric namespace (e.g. sweep.)",
-    )
-    metrics_export_parser.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write the exposition here (default: stdout)",
     )
 
     obs_parser = subparsers.add_parser(
@@ -988,30 +963,6 @@ def _run_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_metrics(args: argparse.Namespace) -> int:
-    try:
-        with open(args.path, encoding="utf-8") as handle:
-            document = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read metrics dump {args.path}: {exc}", file=sys.stderr)
-        return 2
-    try:
-        text = render_prometheus(document, prefix=args.prefix)
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: malformed metrics dump {args.path}: {exc}", file=sys.stderr)
-        return 2
-    if not text:
-        print(f"no series matching prefix {args.prefix!r}", file=sys.stderr)
-        return 1
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"exposition -> {args.out}")
-    else:
-        print(text, end="")
-    return 0
-
-
 def _run_obs(args: argparse.Namespace) -> int:
     spans = []
     events = []
@@ -1068,7 +1019,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "experiment": _run_experiment,
         "sweep": _run_sweep,
         "trace": _run_trace,
-        "metrics": _run_metrics,
         "obs": _run_obs,
         "bench": _run_bench,
     }

@@ -16,8 +16,6 @@ The observability substrate every layer of the compiler reports through:
 * :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto-loadable),
   text span trees, top-N self-time summaries, machine-readable trace
   summaries and collapsed-stack flamegraph export;
-* :mod:`repro.obs.exposition` — Prometheus text exposition of any registry
-  prefix (``repro metrics export``);
 * :mod:`repro.obs.report` — ``repro obs report``: one markdown run report
   merging trace + event log + metrics snapshot;
 * :mod:`repro.obs.bench_diff` — ``repro bench diff``: counter-regression
@@ -52,7 +50,6 @@ from repro.obs.export import (
     write_chrome_trace,
     write_collapsed_stacks,
 )
-from repro.obs.exposition import render_prometheus
 from repro.obs.metrics import (
     METRICS,
     Histogram,
@@ -102,7 +99,6 @@ __all__ = [
     "load_chrome_trace",
     "read_events",
     "registry_from_dump",
-    "render_prometheus",
     "render_span_tree",
     "render_top_spans",
     "self_time_rows",

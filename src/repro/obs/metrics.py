@@ -16,17 +16,15 @@ boilerplate.  Both are now thin compatibility views over one
 
 Every instrument takes optional **label dimensions** (``stage="translate"``,
 ``source="disk"``), so one metric name fans out into a family of labelled
-series — the convention used by Prometheus-style metric systems.  Metric
-names are dot-separated, namespaced by subsystem (``ops.*`` for the compile
-hot path, ``pipeline.*`` for stage telemetry, ``sweep.*`` for the sweep
-health monitor), and :meth:`MetricsRegistry.reset` accepts a prefix so one
-view can reset its namespace without clobbering the others.
+series.  Metric names are dot-separated, namespaced by subsystem (``ops.*``
+for the compile hot path, ``pipeline.*`` for stage telemetry, ``sweep.*`` for
+the sweep health monitor), and :meth:`MetricsRegistry.reset` accepts a prefix
+so one view can reset its namespace without clobbering the others.
 
 The registry is per process, mirroring the registries it replaced: sweep
 workers own a private copy and ship deltas back through their point records.
 :meth:`MetricsRegistry.dump` serialises the full registry (histogram buckets
-included) so a metrics snapshot can cross a process boundary as JSON —
-``repro metrics export`` renders such a snapshot as Prometheus text and
+included) so a metrics snapshot can cross a process boundary as JSON;
 ``repro obs report`` merges one into a run report.
 """
 
@@ -111,7 +109,7 @@ def _default_bounds() -> Tuple[float, ...]:
 #: the last bound land in the implicit overflow (``+Inf``) bucket.
 BUCKET_BOUNDS: Tuple[float, ...] = _default_bounds()
 
-#: Canonical string form of each bound (used as the dump/exposition key).
+#: Canonical string form of each bound (used as the dump key).
 _BOUND_LABELS: Tuple[str, ...] = tuple(f"{bound:.10g}" for bound in BUCKET_BOUNDS)
 _BOUND_INDEX: Dict[str, int] = {label: i for i, label in enumerate(_BOUND_LABELS)}
 
@@ -228,21 +226,6 @@ class Histogram:
             if bucket_count:
                 label = INF_LABEL if i >= len(BUCKET_BOUNDS) else _BOUND_LABELS[i]
                 out.append((label, bucket_count))
-        return out
-
-    def cumulative_buckets(self) -> List[Tuple[str, int]]:
-        """Cumulative ``(le label, count)`` pairs over every defined bound.
-
-        This is the Prometheus histogram contract: every ``le`` bound appears
-        with the running total of samples at or below it, ending in the
-        ``+Inf`` bucket equal to the sample count.
-        """
-        out: List[Tuple[str, int]] = []
-        running = 0
-        for i, label in enumerate(_BOUND_LABELS):
-            running += self._buckets[i]
-            out.append((label, running))
-        out.append((INF_LABEL, self.count))
         return out
 
     def as_dict(self) -> Dict[str, object]:
@@ -362,25 +345,6 @@ class MetricsRegistry:
             histogram = self._histograms.get(name, {}).get(key)
             return histogram.quantile(q) if histogram is not None else 0.0
 
-    def counter_series(self, name: str) -> Dict[LabelKey, int]:
-        """Every labelled series of one counter, keyed by label tuple."""
-        with self._lock:
-            return dict(self._counters.get(name, {}))
-
-    def histogram_series(self, name: str) -> Dict[LabelKey, HistogramSummary]:
-        with self._lock:
-            return {
-                key: histogram.summary()
-                for key, histogram in self._histograms.get(name, {}).items()
-            }
-
-    def histogram_detail_series(self, name: str) -> Dict[LabelKey, Histogram]:
-        with self._lock:
-            return {
-                key: histogram.copy()
-                for key, histogram in self._histograms.get(name, {}).items()
-            }
-
     def counters_with_prefix(self, prefix: str) -> Dict[str, int]:
         """Unlabelled counters under ``prefix``, prefix stripped, sorted.
 
@@ -429,19 +393,16 @@ class MetricsRegistry:
                 },
             }
 
-    def dump(self, prefix: str = "", deterministic: bool = False) -> Dict[str, object]:
+    def dump(self, deterministic: bool = False) -> Dict[str, object]:
         """Serialise the registry (histogram buckets included) as plain JSON.
 
-        ``prefix`` restricts the dump to one namespace; ``deterministic``
-        drops series :func:`is_volatile_metric` flags as wall-clock-derived,
-        so the dump — and any report/exposition built from it — is a pure
-        function of the compile under ``DCMBQC_TRACE_DETERMINISTIC=1``.
+        ``deterministic`` drops series :func:`is_volatile_metric` flags as
+        wall-clock-derived, so the dump — and any report built from it — is a
+        pure function of the compile under ``DCMBQC_TRACE_DETERMINISTIC=1``.
         The inverse is :func:`registry_from_dump`.
         """
         with self._lock:
             def keep(name: str) -> bool:
-                if prefix and not name.startswith(prefix):
-                    return False
                 return not (deterministic and is_volatile_metric(name))
 
             counters = [
@@ -500,8 +461,8 @@ class MetricsRegistry:
 def registry_from_dump(doc: Mapping[str, object]) -> MetricsRegistry:
     """Rebuild a :class:`MetricsRegistry` from :meth:`MetricsRegistry.dump`.
 
-    Used by ``repro metrics export`` / ``repro obs report`` to render a
-    snapshot taken in another process without touching the live registry.
+    Used by ``repro obs report`` to render a snapshot taken in another
+    process without touching the live registry.
     """
     schema = doc.get("schema")
     if schema != DUMP_SCHEMA:

@@ -49,7 +49,7 @@ from repro.hardware.loss import DelayLineModel
 from repro.obs.events import EVENTS
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
-from repro.utils.errors import ValidationError
+from repro.utils.errors import SchedulingError, ValidationError
 
 __all__ = [
     "PhotonStorageRecord",
@@ -160,6 +160,7 @@ class DistributedRuntime:
 
     def __init__(self, result: DistributedCompilationResult) -> None:
         self.result = result
+        self._validated = False
 
     # ------------------------------------------------------------------ #
     # Validation
@@ -168,6 +169,8 @@ class DistributedRuntime:
     def validate(self) -> None:
         """Re-check every hard constraint of the schedule.
 
+        Always checks; :meth:`run` skips its own check once this has passed.
+
         Raises:
             ValidationError: if the schedule violates machine exclusivity,
                 connection capacity, per-QPU main-task ordering, or if any
@@ -175,7 +178,10 @@ class DistributedRuntime:
         """
         problem = self.result.problem
         schedule = self.result.schedule
-        problem.validate(schedule)
+        try:
+            problem.validate(schedule)
+        except SchedulingError as exc:
+            raise ValidationError(str(exc)) from exc
         self._validate_against_system()
 
         generated: Set[int] = set()
@@ -188,6 +194,7 @@ class DistributedRuntime:
             raise ValidationError(
                 f"{len(missing)} photons are never generated by any main task"
             )
+        self._validated = True
 
     def _validate_against_system(self) -> None:
         """Independently replay the hardware model's interconnect constraints.
@@ -324,7 +331,7 @@ class DistributedRuntime:
     # ------------------------------------------------------------------ #
 
     def run(self) -> ExecutionTrace:
-        """Replay the schedule and return the execution trace."""
+        """Validate (unless this runtime already has) and replay the schedule."""
         with TRACER.span("runtime.replay") as replay_span:
             trace = self._run()
             replay_span.set(
@@ -333,7 +340,7 @@ class DistributedRuntime:
                 photons=len(trace.storage_records),
             )
         # Integer, seed-deterministic series: these survive deterministic
-        # metric dumps, so reports and expositions always carry histograms.
+        # metric dumps, so metrics reports always carry histograms.
         METRICS.observe("runtime.replay.cycles", trace.total_cycles)
         METRICS.observe("runtime.replay.sync_events", trace.sync_events)
         if EVENTS.enabled:
@@ -346,7 +353,9 @@ class DistributedRuntime:
         return trace
 
     def _run(self) -> ExecutionTrace:
-        self.validate()
+        if not self._validated:
+            with TRACER.span("replay.validate"):
+                self.validate()
         problem = self.result.problem
         start_times = self.result.schedule.start_times
         removed = self.result.computation.removed_nodes
@@ -354,14 +363,16 @@ class DistributedRuntime:
         # tuple's generated ``__new__`` costs a Python frame per record.
         new = tuple.__new__
 
+        # Mains: each generates its photons at its start cycle.
         node_generated: Dict[int, int] = {}
         qpu_busy: Dict[int, int] = {}
-        for tasks in problem.main_tasks:
-            for task in tasks:
-                start = start_times[task.key]
-                qpu_busy[task.qpu] = qpu_busy.get(task.qpu, 0) + 1
-                for node in task.nodes:
-                    node_generated[node] = start
+        with TRACER.span("replay.main"):
+            for tasks in problem.main_tasks:
+                for task in tasks:
+                    start = start_times[task.key]
+                    qpu_busy[task.qpu] = qpu_busy.get(task.qpu, 0) + 1
+                    for node in task.nodes:
+                        node_generated[node] = start
 
         records: List[PhotonStorageRecord] = []
         append = records.append

@@ -119,7 +119,10 @@ class FaultSpec:
     def describe(self) -> str:
         """Canonical spec string (round-trips through :func:`parse_fault`)."""
         if self.kind == "photon-loss":
-            return f"loss:{self.cycle_time_ns:g}ns"
+            # The shortest string that parses back to the same float, with
+            # an integral value's ``.0`` dropped (``loss:100ns``).
+            text = repr(self.cycle_time_ns)
+            return f"loss:{text[:-2] if text.endswith('.0') else text}ns"
         if self.at_fraction is not None:
             time = f"{round(self.at_fraction * 100):d}%"
         else:

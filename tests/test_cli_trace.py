@@ -189,34 +189,3 @@ def test_trace_flamegraph_stdout_and_file(tmp_path, capsys):
 def test_obs_report_without_inputs_errors(capsys):
     assert main(["obs", "report"]) == 2
     assert "at least one" in capsys.readouterr().err
-
-
-def test_metrics_export_renders_prometheus(tmp_path, capsys):
-    out = tmp_path / "run.json"
-    metrics = tmp_path / "metrics.json"
-    assert (
-        main(
-            [
-                "compile",
-                "--qubits",
-                "6",
-                "--qpus",
-                "2",
-                "--grid-size",
-                "5",
-                "--no-cache",
-                "--trace",
-                str(out),
-                "--metrics",
-                str(metrics),
-            ]
-        )
-        == 0
-    )
-    capsys.readouterr()
-    assert main(["metrics", "export", str(metrics)]) == 0
-    text = capsys.readouterr().out
-    assert "# TYPE ops_scheduler_calls counter" in text
-    assert "runtime_replay_cycles_p50" in text
-
-    assert main(["metrics", "export", str(metrics), "--prefix", "nothing."]) == 1

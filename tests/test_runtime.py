@@ -9,6 +9,8 @@ from repro.runtime.executor import (
     PhotonStorageRecord,
 )
 from repro.runtime.reliability import estimate_program_reliability
+from repro.scheduling.problem import LayerSchedulingProblem
+from repro.utils.errors import ValidationError
 
 
 class TestValidation:
@@ -23,6 +25,30 @@ class TestValidation:
         try:
             with pytest.raises(Exception):
                 runtime.validate()
+        finally:
+            distributed_result.schedule.start_times[key] = original
+
+    def test_run_does_not_revalidate_after_validate(self, distributed_result, monkeypatch):
+        calls = []
+        validate = LayerSchedulingProblem.validate
+
+        def counting_validate(problem, schedule):
+            calls.append(schedule)
+            return validate(problem, schedule)
+
+        monkeypatch.setattr(LayerSchedulingProblem, "validate", counting_validate)
+        runtime = DistributedRuntime(distributed_result)
+        runtime.validate()
+        runtime.run()
+        assert len(calls) == 1
+
+    def test_run_on_fresh_runtime_validates(self, distributed_result):
+        key = distributed_result.problem.main_tasks[0][1].key
+        original = distributed_result.schedule.start_times[key]
+        distributed_result.schedule.start_times[key] = 0  # collide with index 0
+        try:
+            with pytest.raises(ValidationError):
+                DistributedRuntime(distributed_result).run()
         finally:
             distributed_result.schedule.start_times[key] = original
 

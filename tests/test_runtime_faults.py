@@ -1,6 +1,8 @@
 """Tests for seeded fault injection and recovery policies."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import DCMBQCCompiler, DCMBQCConfig
 from repro.programs import build_benchmark
@@ -36,6 +38,8 @@ class TestParseFault:
             "qpu:0@50%+8:cap=1",
             "link:1-3@7+4:cap=2",
             "loss:100ns",
+            "loss:123.4567ns",
+            "loss:1234567ns",
         ],
     )
     def test_round_trips_through_describe(self, spec):
@@ -75,6 +79,31 @@ class TestParseFault:
     def test_rejects_malformed_specs(self, spec):
         with pytest.raises(FaultInjectionError):
             parse_fault(spec)
+
+
+#: Arbitrary text, text behind a spec prefix, and strings of the grammar
+#: itself, including loss cycle times of every float's shortest form.
+_FAULT_TEXTS = st.one_of(
+    st.text(),
+    st.builds(
+        "".join, st.tuples(st.sampled_from(["qpu:", "link:", "loss:"]), st.text())
+    ),
+    st.from_regex(r"(qpu|link):\d+(-\d+)?@\d+%?(\+\d+:cap=\d+)?", fullmatch=True),
+    st.from_regex(r"loss:\d{1,9}(\.\d{1,9})?(e[+-]?\d{1,3})?ns", fullmatch=True),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(
+        lambda value: f"loss:{value!r}ns"
+    ),
+)
+
+
+@given(text=_FAULT_TEXTS)
+@settings(max_examples=300, deadline=None)
+def test_parse_fault_rejects_or_round_trips(text):
+    try:
+        spec = parse_fault(text)
+    except FaultInjectionError:
+        return
+    assert parse_fault(spec.describe()) == spec
 
 
 def _ring_system():
