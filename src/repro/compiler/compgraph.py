@@ -19,9 +19,15 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 import networkx as nx
 import numpy as np
 
-from repro.mbqc.dependency import DependencyGraph, build_dependency_graph, measurement_order
+from repro.mbqc.dependency import (
+    DependencyGraph,
+    build_dependency_graph,
+    measurement_order,
+    shifted_dependency,
+)
 from repro.mbqc.pattern import Pattern
-from repro.mbqc.signal_shift import signal_shift
+# Unused here: bound so that compilebench/layers.py can time it by name.
+from repro.mbqc.signal_shift import signal_shift  # noqa: F401
 from repro.obs.trace import TRACER
 from repro.partition.graph import FusionGraph
 from repro.utils.errors import CompilationError
@@ -168,30 +174,31 @@ def computation_graph_from_pattern(
     """Build the computation graph of a measurement pattern.
 
     Args:
-        pattern: The source pattern.
-        apply_signal_shifting: Run signal shifting first so that only
-            X-dependencies constrain real-time execution (the default, and
-            what the paper assumes).
+        pattern: The source pattern; it is validated first.
+        apply_signal_shifting: Take the dependency graph of the
+            signal-shifted pattern, so that only X-dependencies constrain
+            real-time execution (the default, and what the paper assumes).
+            The shifted pattern itself is never built:
+            :func:`~repro.mbqc.dependency.shifted_dependency` reads its
+            dependency graph off the shift resolution, and the order, the
+            fusion graph and the output/removed sets do not depend on
+            domains.  Signal shifting preserves validity, so the valid input
+            stands for the shifted pattern.
     """
-    working = pattern
-    if apply_signal_shifting:
-        with TRACER.span("compgraph.signal_shift"):
-            working = signal_shift(pattern)
     with TRACER.span("compgraph.dependency"):
-        dependency = build_dependency_graph(working)
-        if not apply_signal_shifting:
-            dependency = dependency.x_only()
-        # After signal shifting every t-domain is empty, so the dependency
-        # graph contains X edges only and the x_only restriction would be an
-        # identical copy.
-        order = measurement_order(working)
+        pattern.validate()
+        if apply_signal_shifting:
+            dependency = shifted_dependency(pattern)
+        else:
+            dependency = build_dependency_graph(pattern).x_only()
+        order = measurement_order(pattern)
     with TRACER.span("compgraph.fusion_graph"):
-        fusion = FusionGraph.from_edges(working.node_array(), working.edge_array())
+        fusion = FusionGraph.from_edges(pattern.node_array(), pattern.edge_array())
     return ComputationGraph(
         fusion=fusion,
         dependency=dependency,
         order=order,
-        output_nodes=list(working.output_nodes),
-        removed_nodes=set(working.removed_nodes),
+        output_nodes=list(pattern.output_nodes),
+        removed_nodes=set(pattern.removed_nodes),
         name=pattern.name,
     )

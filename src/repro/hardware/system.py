@@ -575,6 +575,12 @@ def build_system(
             return explicit
         if link_capacity is not None:
             return link_capacity
+        for endpoint in (a, b):
+            if not 0 <= endpoint < num_qpus:
+                raise ValidationError(
+                    f"link ({a}, {b}) references QPU {endpoint}, but the system "
+                    f"has only {num_qpus} QPUs"
+                )
         return min(qpus[a].connection_capacity, qpus[b].connection_capacity)
 
     if topology is InterconnectTopology.CUSTOM:
@@ -634,7 +640,8 @@ def _spec_field(name: str):
     """Re-raise a malformed value of the system-spec field ``name`` as a typed error."""
     try:
         yield
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: int() of an infinite number.
         raise ValidationError(f"system spec field {name!r} is invalid: {exc!r}") from None
 
 

@@ -9,9 +9,14 @@ Section II-A of the paper:
 * :mod:`~repro.mbqc.translate` — translation of a {J, CZ} program into a
   standardised pattern with explicit correction domains,
 * :mod:`~repro.mbqc.signal_shift` — signal shifting, which removes
-  Z-dependencies from the real-time dependency structure,
+  Z-dependencies from the real-time dependency structure; ``signal_shift``
+  is the pattern → pattern transform the simulator and the equivalence
+  tests run,
 * :mod:`~repro.mbqc.dependency` — the dependency DAG (X- and Z-dependencies)
-  consumed by the required-photon-lifetime metric,
+  consumed by the required-photon-lifetime metric.  The compile path never
+  builds the shifted pattern: ``shifted_dependency`` reads the real-time
+  DAG G′ straight off the signal-shift resolution, and
+  ``build_dependency_graph(signal_shift(p))`` is its test oracle,
 * :mod:`~repro.mbqc.graphstate` — the underlying graph state,
 * :mod:`~repro.mbqc.simulator` — a statevector simulator for patterns, used
   to prove that translation preserves circuit semantics,
@@ -32,6 +37,7 @@ from repro.mbqc.dependency import (
     DependencyGraph,
     build_dependency_graph,
     measurement_order,
+    shifted_dependency,
 )
 from repro.mbqc.graphstate import GraphState, graph_state_of_pattern
 from repro.mbqc.simulator import PatternSimulator, simulate_pattern
@@ -49,6 +55,7 @@ __all__ = [
     "signal_shift",
     "DependencyGraph",
     "build_dependency_graph",
+    "shifted_dependency",
     "measurement_order",
     "GraphState",
     "graph_state_of_pattern",

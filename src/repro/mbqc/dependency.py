@@ -14,6 +14,11 @@ edges are gathered straight from the pattern's domain CSR.  The reverse
 (parent) CSR and the topological order are derived on first use and cached.  A networkx
 ``DiGraph`` is available as the :attr:`DependencyGraph.graph` export for
 tests and examples; no compile-path consumer builds it.
+
+The compile path reads G′ of the signal-shifted pattern from
+:func:`shifted_dependency`, which builds it straight from the signal-shift
+resolution walk; ``build_dependency_graph(signal_shift(pattern))`` builds
+the same arrays and is its test oracle.
 """
 
 from __future__ import annotations
@@ -26,12 +31,14 @@ import numpy as np
 
 from repro.mbqc.commands import M_CODE, X_CODE
 from repro.mbqc.pattern import Pattern
+from repro.mbqc.signal_shift import resolved_domains
 from repro.utils.csr import LabelIndex, csr_indptr, row_slots
 from repro.utils.errors import ValidationError
 
 __all__ = [
     "DependencyGraph",
     "build_dependency_graph",
+    "shifted_dependency",
     "measurement_order",
     "is_pauli_angle",
 ]
@@ -53,6 +60,14 @@ def is_pauli_angle(angle: float, atol: float = 1e-9) -> bool:
     """
     remainder = math.remainder(angle, math.pi)
     return abs(remainder) < atol
+
+
+def _pauli_measures(pattern: Pattern) -> np.ndarray:
+    """Per command: an M whose angle :func:`is_pauli_angle` accepts."""
+    pauli = np.zeros(pattern.num_commands, dtype=bool)
+    measures = np.flatnonzero(pattern.kinds == M_CODE)
+    pauli[measures] = [is_pauli_angle(angle) for angle in pattern.angles[measures].tolist()]
+    return pauli
 
 
 def kahn_generations(
@@ -181,6 +196,36 @@ class DependencyGraph:
             csr_indptr(num_nodes, edge_src[order]),
             (keys % num_nodes)[order] if num_nodes else keys,
             merged[order],
+        )
+        return dag
+
+    @classmethod
+    def from_unique_edges(
+        cls,
+        labels: np.ndarray,
+        sources: np.ndarray,
+        targets: np.ndarray,
+        kinds,
+    ) -> "DependencyGraph":
+        """Build a graph from distinct edges between label positions.
+
+        Equal to ``from_edges(labels, labels[sources], labels[targets],
+        kinds)`` when no ``(source, target)`` pair repeats: each source's
+        children keep their input order.  ``sources`` and ``targets`` are
+        positions into ``labels`` (``int32`` suffices), and ``kinds`` is
+        one code per edge or a single code for all of them.  One stable
+        argsort of the sources groups the edges into the CSR; no edge key
+        is formed and nothing is deduplicated.
+        """
+        sources = np.asarray(sources)
+        order = np.argsort(sources, kind="stable")
+        codes = np.broadcast_to(np.asarray(kinds, dtype=np.uint8), sources.shape)
+        dag = cls()
+        dag._assign(
+            np.asarray(labels, dtype=np.int64),
+            csr_indptr(len(labels), sources),
+            np.asarray(targets)[order].astype(np.int64),
+            codes[order],
         )
         return dag
 
@@ -495,9 +540,7 @@ def build_dependency_graph(
     kinds = pattern.kinds
     selected = kinds == M_CODE
     if drop_pauli_dependencies:
-        measures = np.flatnonzero(selected)
-        pauli = [is_pauli_angle(angle) for angle in pattern.angles[measures].tolist()]
-        selected[measures[np.asarray(pauli, dtype=bool)]] = False
+        selected &= ~_pauli_measures(pattern)
     if include_output_corrections:
         selected |= kinds >= X_CODE
     commands = np.flatnonzero(selected)
@@ -514,6 +557,45 @@ def build_dependency_graph(
         pattern.domain_nodes[row_slots(indptr, rows)],
         np.repeat(pattern.targets[rows // 2], counts),
         np.repeat(codes, counts),
+    )
+    if not dag.is_acyclic():
+        raise ValidationError("pattern produces a cyclic dependency graph")
+    return dag
+
+
+def shifted_dependency(pattern: Pattern) -> DependencyGraph:
+    """G′ of the signal-shifted ``pattern``, without building that pattern.
+
+    Array for array (labels, CSR, kinds, topological order) this is
+    ``build_dependency_graph(signal_shift(pattern))``: the X-dependencies
+    of every non-Pauli measurement on the nodes of its resolved s-domain.
+    :func:`~repro.mbqc.signal_shift.resolved_domains` runs the shift
+    algebra and decodes only those s-domains; a Pauli measurement's
+    s-domain and a correction's domain are walked only to count their
+    uses.  The edges come grouped by target in command order, each target
+    once and its sources ascending, so they are distinct and go through
+    :meth:`DependencyGraph.from_unique_edges`.
+
+    ``pattern`` must be valid (:meth:`Pattern.validate`): a domain node that
+    is never measured has no position in the graph.
+    """
+    labels = pattern.node_array()
+    index = LabelIndex(labels)
+    wanted = (pattern.kinds == M_CODE) & ~_pauli_measures(pattern)
+    target_of = index.positions(pattern.targets).astype(np.int32)
+    sources: List[np.ndarray] = []
+    targets: List[np.ndarray] = []
+    for commands, owner, nodes in resolved_domains(pattern, wanted.tolist()):
+        sources.append(index.positions(nodes).astype(np.int32))
+        targets.append(
+            np.repeat(target_of[commands], np.bincount(owner, minlength=len(commands)))
+        )
+    empty = np.empty(0, dtype=np.int32)
+    dag = DependencyGraph.from_unique_edges(
+        labels,
+        np.concatenate(sources) if sources else empty,
+        np.concatenate(targets) if targets else empty,
+        KIND_CODES["X"],
     )
     if not dag.is_acyclic():
         raise ValidationError("pattern produces a cyclic dependency graph")

@@ -16,6 +16,11 @@ staged compiler run.  For every stage it:
 3. otherwise executes the stage, records wall time, and writes the artifact
    back to both cache layers.
 
+Content hashing and stage keys run inside ``pipeline.hash`` spans, memo
+snapshots inside ``pipeline.pickle`` and memo thaws inside
+``pipeline.unpickle`` spans, so a traced run charges that bookkeeping to
+named spans rather than to its stage.
+
 Every run returns a :class:`PipelineRun` carrying the final artifact state
 and a provenance manifest — one :class:`StageRecord` per stage saying
 whether it executed, hit a cache layer, or was satisfied by a provided
@@ -297,7 +302,8 @@ class Pipeline:
 
         if use_cache:
             for name, value in state.items():
-                value_hash = content_hash(value)
+                with TRACER.span("pipeline.hash", artifact=name):
+                    value_hash = content_hash(value)
                 if value_hash is not None:
                     hashes[name] = value_hash
 
@@ -344,7 +350,8 @@ class Pipeline:
                     EVENTS.emit("stage.start", stage=stage.name)
                 with TRACER.span(f"stage.{stage.name}", stage=stage.name) as stage_span:
                     if cacheable:
-                        key = stage.key([hashes[name] for name in stage.inputs])
+                        with TRACER.span("pipeline.hash", artifact="key"):
+                            key = stage.key([hashes[name] for name in stage.inputs])
                     if cacheable and stage.name not in self.no_cache_stages:
                         # The memo holds pickled snapshots: every hit thaws a
                         # private copy, so callers may mutate returned artifacts
@@ -352,7 +359,9 @@ class Pipeline:
                         # disk hits).
                         cached = self.memo.get(key, _MISSING)
                         if cached is not _MISSING:
-                            value, status = pickle.loads(cached), "memory-hit"
+                            with TRACER.span("pipeline.unpickle", bytes=len(cached)):
+                                value = pickle.loads(cached)
+                            status = "memory-hit"
                             self.telemetry.record_hit(stage.name, "memory")
                         elif self.store is not None:
                             loaded = self.store.get(key)
@@ -398,7 +407,8 @@ class Pipeline:
                     # one artifact) or without a key hashes it by content.
                     output_hash = key
                     if stage.params or key is None:
-                        output_hash = content_hash(value) or key
+                        with TRACER.span("pipeline.hash", artifact=stage.output):
+                            output_hash = content_hash(value) or key
                     if output_hash is not None:
                         hashes[stage.output] = output_hash
                 records.append(
@@ -421,7 +431,9 @@ class Pipeline:
 
         Returns the pickled snapshot, which the artifact store reuses.
         """
-        payload = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
+        with TRACER.span("pipeline.pickle") as pickle_span:
+            payload = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
+            pickle_span.set(bytes=len(payload))
         if len(payload) <= MEMO_MAX_ENTRY_BYTES:
             self.memo.put(key, payload)
             return payload

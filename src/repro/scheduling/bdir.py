@@ -41,7 +41,8 @@ Every static view the primitives need (node→task map, sync positions, and
 per main task the tasks of its fusion partners, dependency neighbours and
 attached syncs) is read from the problem's one index
 (``LayerSchedulingProblem.delta_evaluator``), which the list scheduler and
-the evaluation share; the anchor sets are built there on first BDIR use.
+the evaluation share; a main task's anchor set is built there the first
+time BDIR asks for it.
 Each candidate schedule is evaluated exactly once.
 """
 
@@ -104,7 +105,7 @@ class BDIRScheduler:
             index = problem.delta_evaluator()
             self._node_task = index.node_key
             self._sync_position = index.sync_position
-            self._main_anchors = index.main_anchors()
+            self._main_anchors = index.main_anchors
             # Congestion-aware moves only make sense on sparse interconnects:
             # a link table to measure load against, and at least one relayed
             # sync.  Fully-connected problems (the paper's default systems)
@@ -262,7 +263,7 @@ class BDIRScheduler:
             if self._sparse and sync.relay_hops:
                 target = self._least_congested_cycle(schedule, sync, target)
             return target
-        anchor_keys = self._main_anchors.get(key, ())
+        anchor_keys = self._main_anchors(key)
         if not anchor_keys:
             return schedule.start_of(key)
         starts = [schedule.start_of(anchor) for anchor in anchor_keys]

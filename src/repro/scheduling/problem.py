@@ -37,6 +37,7 @@ fully-connected systems are unaffected by the choice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -45,6 +46,7 @@ from repro.mbqc.dependency import DependencyGraph, csr_indptr, kahn_generations
 from repro.metrics.lifetime import LifetimeReport
 from repro.obs.trace import TRACER
 from repro.utils.counters import OP_COUNTERS
+from repro.utils.csr import LabelIndex, row_slots
 from repro.utils.errors import SchedulingError, ValidationError
 
 __all__ = [
@@ -634,7 +636,7 @@ class _ProblemIndex:
         self.task_keys: List[TaskKey] = [task.key for task in problem.all_main_tasks()]
         self.num_mains = len(self.task_keys)
         self.task_keys.extend(sync.key for sync in problem.sync_tasks)
-        task_index = {key: i for i, key in enumerate(self.task_keys)}
+        self.task_index = task_index = {key: i for i, key in enumerate(self.task_keys)}
 
         # Node table: every photon generated by a main task, as the dict
         # view BDIR reads (photon → task key) and as task indices.
@@ -728,6 +730,7 @@ class _ProblemIndex:
             len(src) for src, _, _ in self.measuree_levels
         )
         self._anchors: Optional[Dict[TaskKey, Set[TaskKey]]] = None
+        self._anchor_tables: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         OP_COUNTERS.add("evaluate.kernel_builds")
 
     def _index_routes(self) -> None:
@@ -752,49 +755,63 @@ class _ProblemIndex:
         self._index_routes()
         OP_COUNTERS.add("evaluate.route_refreshes")
 
-    def main_anchors(self) -> Dict[TaskKey, Set[TaskKey]]:
-        """BDIR's anchor tasks per main task, built on first BDIR use.
+    def main_anchors(self, key: TaskKey) -> Set[TaskKey]:
+        """BDIR's anchor tasks of one main task, built the first time BDIR asks.
 
         The anchors of a main task are the tasks generating fusion partners
         and dependency neighbours of any of its photons, plus its attached
         synchronisation tasks.  Only the min/max anchor start matters, so
         they collapse to a set of task keys.  They depend on the task
-        structure alone, never on routes or schedules.
+        structure alone, never on routes or schedules.  A refine reads the
+        anchors of a few bottleneck mains only, so each set is gathered
+        from the arrays on demand: the children of the main's photons from
+        the DAG's CSR, their parents, fusion partners and syncs by one
+        comparison over the edge, pair and sync tables.
         """
-        if self._anchors is not None:
-            return self._anchors
-        problem = self.problem
-        keys = self.task_keys[: self.num_mains]
-        anchors: Dict[TaskKey, Set[TaskKey]] = {key: set() for key in keys}
-        node_key = self.node_key
-        for u, v in problem.local_fusee_pairs:
-            task_u = node_key.get(u)
-            task_v = node_key.get(v)
-            if task_u is None or task_v is None or task_u == task_v:
-                continue
-            anchors[task_u].add(task_v)
-            anchors[task_v].add(task_u)
-        if problem.dependency is not None:
-            # Dependency anchors by vectorised task lookups over the DAG's
-            # edge arrays: each edge becomes a (task, task) pair, and only
-            # the distinct cross-task pairs reach the Python sets.
-            dag = problem.dependency
-            found = self.dag_pos >= 0
-            task_of = np.full(dag.num_nodes, -1, dtype=np.int64)
-            task_of[self.dag_pos[found]] = self.node_task[found]
-            task_s = task_of[dag.sources]
-            task_t = task_of[dag.indices]
-            cross = (task_s >= 0) & (task_t >= 0) & (task_s != task_t)
-            count = len(keys)
-            pairs = np.unique(task_s[cross] * count + task_t[cross])
-            for a, b in zip((pairs // count).tolist(), (pairs % count).tolist()):
-                anchors[keys[a]].add(keys[b])
-                anchors[keys[b]].add(keys[a])
-        for sync in problem.sync_tasks:
-            for key in sync.main_keys:
-                anchors[key].add(sync.key)
-        self._anchors = anchors
+        if self._anchors is None:
+            self._anchors = {}
+            self._anchor_tables = self._build_anchor_tables()
+        anchors = self._anchors.get(key)
+        if anchors is None:
+            anchors = self._anchors[key] = self._gather_anchors(self.task_index[key])
         return anchors
+
+    def _build_anchor_tables(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(task_of, target_task, pair_tasks)`` shared by every anchor set.
+
+        ``task_of`` maps DAG positions to task indices, ``target_task`` is
+        the task of every DAG edge's target and ``pair_tasks`` holds the
+        tasks of the first and of the second photons of the local fusee
+        pairs as two rows; ``-1`` marks a photon no main generates.  The
+        two scanned tables are ``int32`` to halve each comparison's reads.
+        """
+        problem = self.problem
+        dag = problem.dependency
+        task_of = np.full(dag.num_nodes if dag is not None else 0, -1, dtype=np.int32)
+        found = self.dag_pos >= 0
+        task_of[self.dag_pos[found]] = self.node_task[found]
+        target_task = task_of[dag.indices] if dag is not None else task_of
+        pairs = problem.local_fusee_pairs
+        flat = np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs))
+        at = LabelIndex(np.asarray(self.node_ids, dtype=np.int64)).positions(flat)
+        pair_tasks = np.full(len(flat), -1, dtype=np.int32)
+        pair_tasks[at >= 0] = self.node_task[at[at >= 0]]
+        return task_of, target_task, pair_tasks.reshape(-1, 2).T.copy()
+
+    def _gather_anchors(self, task: int) -> Set[TaskKey]:
+        task_of, target_task, (first, second) = self._anchor_tables
+        neighbours = [second[first == task], first[second == task]]
+        dag = self.problem.dependency
+        if dag is not None:
+            photons = self.dag_pos[self.node_task == task]
+            photons = photons[photons >= 0]
+            neighbours.append(task_of[dag.indices[row_slots(dag.indptr, photons)]])
+            neighbours.append(task_of[dag.sources[target_task == task]])
+        tasks = np.unique(np.concatenate(neighbours))
+        tasks = tasks[(tasks >= 0) & (tasks != task)]
+        syncs = self.sync_idx[(self.sync_main_a == task) | (self.sync_main_b == task)]
+        keys = self.task_keys
+        return {keys[i] for i in tasks.tolist()} | {keys[i] for i in syncs.tolist()}
 
     def evaluate(self, schedule: Schedule) -> ScheduleEvaluation:
         """One full vectorised objective pass over the schedule's start times."""

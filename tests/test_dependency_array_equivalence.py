@@ -13,6 +13,11 @@ serves as the reference, and both are run over the nine benchmark
 families at the golden seed and over random patterns, with and without
 signal shifting (which leaves Z/XZ kinds in place) and with output
 corrections included.
+
+The compile path builds G' of the signal-shifted pattern with
+``shifted_dependency``, which never builds that pattern; its oracle is
+``build_dependency_graph(signal_shift(p))``, and the two must agree array
+for array, down to the computation graph's content hash and pickle.
 """
 
 from __future__ import annotations
@@ -20,25 +25,33 @@ from __future__ import annotations
 import json
 import math
 import pathlib
+import pickle
 from typing import Iterable
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compiler.compgraph import computation_graph_from_pattern
+import repro.compiler.compgraph as compgraph_module
+from repro.compiler.compgraph import ComputationGraph, computation_graph_from_pattern
 from repro.mbqc.commands import CorrectionCommand, MeasureCommand, mask_bits
 from repro.mbqc.dependency import (
     DependencyGraph,
     build_dependency_graph,
     is_pauli_angle,
+    measurement_order,
+    shifted_dependency,
 )
 from repro.mbqc.pattern import Pattern
 from repro.mbqc.signal_shift import signal_shift
 from repro.mbqc.translate import circuit_to_pattern
 from repro.metrics.lifetime import measuree_lifetime
+from repro.partition.graph import FusionGraph
+from repro.pipeline.hashing import computation_hash
 from repro.programs.registry import build_benchmark
+from repro.utils.errors import ValidationError
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "hot_path_reference.json").read_text(
@@ -277,3 +290,113 @@ def test_compile_and_replay_never_build_the_networkx_export(monkeypatch):
     with pytest.raises(AssertionError, match="export"):
         result.computation.dependency.graph
 
+
+
+# --------------------------------------------------------------------------- #
+# The compile path's G' against its oracle, build_dependency_graph(signal_shift)
+# --------------------------------------------------------------------------- #
+
+
+def _assert_same_arrays(dag: DependencyGraph, oracle: DependencyGraph) -> None:
+    for name in ("labels", "indptr", "indices", "kinds"):
+        mine, expected = getattr(dag, name), getattr(oracle, name)
+        assert mine.dtype == expected.dtype, name
+        assert np.array_equal(mine, expected), name
+    assert np.array_equal(dag.topological_positions(), oracle.topological_positions())
+
+
+def _oracle_computation(pattern: Pattern) -> ComputationGraph:
+    """The computation graph as built from the whole signal-shifted pattern."""
+    shifted = signal_shift(pattern)
+    return ComputationGraph(
+        fusion=FusionGraph.from_edges(shifted.node_array(), shifted.edge_array()),
+        dependency=build_dependency_graph(shifted),
+        order=measurement_order(shifted),
+        output_nodes=list(shifted.output_nodes),
+        removed_nodes=set(shifted.removed_nodes),
+        name=pattern.name,
+    )
+
+
+def _assert_matches_oracle(pattern: Pattern) -> None:
+    computation = computation_graph_from_pattern(pattern)
+    oracle = _oracle_computation(pattern)
+    _assert_same_arrays(computation.dependency, oracle.dependency)
+    _assert_same_arrays(shifted_dependency(pattern), oracle.dependency)
+    assert computation.order == oracle.order
+    assert computation_hash(computation) == computation_hash(oracle)
+    assert pickle.dumps(computation) == pickle.dumps(oracle)
+
+
+@pytest.mark.parametrize("program", FAMILIES)
+def test_shifted_dependency_equals_oracle_on_families(program):
+    _assert_matches_oracle(_golden_pattern(program))
+
+
+def test_shifted_dependency_equals_oracle_on_qft64():
+    _assert_matches_oracle(circuit_to_pattern(build_benchmark("QFT", 64)))
+
+
+@given(pattern=random_patterns())
+@settings(max_examples=60, deadline=None)
+def test_shifted_dependency_equals_oracle_on_random_patterns(pattern):
+    _assert_matches_oracle(pattern)
+
+
+def test_compile_path_never_builds_the_shifted_pattern(monkeypatch):
+    def refuse(pattern):
+        raise AssertionError("the shifted pattern was built")
+
+    monkeypatch.setattr(compgraph_module, "signal_shift", refuse)
+    pattern = _golden_pattern("QFT")
+    _assert_same_arrays(
+        computation_graph_from_pattern(pattern).dependency,
+        build_dependency_graph(signal_shift(pattern)),
+    )
+
+
+def test_malformed_pattern_is_rejected_before_the_dependency_graph():
+    # Node 0's s-domain names node 1, which is measured only afterwards.
+    pattern = Pattern(output_nodes=[2], name="malformed")
+    for node in (0, 1, 2):
+        pattern.prepare(node)
+    pattern.entangle(0, 2)
+    pattern.measure(0, 0.3, s_domain=[1])
+    pattern.measure(1, 0.3)
+    with pytest.raises(ValidationError, match="not been measured"):
+        computation_graph_from_pattern(pattern)
+    with pytest.raises(ValidationError, match="not been measured"):
+        computation_graph_from_pattern(pattern, apply_signal_shifting=False)
+
+
+@st.composite
+def unique_edge_sets(draw):
+    """A label table and distinct edges between its positions."""
+    labels = draw(st.lists(st.integers(-50, 10**6), min_size=1, max_size=30, unique=True))
+    count = len(labels)
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, count - 1), st.integers(0, count - 1)),
+            unique=True,
+            max_size=80,
+        )
+    )
+    kinds = draw(st.lists(st.sampled_from([1, 2, 3]), min_size=len(pairs), max_size=len(pairs)))
+    return np.array(labels, dtype=np.int64), pairs, kinds
+
+
+@given(case=unique_edge_sets())
+@settings(max_examples=80, deadline=None)
+def test_unique_edge_path_equals_from_edges(case):
+    labels, pairs, kinds = case
+    sources = np.array([source for source, _ in pairs], dtype=np.int32)
+    targets = np.array([target for _, target in pairs], dtype=np.int32)
+    fast = DependencyGraph.from_unique_edges(labels, sources, targets, kinds)
+    general = DependencyGraph.from_edges(labels, labels[sources], labels[targets], kinds)
+    for name in ("labels", "indptr", "indices", "kinds"):
+        mine, expected = getattr(fast, name), getattr(general, name)
+        assert mine.dtype == expected.dtype, name
+        assert np.array_equal(mine, expected), name
+    assert fast.is_acyclic() == general.is_acyclic()
+    if general.is_acyclic():
+        assert np.array_equal(fast.topological_positions(), general.topological_positions())

@@ -1,8 +1,11 @@
 """Tests for the first-class SystemModel (topology + heterogeneity)."""
 
 import json
+import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.hardware.qpu import InterconnectTopology, MultiQPUSystem, QPUSpec
 from repro.hardware.resource_states import ResourceStateType
@@ -222,3 +225,74 @@ class TestSerialisation:
         assert description["grid_sizes"] == [3, 4]
         assert description["qpu_kmax"] == [4, 2]
         assert description["links"] == [[0, 1, 2]]
+
+
+# --------------------------------------------------------------------------- #
+# Fuzzing system_from_json: a typed error or a system, never a stray exception
+# --------------------------------------------------------------------------- #
+
+#: Integers stay small, so no generated grid or QPU list is large.
+_SMALL_INTS = st.integers(-3, 64)
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    _SMALL_INTS,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=8),
+    st.sampled_from(["5-star", "4-ring", "6-star", "ring", "line", "grid2d", "custom"]),
+)
+
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+_QPU_ENTRIES = st.fixed_dictionaries(
+    {},
+    optional={
+        "grid_size": st.one_of(st.integers(1, 64), _JSON_VALUES),
+        "rsg_type": st.one_of(st.sampled_from([t.value for t in ResourceStateType]), _JSON_VALUES),
+        "connection_capacity": st.one_of(_SMALL_INTS, _JSON_VALUES),
+    },
+)
+
+# A top-level string is a file path, not a document, so it is left out.
+_DOCUMENTS = st.one_of(
+    _JSON_VALUES.filter(lambda value: not isinstance(value, str)),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "qpus": st.one_of(st.lists(_QPU_ENTRIES, max_size=8), _JSON_VALUES),
+            "topology": st.one_of(
+                st.sampled_from([t.value for t in InterconnectTopology]), _JSON_VALUES
+            ),
+            "links": st.one_of(
+                st.lists(
+                    st.lists(st.one_of(st.integers(-1, 9), _JSON_VALUES), max_size=4),
+                    max_size=8,
+                ),
+                _JSON_VALUES,
+            ),
+            "link_capacity": st.one_of(_SMALL_INTS, _JSON_VALUES),
+        },
+    ),
+)
+
+
+@given(document=_DOCUMENTS)
+@example(document={"qpus": [{"grid_size": math.inf}]})
+@example(document={"qpus": [{"grid_size": 5}] * 2, "links": [[0, 5]]})
+@settings(max_examples=300, deadline=None)
+def test_system_from_json_fails_typed_or_builds_a_system(document):
+    try:
+        system = system_from_json(document)
+    except (ValidationError, ValueError) as exc:
+        assert str(exc)
+    else:
+        assert isinstance(system, SystemModel)
+        assert 1 <= system.num_qpus <= 8

@@ -359,6 +359,50 @@ class TestMemoSkip:
         assert all(span.attributes.get("memo_skipped") is True for span in stage_spans)
 
 
+class TestBookkeepingSpans:
+    @pytest.fixture
+    def traced(self):
+        TRACER.reset()
+        TRACER.enable(deterministic=True)
+        yield
+        TRACER.disable()
+        TRACER.reset()
+
+    def test_hashing_and_memo_pickling_have_their_own_spans(self, traced):
+        pipeline = fresh_pipeline()
+        pipeline.run(initial_program_state(qft()))
+        cold = TRACER.spans()
+        by_id = {span.span_id: span for span in cold}
+        pickles = [span for span in cold if span.name == "pipeline.pickle"]
+        # One memo snapshot per executed stage, taken inside its stage span.
+        assert [by_id[span.parent_id].name for span in pickles] == [
+            "stage.translate",
+            "stage.compgraph",
+            "stage.grid_mapping",
+        ]
+        assert all(span.attributes["bytes"] > 0 for span in pickles)
+        hashed = [span.attributes["artifact"] for span in cold if span.name == "pipeline.hash"]
+        assert hashed[0] == "circuit"
+        assert hashed.count("key") == 3
+        assert not [span for span in cold if span.name == "pipeline.unpickle"]
+
+        TRACER.reset()
+        pipeline.run(initial_program_state(qft()))
+        warm = TRACER.spans()
+        assert len([span for span in warm if span.name == "pipeline.unpickle"]) == 3
+        assert not [span for span in warm if span.name == "pipeline.pickle"]
+
+    def test_uncached_runs_neither_hash_nor_pickle(self, traced):
+        Pipeline(
+            single_qpu_stages(grid_size=5, seed=0),
+            use_cache=False,
+            memo=LRUCache(maxsize=16),
+            telemetry=TelemetryRegistry(),
+        ).run(initial_program_state(qft()))
+        names = {span.name for span in TRACER.spans()}
+        assert not names & {"pipeline.hash", "pipeline.pickle", "pipeline.unpickle"}
+
+
 class TestPatternMemo:
     def test_cold_qft64_compile_memoises_its_translate_output(self):
         """The pattern pickles as columns plus a domain CSR: QFT-64's fits

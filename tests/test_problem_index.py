@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core.compiler import DCMBQCCompiler
@@ -85,6 +86,48 @@ def test_one_index_build_per_problem(topology):
     problem.evaluate(refined)
     counters = OP_COUNTERS.delta_since(before)
     assert counters.get("evaluate.kernel_builds", 0) == 1
+
+
+def _eager_anchors(problem):
+    """Every main's anchor set, built at once the way BDIR's index once did."""
+    index = problem.delta_evaluator()
+    keys = index.task_keys[: index.num_mains]
+    anchors = {key: set() for key in keys}
+    node_key = index.node_key
+    for u, v in problem.local_fusee_pairs:
+        task_u, task_v = node_key.get(u), node_key.get(v)
+        if task_u is None or task_v is None or task_u == task_v:
+            continue
+        anchors[task_u].add(task_v)
+        anchors[task_v].add(task_u)
+    dag = problem.dependency
+    found = index.dag_pos >= 0
+    task_of = np.full(dag.num_nodes, -1, dtype=np.int64)
+    task_of[index.dag_pos[found]] = index.node_task[found]
+    for source, target in zip(task_of[dag.sources].tolist(), task_of[dag.indices].tolist()):
+        if source >= 0 and target >= 0 and source != target:
+            anchors[keys[source]].add(keys[target])
+            anchors[keys[target]].add(keys[source])
+    for sync in problem.sync_tasks:
+        for key in sync.main_keys:
+            anchors[key].add(sync.key)
+    return anchors
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_on_demand_anchors_equal_the_eager_sets(topology):
+    problem = _fresh_problem(topology)
+    expected = _eager_anchors(problem)
+    index = problem.delta_evaluator()
+    assert {key: index.main_anchors(key) for key in expected} == expected
+    assert any(expected.values())
+
+
+def test_refine_builds_only_the_anchors_it_reads():
+    problem = _fresh_problem(None)
+    BDIRScheduler(problem, BDIRConfig(seed=1)).refine()
+    built = problem.delta_evaluator()._anchors
+    assert built and len(built) < problem.num_main_tasks
 
 
 def test_list_schedule_and_evaluate_skip_bdir_anchors():
