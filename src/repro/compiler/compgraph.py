@@ -58,7 +58,8 @@ class ComputationGraph:
     name: str = "computation"
 
     def __post_init__(self) -> None:
-        self.fusion = FusionGraph.coerce(self.fusion)
+        if not isinstance(self.fusion, FusionGraph):
+            self.fusion = FusionGraph.from_networkx(self.fusion)
         found = self.fusion.positions(self.order)
         if (found < 0).any():
             missing = [node for node, at in zip(self.order, found.tolist()) if at < 0]

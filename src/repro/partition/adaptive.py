@@ -20,9 +20,7 @@ stops there instead of running to ``max_iterations``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Set, Tuple, Union
-
-import networkx as nx
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.obs.trace import TRACER
 from repro.partition.graph import FusionGraph
@@ -93,9 +91,8 @@ class AdaptivePartitioner:
     config: AdaptivePartitionConfig
     trace: List[AdaptiveSearchTrace] = field(default_factory=list)
 
-    def partition(self, graph: Union[FusionGraph, nx.Graph]) -> PartitionResult:
+    def partition(self, fusion: FusionGraph) -> PartitionResult:
         """Run the adaptive search and return the best partition found."""
-        fusion = FusionGraph.coerce(graph)
         with TRACER.span(
             "partition.adaptive",
             nodes=fusion.num_nodes,
@@ -138,13 +135,14 @@ class AdaptivePartitioner:
             steps.add((previous_alpha, alpha))
             if alpha not in memo:
                 candidate = self._partitioner(alpha).partition_levels(fusion, levels)
-                memo[alpha] = candidate, AdaptiveSearchTrace(
-                    alpha=alpha,
-                    modularity=modularity(fusion, candidate.assignment),
-                    cut_size=candidate.cut_size(fusion),
-                    imbalance=candidate.imbalance(),
-                    accepted=False,
-                )
+                with TRACER.span("partition.score", alpha=alpha):
+                    memo[alpha] = candidate, AdaptiveSearchTrace(
+                        alpha=alpha,
+                        modularity=modularity(fusion, candidate.assignment),
+                        cut_size=candidate.cut_size(fusion),
+                        imbalance=candidate.imbalance(),
+                        accepted=False,
+                    )
             candidate, record = memo[alpha]
             q = record.modularity
             accepted = q > best_q

@@ -6,10 +6,12 @@ per fusion.  :class:`FusionGraph` stores it the way
 node-label table, a CSR adjacency over label positions
 (``indptr``/``indices``) whose rows keep networkx adjacency order, and the
 edge list ``(u, v)`` with ``u <= v`` in ``graph.edges`` order.  Algorithm 2,
-the per-QPU subgraphs and the mapper read these arrays.  A networkx ``Graph``
-is available as the :attr:`FusionGraph.graph` export (built on first access,
-never pickled), and an ``nx.Graph`` handed to the partitioners is converted
-once by :meth:`FusionGraph.from_networkx`.
+the per-QPU subgraphs and the mapper read these arrays, and the partitioners
+accept nothing else.  A networkx ``Graph`` is available as the
+:attr:`FusionGraph.graph` export (built on first access, never pickled);
+:meth:`FusionGraph.from_networkx` converts one the other way, which
+:class:`~repro.compiler.compgraph.ComputationGraph` does for an ``nx.Graph``
+it is handed.
 
 networkx orders a node's neighbours by insertion, and the mapper's set
 iteration and the partitioner's tie-breaks follow that order, so every
@@ -125,11 +127,6 @@ class FusionGraph:
             count=int(indptr[-1]),
         )
         return cls(_label_array(nodes), indptr, indices)
-
-    @classmethod
-    def coerce(cls, graph: "FusionGraph | nx.Graph") -> "FusionGraph":
-        """``graph`` itself, or the array copy of an ``nx.Graph``."""
-        return graph if isinstance(graph, FusionGraph) else cls.from_networkx(graph)
 
     # ------------------------------------------------------------------ #
     # Arrays and views

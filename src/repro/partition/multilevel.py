@@ -14,14 +14,15 @@ implements the same algorithmic scheme from scratch:
    reduce the cut while respecting the imbalance constraint
    ``max part weight <= alpha * total weight / k``.
 
-The input is a :class:`~repro.partition.graph.FusionGraph` (an ``nx.Graph``
-is converted once at the boundary).  The hierarchy lives in flat adjacency
-arrays (METIS's own CSR-style representation): nodes are dense integer ids
-in the input graph's node order, each level keeps parallel neighbour/weight
-lists plus a numpy CSR view for the vectorised boundary scans.  Every loop
-mirrors the iteration order of the original networkx implementation
-(adjacency insertion order, node order, label-sorted leftovers), so the
-partitioner produces bit-identical assignments for a fixed seed.
+The input is a :class:`~repro.partition.graph.FusionGraph`.  Every level of
+the hierarchy is one CSR graph over dense integer ids, as METIS stores it:
+a row pointer, the neighbours of every row, integer edge weights and node
+weights, plus the projection of every node onto the next level.  Level 0
+is the fusion graph's CSR in the input graph's node order; contraction is
+a handful of numpy passes.  Every loop mirrors the iteration order of the
+original networkx implementation (adjacency insertion order, node order,
+label-sorted leftovers), so the partitioner produces bit-identical
+assignments for a fixed seed.
 
 Coarsening reads only the number of parts and the seed, so Algorithm 2
 builds the hierarchy once (:meth:`MultilevelPartitioner.coarsen`) and
@@ -35,147 +36,47 @@ test suite against the balance constraint, cut-coverage invariants, and
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.obs.trace import TRACER
 from repro.partition.graph import FusionGraph, insertion_order
 from repro.partition.types import PartitionResult
 from repro.utils.counters import OP_COUNTERS
+from repro.utils.csr import csr_indptr
 from repro.utils.errors import PartitionError
 from repro.utils.rng import make_rng
 
 __all__ = ["MultilevelPartitioner", "partition_graph"]
 
 
-class _ArrayGraph:
-    """Undirected weighted multigraph-free graph over dense integer ids.
+class _Level(NamedTuple):
+    """One level of the coarsening hierarchy: a weighted CSR graph over dense ids.
 
-    Adjacency lists preserve edge insertion order (matching networkx
-    semantics); repeated ``add_edge`` calls accumulate the weight in place.
-    ``labels`` maps ids back to the caller's node objects on level 0 and is
-    the identity on coarser levels.
+    The neighbours of node ``x`` are ``targets[indptr[x]:indptr[x + 1]]``
+    with integer edge weights in ``weights`` (a self-loop holds one slot).
+    ``projection`` maps every node to its node on the next, coarser level
+    (``None`` on the coarsest).
     """
 
-    __slots__ = (
-        "num_nodes",
-        "node_weight",
-        "adj",
-        "adj_weight",
-        "labels",
-        "projection",
-        "_adj_pos",
-        "_csr",
-    )
+    indptr: np.ndarray
+    targets: np.ndarray
+    weights: np.ndarray
+    node_weight: np.ndarray
+    projection: Optional[np.ndarray] = None
 
-    def __init__(
-        self,
-        num_nodes: int,
-        labels: Optional[List[object]] = None,
-        adj: Optional[List[List[int]]] = None,
-    ) -> None:
-        # Without ``adj`` the graph starts empty and grows by add_edge; with
-        # it, it is the finished unit-weight level 0.
-        self.num_nodes = num_nodes
-        self.labels = labels
-        # Mapping from this level's nodes to the coarser level's nodes.
-        self.projection: Optional[List[int]] = None
-        self._csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        if adj is None:
-            self.node_weight: List[float] = [0] * num_nodes
-            self.adj: List[List[int]] = [[] for _ in range(num_nodes)]
-            self.adj_weight: List[List[float]] = [[] for _ in range(num_nodes)]
-            self._adj_pos: Optional[List[Dict[int, int]]] = [{} for _ in range(num_nodes)]
-        else:
-            self.node_weight = [1] * num_nodes
-            self.adj = adj
-            self.adj_weight = [[1] * len(neighbours) for neighbours in adj]
-            self._adj_pos = None
+    @property
+    def num_nodes(self) -> int:
+        return len(self.node_weight)
 
-    @classmethod
-    def from_fusion(cls, fusion: FusionGraph) -> "_ArrayGraph":
-        """Level 0: unit weights, adjacency in ``add_edge``-over-``edges`` order.
+    def sources(self) -> np.ndarray:
+        """Source node of every slot (the expanded row pointer)."""
+        return np.repeat(np.arange(self.num_nodes, dtype=np.int64), np.diff(self.indptr))
 
-        Adding the edges in ``graph.edges`` order gives every node its earlier
-        neighbours by ascending id, then the rest in adjacency order
-        (:func:`~repro.partition.graph.insertion_order`).
-        """
-        num_nodes = fusion.num_nodes
-        sources = fusion.sources
-        targets = fusion.indices[insertion_order(num_nodes, sources, fusion.indices)]
-        flat = targets.tolist()
-        bounds = fusion.indptr.tolist()
-        graph = cls(
-            num_nodes,
-            labels=fusion.labels.tolist(),
-            adj=[flat[start:stop] for start, stop in zip(bounds[:-1], bounds[1:])],
-        )
-        graph._csr = (sources, targets)
-        return graph
-
-    def add_edge(self, u: int, v: int, weight) -> None:
-        pos = self._adj_pos[u].get(v)
-        if pos is None:
-            self._adj_pos[u][v] = len(self.adj[u])
-            self.adj[u].append(v)
-            self.adj_weight[u].append(weight)
-            if v != u:  # a self-loop keeps a single adjacency entry, as in nx
-                self._adj_pos[v][u] = len(self.adj[v])
-                self.adj[v].append(u)
-                self.adj_weight[v].append(weight)
-        else:
-            self.adj_weight[u][pos] += weight
-            if v != u:
-                self.adj_weight[v][self._adj_pos[v][u]] += weight
-
-    def iter_edges(self):
-        """Yield ``(u, v, weight)`` in networkx ``edges()`` order.
-
-        networkx reports each undirected edge once, from the endpoint that
-        comes first in node order, in that endpoint's adjacency order — with
-        dense ids that is "neighbours at or after me" (self-loops included).
-        """
-        for u in range(self.num_nodes):
-            adj_u = self.adj[u]
-            weight_u = self.adj_weight[u]
-            for position, v in enumerate(adj_u):
-                if v >= u:
-                    yield u, v, weight_u[position]
-
-    def weighted_degree(self, node: int) -> float:
-        """Weighted degree, with self-loops counted twice (nx semantics)."""
-        total = sum(self.adj_weight[node])
-        for neighbour, weight in zip(self.adj[node], self.adj_weight[node]):
-            if neighbour == node:
-                total += weight
-        return total
-
-    def label_of(self, node: int):
-        return self.labels[node] if self.labels is not None else node
-
-    def csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(sources, targets) flat edge-endpoint arrays, built lazily.
-
-        One entry per directed adjacency slot (both directions of every
-        edge), in adjacency order — the vectorised boundary scan in the FM
-        refinement consumes exactly this.
-        """
-        if self._csr is None:
-            degrees = np.fromiter(
-                (len(neighbours) for neighbours in self.adj),
-                dtype=np.int64,
-                count=self.num_nodes,
-            )
-            sources = np.repeat(np.arange(self.num_nodes, dtype=np.int64), degrees)
-            targets = np.fromiter(
-                (v for neighbours in self.adj for v in neighbours),
-                dtype=np.int64,
-                count=int(degrees.sum()),
-            )
-            self._csr = (sources, targets)
-        return self._csr
+    def rows(self) -> Tuple[List[int], List[int], List[int]]:
+        """``indptr``, ``targets`` and ``weights`` as lists for the Python loops."""
+        return self.indptr.tolist(), self.targets.tolist(), self.weights.tolist()
 
 
 class MultilevelPartitioner:
@@ -258,9 +159,8 @@ class MultilevelPartitioner:
     # Public API
     # ------------------------------------------------------------------ #
 
-    def partition(self, graph: Union[FusionGraph, nx.Graph]) -> PartitionResult:
-        """Partition ``graph`` into ``num_parts`` parts."""
-        fusion = FusionGraph.coerce(graph)
+    def partition(self, fusion: FusionGraph) -> PartitionResult:
+        """Partition ``fusion`` into ``num_parts`` parts."""
         result = self._trivial_partition(fusion)
         if result is None:
             result = self.partition_levels(fusion, self.coarsen(fusion))
@@ -278,19 +178,19 @@ class MultilevelPartitioner:
             )
         return None
 
-    def coarsen(self, fusion: FusionGraph) -> List[_ArrayGraph]:
+    def coarsen(self, fusion: FusionGraph) -> List[_Level]:
         """The coarsening hierarchy of ``fusion``, finest level first.
 
         Depends only on ``num_parts`` and ``seed``, so partitioners that
         differ in imbalance, capacities or communication costs share it.
         """
         with TRACER.span("partition.coarsen") as coarsen_span:
-            levels = self._coarsen(_ArrayGraph.from_fusion(fusion))
+            levels = self._coarsen(self._level0(fusion))
             coarsen_span.set(levels=len(levels))
         return levels
 
     def partition_levels(
-        self, fusion: FusionGraph, levels: List[_ArrayGraph]
+        self, fusion: FusionGraph, levels: List[_Level]
     ) -> PartitionResult:
         """Partition ``fusion`` over a hierarchy built by :meth:`coarsen`."""
         coarsest = levels[-1]
@@ -299,22 +199,22 @@ class MultilevelPartitioner:
         ):
             OP_COUNTERS.add("partition.calls")
             OP_COUNTERS.add("partition.levels", len(levels))
+            labels = fusion.labels.tolist()
             with TRACER.span("partition.refine", levels=len(levels)):
-                assignment = self._initial_partition(coarsest)
+                # Leftovers on level 0 go out in label order, on coarser
+                # levels in id order.
+                assignment = self._initial_partition(
+                    coarsest, labels if len(levels) == 1 else None
+                )
                 assignment = self._refine(coarsest, assignment)
 
-                for level_index in range(len(levels) - 2, -1, -1):
-                    finer = levels[level_index]
+                for finer in reversed(levels[:-1]):
                     # ``finer.projection`` maps this level's nodes to the
                     # nodes of the next (coarser) level, whose assignment we
                     # already know.
-                    projection = finer.projection or []
-                    assignment = [
-                        assignment[projection[node]] for node in range(finer.num_nodes)
-                    ]
+                    assignment = np.asarray(assignment)[finer.projection].tolist()
                     assignment = self._refine(finer, assignment)
 
-            labels = levels[0].labels
             result = PartitionResult(
                 {labels[node]: part for node, part in enumerate(assignment)},
                 self.num_parts,
@@ -326,8 +226,24 @@ class MultilevelPartitioner:
     # Coarsening
     # ------------------------------------------------------------------ #
 
-    def _coarsen(self, graph: _ArrayGraph) -> List[_ArrayGraph]:
-        levels = [graph]
+    @staticmethod
+    def _level0(fusion: FusionGraph) -> _Level:
+        """Unit weights, each row in ``add_edge``-over-``edges`` order.
+
+        Adding the edges in ``graph.edges`` order gives every node its earlier
+        neighbours by ascending id, then the rest in adjacency order
+        (:func:`~repro.partition.graph.insertion_order`).
+        """
+        order = insertion_order(fusion.num_nodes, fusion.sources, fusion.indices)
+        return _Level(
+            fusion.indptr,
+            fusion.indices[order],
+            np.ones(len(order), dtype=np.int64),
+            np.ones(fusion.num_nodes, dtype=np.int64),
+        )
+
+    def _coarsen(self, level: _Level) -> List[_Level]:
+        levels = [level]
         rng = make_rng(self.seed)
         target = max(4 * self.num_parts, 32)
         while levels[-1].num_nodes > target:
@@ -335,25 +251,26 @@ class MultilevelPartitioner:
             matching = self._heavy_edge_matching(finer, rng)
             if not any(partner >= 0 for partner in matching):
                 break
+            # A matched pair always merges, so every contraction shrinks.
             coarser, projection = self._contract(finer, matching)
-            if coarser.num_nodes >= finer.num_nodes:
-                break
-            finer.projection = projection
+            levels[-1] = finer._replace(projection=projection)
             levels.append(coarser)
         return levels
 
     @staticmethod
-    def _heavy_edge_matching(graph: _ArrayGraph, rng) -> List[int]:
+    def _heavy_edge_matching(level: _Level, rng) -> List[int]:
         """Return a matching (node -> partner id, -1 unmatched) preferring heavy edges."""
-        nodes = list(range(graph.num_nodes))
+        bounds, targets, weights = level.rows()
+        nodes = list(range(level.num_nodes))
         rng.shuffle(nodes)
-        matched = [-1] * graph.num_nodes
+        matched = [-1] * level.num_nodes
         for node in nodes:
             if matched[node] >= 0:
                 continue
             best_partner = -1
             best_weight = -1.0
-            for neighbour, weight in zip(graph.adj[node], graph.adj_weight[node]):
+            start, stop = bounds[node], bounds[node + 1]
+            for neighbour, weight in zip(targets[start:stop], weights[start:stop]):
                 if matched[neighbour] >= 0 or neighbour == node:
                     continue
                 if weight > best_weight:
@@ -365,29 +282,46 @@ class MultilevelPartitioner:
         return matched
 
     @staticmethod
-    def _contract(
-        graph: _ArrayGraph, matching: List[int]
-    ) -> Tuple[_ArrayGraph, List[int]]:
-        """Contract matched pairs into super-nodes."""
-        projection = [-1] * graph.num_nodes
-        next_id = 0
-        for node in range(graph.num_nodes):
-            if projection[node] >= 0:
-                continue
-            partner = matching[node]
-            projection[node] = next_id
-            if partner >= 0 and projection[partner] < 0:
-                projection[partner] = next_id
-            next_id += 1
+    def _contract(level: _Level, matching: List[int]) -> Tuple[_Level, np.ndarray]:
+        """Contract matched pairs into super-nodes.
 
-        coarser = _ArrayGraph(next_id)
-        for node in range(graph.num_nodes):
-            coarser.node_weight[projection[node]] += graph.node_weight[node]
-        for a, b, weight in graph.iter_edges():
-            ca, cb = projection[a], projection[b]
-            if ca == cb:
-                continue
-            coarser.add_edge(ca, cb, weight)
+        A node leads its super-node when it is unmatched or the smaller of
+        its pair, and super-nodes are numbered in leader order.  Every edge
+        (a slot with ``target >= source``, in slot order) whose ends land in
+        different super-nodes adds its weight to the coarse edge between
+        them; each coarse row lists its neighbours in the order their edges
+        first appear, as adding the edges one by one would.
+        """
+        partner = np.asarray(matching, dtype=np.int64)
+        leader = (partner < 0) | (np.arange(len(partner)) < partner)
+        projection = np.cumsum(leader) - 1
+        follower = ~leader
+        projection[follower] = projection[partner[follower]]
+        num_nodes = int(leader.sum())
+        node_weight = np.bincount(
+            projection, weights=level.node_weight, minlength=num_nodes
+        ).astype(np.int64)
+
+        sources = level.sources()
+        upper = level.targets >= sources
+        a = projection[sources[upper]]
+        b = projection[level.targets[upper]]
+        apart = a != b
+        a, b, weight = a[apart], b[apart], level.weights[upper][apart]
+        low, high = np.minimum(a, b), np.maximum(a, b)
+        _, first, pair = np.unique(
+            low * num_nodes + high, return_index=True, return_inverse=True
+        )
+        summed = np.bincount(pair, weights=weight).astype(np.int64)
+        low, high = low[first], high[first]
+        sources = np.concatenate([low, high])
+        order = np.lexsort((np.concatenate([first, first]), sources))
+        coarser = _Level(
+            csr_indptr(num_nodes, sources[order]),
+            np.concatenate([high, low])[order],
+            np.concatenate([summed, summed])[order],
+            node_weight,
+        )
         return coarser, projection
 
     # ------------------------------------------------------------------ #
@@ -414,10 +348,17 @@ class MultilevelPartitioner:
             for target in self._part_targets(total_weight)
         ]
 
-    def _initial_partition(self, graph: _ArrayGraph) -> List[int]:
-        """Balanced region growing on the coarsest graph."""
+    def _initial_partition(
+        self, level: _Level, labels: Optional[List[object]] = None
+    ) -> List[int]:
+        """Balanced region growing on the coarsest graph.
+
+        ``labels`` orders the leftover nodes (their ids when ``None``).
+        """
         rng = make_rng(self.seed + 1)
-        total_weight = sum(graph.node_weight)
+        bounds, neighbours_of, _ = level.rows()
+        node_weight = level.node_weight.tolist()
+        total_weight = sum(node_weight)
         if self.capacities is None:
             limits = None
             limit = self._max_part_weight(total_weight)
@@ -425,13 +366,18 @@ class MultilevelPartitioner:
             limits = self._part_limits(total_weight)
         targets = self._part_targets(total_weight)
 
-        assignment = [-1] * graph.num_nodes
+        assignment = [-1] * level.num_nodes
         part_weight = [0.0] * self.num_parts
-        unassigned = set(range(graph.num_nodes))
+        unassigned = set(range(level.num_nodes))
 
-        nodes_by_degree = sorted(
-            range(graph.num_nodes), key=lambda n: -graph.weighted_degree(n)
+        # Weighted degree, a self-loop counted twice (as networkx does).
+        sources = level.sources()
+        loops = sources == level.targets
+        degree = np.bincount(sources, weights=level.weights, minlength=level.num_nodes)
+        degree += np.bincount(
+            sources[loops], weights=level.weights[loops], minlength=level.num_nodes
         )
+        nodes_by_degree = np.argsort(-degree, kind="stable").tolist()
         for part in range(self.num_parts):
             if not unassigned:
                 break
@@ -445,21 +391,26 @@ class MultilevelPartitioner:
                 cursor += 1
                 if node not in unassigned:
                     continue
-                weight = graph.node_weight[node]
+                weight = node_weight[node]
                 if part_weight[part] + weight > part_limit:
                     continue
                 assignment[node] = part
                 part_weight[part] += weight
                 unassigned.discard(node)
-                neighbours = [n for n in graph.adj[node] if n in unassigned]
+                neighbours = [
+                    n
+                    for n in neighbours_of[bounds[node]:bounds[node + 1]]
+                    if n in unassigned
+                ]
                 rng.shuffle(neighbours)
                 frontier.extend(neighbours)
 
         # Any leftovers go to the part with the most free capacity.  Sort by
         # the caller's labels to match the original label-ordered sweep; the
         # uniform branch keeps the seed's lightest-part rule verbatim.
-        for node in sorted(unassigned, key=graph.label_of):
-            weight = graph.node_weight[node]
+        order_key = None if labels is None else labels.__getitem__
+        for node in sorted(unassigned, key=order_key):
+            weight = node_weight[node]
             if limits is None:
                 part = min(range(self.num_parts), key=lambda p: part_weight[p])
             else:
@@ -475,7 +426,7 @@ class MultilevelPartitioner:
     # Refinement
     # ------------------------------------------------------------------ #
 
-    def _refine(self, graph: _ArrayGraph, assignment: List[int]) -> List[int]:
+    def _refine(self, level: _Level, assignment: List[int]) -> List[int]:
         """FM-style boundary refinement respecting the imbalance limit.
 
         With ``comm_costs`` set, the gain of moving a boundary node weighs
@@ -486,7 +437,9 @@ class MultilevelPartitioner:
         verbatim.
         """
         assignment = list(assignment)
-        total_weight = sum(graph.node_weight)
+        bounds, neighbours_of, weights = level.rows()
+        node_weight = level.node_weight.tolist()
+        total_weight = sum(node_weight)
         if self.capacities is None:
             uniform_limit = self._max_part_weight(total_weight)
             limits = [uniform_limit] * self.num_parts
@@ -495,12 +448,9 @@ class MultilevelPartitioner:
         hops = self.comm_costs
         part_weight = [0.0] * self.num_parts
         for node, part in enumerate(assignment):
-            part_weight[part] += graph.node_weight[node]
+            part_weight[part] += node_weight[node]
 
-        sources, targets = graph.csr()
-        adj = graph.adj
-        adj_weight = graph.adj_weight
-        node_weight = graph.node_weight
+        sources, targets = level.sources(), level.targets
 
         moves = 0
         boundary_scanned = 0
@@ -520,7 +470,10 @@ class MultilevelPartitioner:
                 weight = node_weight[node]
                 # Connectivity of this node to every part (first-seen order).
                 connectivity: Dict[int, float] = {}
-                for neighbour, edge_weight in zip(adj[node], adj_weight[node]):
+                start, stop = bounds[node], bounds[node + 1]
+                for neighbour, edge_weight in zip(
+                    neighbours_of[start:stop], weights[start:stop]
+                ):
                     part = assignment[neighbour]
                     connectivity[part] = connectivity.get(part, 0.0) + edge_weight
                 internal = connectivity.get(current, 0.0)
@@ -574,7 +527,7 @@ class MultilevelPartitioner:
 
 
 def partition_graph(
-    graph: Union[FusionGraph, nx.Graph],
+    fusion: FusionGraph,
     num_parts: int,
     imbalance: float = 1.0,
     seed: int = 0,
@@ -589,4 +542,4 @@ def partition_graph(
         capacities=capacities,
         comm_costs=comm_costs,
     )
-    return partitioner.partition(graph)
+    return partitioner.partition(fusion)

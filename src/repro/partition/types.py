@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple, Union
-
-import networkx as nx
+from typing import Dict, List, Set, Tuple
 
 from repro.partition.graph import FusionGraph
 from repro.utils.errors import PartitionError
@@ -66,17 +64,17 @@ class PartitionResult:
         ideal = total / self.num_parts
         return max(sizes) / ideal if ideal > 0 else 1.0
 
-    def cut_edges(self, graph: Union[FusionGraph, nx.Graph]) -> List[Tuple[int, int]]:
+    def cut_edges(self, graph: FusionGraph) -> List[Tuple[int, int]]:
         """Edges of ``graph`` whose endpoints lie in different parts."""
-        return FusionGraph.coerce(graph).cut_edges(self.assignment)
+        return graph.cut_edges(self.assignment)
 
-    def cut_size(self, graph: Union[FusionGraph, nx.Graph]) -> int:
+    def cut_size(self, graph: FusionGraph) -> int:
         """Number of cut edges."""
-        return FusionGraph.coerce(graph).cut_size(self.assignment)
+        return graph.cut_size(self.assignment)
 
-    def validate_covers(self, graph: Union[FusionGraph, nx.Graph]) -> None:
+    def validate_covers(self, graph: FusionGraph) -> None:
         """Raise if the partition does not cover exactly the graph's nodes."""
-        nodes = set(graph.labels.tolist() if isinstance(graph, FusionGraph) else graph.nodes)
+        nodes = set(graph.labels.tolist())
         assigned = set(self.assignment)
         if nodes != assigned:
             missing = nodes - assigned

@@ -42,7 +42,7 @@ class TestPipeline:
         assert len(distributed_result.qpu_schedules) == 2
 
     def test_partition_covers_graph(self, distributed_result):
-        distributed_result.partition.validate_covers(distributed_result.computation.graph)
+        distributed_result.partition.validate_covers(distributed_result.computation.fusion)
 
     def test_every_node_compiled_on_its_qpu(self, distributed_result):
         partition = distributed_result.partition

@@ -73,7 +73,7 @@ def test_array_partitioner_matches_reference(program):
     for key, expected in ref["partitions"].items():
         parts, seed = key.split("_")
         result = partition_graph(
-            computation.graph, int(parts[1:]), imbalance=1.5, seed=int(seed[1:])
+            computation.fusion, int(parts[1:]), imbalance=1.5, seed=int(seed[1:])
         )
         assert partition_hash(result) == expected, f"{program} {key}"
 

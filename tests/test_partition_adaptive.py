@@ -6,6 +6,7 @@ import pytest
 from repro.compiler.compgraph import computation_graph_from_pattern
 from repro.mbqc.translate import circuit_to_pattern
 from repro.partition.adaptive import AdaptivePartitionConfig, AdaptivePartitioner
+from repro.partition.graph import FusionGraph
 from repro.partition.modularity import modularity
 from repro.partition.multilevel import MultilevelPartitioner, partition_graph
 from repro.pipeline.hashing import partition_hash
@@ -13,7 +14,7 @@ from repro.programs import build_benchmark
 from repro.utils.errors import PartitionError
 
 
-def _clustered_graph():
+def _clustered_graph() -> FusionGraph:
     """Four 8-node clusters joined in a ring — clear community structure."""
     graph = nx.Graph()
     for cluster in range(4):
@@ -23,7 +24,7 @@ def _clustered_graph():
                 graph.add_edge(offset + i, offset + j)
     for cluster in range(4):
         graph.add_edge(cluster * 8, ((cluster + 1) % 4) * 8)
-    return graph
+    return FusionGraph.from_networkx(graph)
 
 
 class TestConfig:
@@ -45,13 +46,13 @@ class TestConfig:
 class TestAlgorithm2:
     def test_partition_covers_graph(self, qft8_computation):
         partitioner = AdaptivePartitioner(AdaptivePartitionConfig(num_parts=4))
-        result = partitioner.partition(qft8_computation.graph)
-        result.validate_covers(qft8_computation.graph)
+        result = partitioner.partition(qft8_computation.fusion)
+        result.validate_covers(qft8_computation.fusion)
         assert len([s for s in result.part_sizes() if s > 0]) == 4
 
     def test_respects_alpha_max(self, qft8_computation):
         config = AdaptivePartitionConfig(num_parts=4, alpha_max=1.5)
-        result = AdaptivePartitioner(config).partition(qft8_computation.graph)
+        result = AdaptivePartitioner(config).partition(qft8_computation.fusion)
         slack = 4 / (qft8_computation.num_nodes / 4)
         assert result.imbalance() <= 1.5 + slack
 
@@ -63,7 +64,7 @@ class TestAlgorithm2:
         assert modularity(graph, result.assignment) > 0.6
 
     def test_modularity_not_worse_than_balanced_partition(self, qft8_computation):
-        graph = qft8_computation.graph
+        graph = qft8_computation.fusion
         balanced = partition_graph(graph, 4, imbalance=1.0)
         config = AdaptivePartitionConfig(num_parts=4)
         adaptive = AdaptivePartitioner(config).partition(graph)
@@ -73,7 +74,7 @@ class TestAlgorithm2:
 
     def test_trace_recorded(self, qft8_computation):
         partitioner = AdaptivePartitioner(AdaptivePartitionConfig(num_parts=4))
-        partitioner.partition(qft8_computation.graph)
+        partitioner.partition(qft8_computation.fusion)
         assert partitioner.trace
         assert partitioner.trace[0].alpha == pytest.approx(1.0)
         assert any(step.accepted for step in partitioner.trace)
@@ -82,12 +83,12 @@ class TestAlgorithm2:
     def test_alpha_never_exceeds_alpha_max(self, qft8_computation):
         config = AdaptivePartitionConfig(num_parts=4, alpha_max=1.2)
         partitioner = AdaptivePartitioner(config)
-        partitioner.partition(qft8_computation.graph)
+        partitioner.partition(qft8_computation.fusion)
         assert all(step.alpha <= 1.2 + 1e-9 for step in partitioner.trace)
 
     def test_single_part_short_circuit(self, small_computation):
         config = AdaptivePartitionConfig(num_parts=1)
-        result = AdaptivePartitioner(config).partition(small_computation.graph)
+        result = AdaptivePartitioner(config).partition(small_computation.fusion)
         assert set(result.assignment.values()) == {0}
 
 

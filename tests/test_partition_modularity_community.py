@@ -3,34 +3,35 @@
 import networkx as nx
 import pytest
 
-from repro.partition.modularity import modularity, modularity_of_communities
+from repro.partition.graph import FusionGraph
+from repro.partition.modularity import modularity
 
 
 def _two_cliques(size=6, bridge=True):
     graph = nx.disjoint_union(nx.complete_graph(size), nx.complete_graph(size))
     if bridge:
         graph.add_edge(0, size)
-    return graph
+    return FusionGraph.from_networkx(graph)
 
 
 class TestModularity:
     def test_empty_graph(self):
-        assert modularity(nx.Graph(), {}) == 0.0
+        assert modularity(FusionGraph.from_networkx(nx.Graph()), {}) == 0.0
 
     def test_single_community_is_zero(self):
-        graph = nx.complete_graph(5)
-        assignment = {node: 0 for node in graph}
+        graph = FusionGraph.from_networkx(nx.complete_graph(5))
+        assignment = {node: 0 for node in graph.labels.tolist()}
         assert modularity(graph, assignment) == pytest.approx(0.0)
 
     def test_two_cliques_split_has_high_modularity(self):
         graph = _two_cliques()
-        assignment = {node: (0 if node < 6 else 1) for node in graph}
+        assignment = {node: (0 if node < 6 else 1) for node in graph.labels.tolist()}
         assert modularity(graph, assignment) > 0.4
 
     def test_bad_split_has_lower_modularity(self):
         graph = _two_cliques()
-        good = {node: (0 if node < 6 else 1) for node in graph}
-        bad = {node: node % 2 for node in graph}
+        good = {node: (0 if node < 6 else 1) for node in graph.labels.tolist()}
+        bad = {node: node % 2 for node in graph.labels.tolist()}
         assert modularity(graph, good) > modularity(graph, bad)
 
     def test_matches_networkx(self):
@@ -40,11 +41,7 @@ class TestModularity:
             {n for n in graph if assignment[n] == 0},
             {n for n in graph if assignment[n] == 1},
         ]
-        expected = nx.community.modularity(graph, communities)
-        assert modularity(graph, assignment) == pytest.approx(expected, abs=1e-9)
-
-    def test_modularity_of_communities_wrapper(self):
-        graph = _two_cliques()
-        value = modularity_of_communities(graph, [set(range(6)), set(range(6, 12))])
-        assert value > 0.4
-
+        # A FusionGraph has unit edge weights; the karate club's are dropped.
+        expected = nx.community.modularity(graph, communities, weight=None)
+        fusion = FusionGraph.from_networkx(graph)
+        assert modularity(fusion, assignment) == pytest.approx(expected, abs=1e-9)

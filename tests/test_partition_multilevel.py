@@ -3,6 +3,7 @@
 import networkx as nx
 import pytest
 
+from repro.partition.graph import FusionGraph
 from repro.partition.multilevel import MultilevelPartitioner, partition_graph
 from repro.partition.types import PartitionResult
 from repro.utils.errors import PartitionError
@@ -10,36 +11,36 @@ from repro.utils.errors import PartitionError
 
 class TestBasicInvariants:
     def test_covers_all_nodes(self, qft8_computation):
-        result = partition_graph(qft8_computation.graph, 4)
-        result.validate_covers(qft8_computation.graph)
+        result = partition_graph(qft8_computation.fusion, 4)
+        result.validate_covers(qft8_computation.fusion)
 
     def test_requested_number_of_parts(self, qft8_computation):
-        result = partition_graph(qft8_computation.graph, 4)
+        result = partition_graph(qft8_computation.fusion, 4)
         sizes = result.part_sizes()
         assert len(sizes) == 4
         assert all(size > 0 for size in sizes)
 
     def test_balance_constraint(self, qft8_computation):
-        result = partition_graph(qft8_computation.graph, 4, imbalance=1.1)
+        result = partition_graph(qft8_computation.fusion, 4, imbalance=1.1)
         assert result.imbalance() <= 1.1 + 4 / (qft8_computation.num_nodes / 4)
 
     def test_single_part(self):
-        graph = nx.path_graph(10)
+        graph = FusionGraph.from_networkx(nx.path_graph(10))
         result = partition_graph(graph, 1)
         assert result.part_sizes() == [10]
         assert result.cut_size(graph) == 0
 
     def test_too_many_parts_rejected(self):
         with pytest.raises(PartitionError):
-            partition_graph(nx.path_graph(3), 5)
+            partition_graph(FusionGraph.from_networkx(nx.path_graph(3)), 5)
 
     def test_empty_graph(self):
-        result = partition_graph(nx.Graph(), 3)
+        result = partition_graph(FusionGraph.from_networkx(nx.Graph()), 3)
         assert result.assignment == {}
 
     def test_deterministic_per_seed(self, qft8_computation):
-        a = partition_graph(qft8_computation.graph, 4, seed=7)
-        b = partition_graph(qft8_computation.graph, 4, seed=7)
+        a = partition_graph(qft8_computation.fusion, 4, seed=7)
+        b = partition_graph(qft8_computation.fusion, 4, seed=7)
         assert a.assignment == b.assignment
 
     def test_invalid_parameters(self):
@@ -53,25 +54,28 @@ class TestCutQuality:
     def test_two_cliques_cut_at_the_bridge(self):
         graph = nx.disjoint_union(nx.complete_graph(8), nx.complete_graph(8))
         graph.add_edge(0, 8)
+        graph = FusionGraph.from_networkx(graph)
         result = partition_graph(graph, 2)
         assert result.cut_size(graph) == 1
 
     def test_path_graph_cut_is_small(self):
-        graph = nx.path_graph(64)
+        graph = FusionGraph.from_networkx(nx.path_graph(64))
         result = partition_graph(graph, 4, imbalance=1.2)
         assert result.cut_size(graph) <= 6
 
     def test_grid_graph_cut_reasonable(self):
-        graph = nx.convert_node_labels_to_integers(nx.grid_2d_graph(8, 8))
+        graph = FusionGraph.from_networkx(
+            nx.convert_node_labels_to_integers(nx.grid_2d_graph(8, 8))
+        )
         result = partition_graph(graph, 4, imbalance=1.3)
         # A 4-way split of an 8x8 grid can be achieved with ~16 cut edges;
         # allow generous slack for the heuristic.
         assert result.cut_size(graph) <= 32
 
     def test_cut_beats_random_assignment(self, qft8_computation):
-        graph = qft8_computation.graph
+        graph = qft8_computation.fusion
         result = partition_graph(graph, 4)
-        nodes = list(graph.nodes)
+        nodes = graph.labels.tolist()
         random_assignment = {node: i % 4 for i, node in enumerate(nodes)}
         random_cut = PartitionResult(random_assignment, 4).cut_size(graph)
         assert result.cut_size(graph) < random_cut
@@ -100,7 +104,7 @@ class TestPartitionResult:
         assert result.part_sizes() == [2, 1]
 
     def test_validate_covers_detects_mismatch(self):
-        graph = nx.path_graph(3)
+        graph = FusionGraph.from_networkx(nx.path_graph(3))
         result = PartitionResult({0: 0, 1: 0}, 2)
         with pytest.raises(PartitionError):
             result.validate_covers(graph)

@@ -13,6 +13,7 @@ from repro.mbqc.dependency import build_dependency_graph
 from repro.mbqc.simulator import simulate_pattern
 from repro.mbqc.translate import circuit_to_pattern
 from repro.metrics.lifetime import fusee_lifetime, required_photon_lifetime
+from repro.partition.graph import FusionGraph
 from repro.partition.modularity import modularity
 from repro.partition.multilevel import partition_graph
 from repro.utils.grid import GridPoint, l_shaped_path, manhattan_distance
@@ -129,17 +130,18 @@ class TestPartitionProperties:
     def test_partition_invariants(self, graph, parts, imbalance):
         if graph.number_of_nodes() < parts:
             return
-        result = partition_graph(graph, parts, imbalance=imbalance, seed=1)
-        result.validate_covers(graph)
+        fusion = FusionGraph.from_networkx(graph)
+        result = partition_graph(fusion, parts, imbalance=imbalance, seed=1)
+        result.validate_covers(fusion)
         assert len(result.part_sizes()) == parts
         # Cut edges + internal edges account for every edge exactly once.
-        cut = result.cut_size(graph)
+        cut = result.cut_size(fusion)
         internal = sum(
             1 for a, b in graph.edges if result.part_of(a) == result.part_of(b)
         )
         assert cut + internal == graph.number_of_edges()
         # Modularity is bounded.
-        assert -1.0 <= modularity(graph, result.assignment) <= 1.0
+        assert -1.0 <= modularity(fusion, result.assignment) <= 1.0
 
 
 # --------------------------------------------------------------------------- #
