@@ -10,7 +10,6 @@ from repro.compiler.compgraph import ComputationGraph
 from repro.compiler.execution import SingleQPUSchedule
 from repro.compiler.mapper import LayeredGridMapper, MapperConfig
 from repro.core.config import DCMBQCConfig
-from repro.hardware.qpu import MultiQPUSystem, QPUSpec
 from repro.hardware.resource_states import ResourceStateType
 from repro.mbqc.pattern import Pattern
 from repro.partition.adaptive import AdaptivePartitionConfig, AdaptivePartitioner
@@ -320,19 +319,3 @@ class DCMBQCCompiler:
             system = self.config.system_model()
             self._system_model = system
         return system
-
-    def multi_qpu_system(self) -> MultiQPUSystem:
-        """Return the homogeneous hardware description implied by the config.
-
-        Retained for backwards compatibility; heterogeneous configurations
-        should use :meth:`system_model` instead.
-        """
-        return MultiQPUSystem(
-            num_qpus=self.config.num_qpus,
-            qpu=QPUSpec(
-                grid_size=self.config.grid_size,
-                rsg_type=ResourceStateType.from_name(self.config.rsg_type),
-                connection_capacity=self.config.connection_capacity,
-            ),
-            topology=self.config.topology,
-        )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -15,6 +16,27 @@ from repro.scheduling.bdir import BDIRConfig
 from repro.utils.errors import CompilationError
 
 __all__ = ["DCMBQCConfig"]
+
+
+def _require_int(name: str, value: object) -> int:
+    """``value`` if it is an integer (not a bool), else a typed error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise CompilationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _require_sequence(name: str, value: object) -> tuple:
+    """``value`` as a tuple if it is a non-string sequence, else a typed error."""
+    if isinstance(value, (str, bytes, dict)):
+        raise CompilationError(f"{name} must be a sequence, got {value!r}")
+    try:
+        return tuple(value)
+    except TypeError:
+        raise CompilationError(f"{name} must be a sequence, got {value!r}") from None
+
+
+def _int_tuple(name: str, value: object) -> Tuple[int, ...]:
+    return tuple(_require_int(f"{name} entry", v) for v in _require_sequence(name, value))
 
 
 @dataclass(frozen=True)
@@ -85,6 +107,14 @@ class DCMBQCConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("num_qpus", "grid_size", "connection_capacity", "bdir_starts", "seed"):
+            _require_int(name, getattr(self, name))
+        if self.link_capacity is not None:
+            _require_int("link_capacity", self.link_capacity)
+        for name in ("alpha_max", "epsilon_q", "gamma"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise CompilationError(f"{name} must be a number, got {value!r}")
         if self.num_qpus < 1:
             raise CompilationError("num_qpus must be at least 1")
         if self.grid_size < 1:
@@ -107,18 +137,24 @@ class DCMBQCConfig:
         for name in ("qpu_grid_sizes", "qpu_connection_capacities"):
             value = getattr(self, name)
             if value is not None:
-                object.__setattr__(self, name, tuple(int(v) for v in value))
+                object.__setattr__(self, name, _int_tuple(name, value))
         if self.qpu_rsg_types is not None:
             object.__setattr__(
                 self,
                 "qpu_rsg_types",
-                tuple(ResourceStateType.from_name(r) for r in self.qpu_rsg_types),
+                tuple(
+                    ResourceStateType.from_name(r)
+                    for r in _require_sequence("qpu_rsg_types", self.qpu_rsg_types)
+                ),
             )
         if self.custom_links is not None:
             object.__setattr__(
                 self,
                 "custom_links",
-                tuple(tuple(int(v) for v in link) for link in self.custom_links),
+                tuple(
+                    _int_tuple("custom link", link)
+                    for link in _require_sequence("custom_links", self.custom_links)
+                ),
             )
 
         multi_qpu_shapes = (

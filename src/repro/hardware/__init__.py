@@ -9,8 +9,8 @@ paper:
 * :mod:`~repro.hardware.fusion` — probabilistic fusion operations,
 * :mod:`~repro.hardware.loss` — the delay-line photon-loss model behind
   Figure 1 and the required-photon-lifetime metric,
-* :mod:`~repro.hardware.qpu` — single-QPU and multi-QPU system descriptions
-  (grid size, connection capacity ``K_max``, interconnect topology),
+* :mod:`~repro.hardware.qpu` — the single-QPU description (grid size,
+  connection capacity ``K_max``) and the interconnect topology names,
 * :mod:`~repro.hardware.system` — the first-class :class:`SystemModel`
   consumed by every compile layer: per-QPU specs (heterogeneous fleets),
   an explicit weighted interconnect graph with per-link capacities, cached
@@ -31,7 +31,7 @@ from repro.hardware.loss import (
     photon_loss_probability,
     max_cycles_for_loss_budget,
 )
-from repro.hardware.qpu import QPUSpec, MultiQPUSystem, InterconnectTopology
+from repro.hardware.qpu import QPUSpec, InterconnectTopology
 from repro.hardware.system import (
     Link,
     SystemModel,
@@ -52,7 +52,6 @@ __all__ = [
     "photon_loss_probability",
     "max_cycles_for_loss_budget",
     "QPUSpec",
-    "MultiQPUSystem",
     "InterconnectTopology",
     "Link",
     "SystemModel",

@@ -1,21 +1,20 @@
-"""QPU and multi-QPU system descriptions.
+"""Single-QPU description and the interconnect topology names.
 
 A single photonic QPU is described by the side length of its 2D logical
 resource layer, the resource-state shape its RSGs emit, and the connection
 capacity ``K_max`` — the number of inter-QPU connections one connection
 layer can support concurrently (Section IV of the paper).  A multi-QPU
 system adds the interconnect topology; the paper evaluates fully connected
-systems of 4 and 8 QPUs, and this module also supports line and ring
-topologies for ablation studies.
+systems of 4 and 8 QPUs, and line, ring, star, grid and torus shapes serve
+ablation studies.  The system itself is a
+:class:`~repro.hardware.system.SystemModel` built by
+:func:`~repro.hardware.system.build_system`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict
-
-import networkx as nx
 
 from repro.hardware.resource_states import (
     RESOURCE_STATE_LIBRARY,
@@ -23,7 +22,7 @@ from repro.hardware.resource_states import (
     ResourceStateType,
 )
 
-__all__ = ["QPUSpec", "InterconnectTopology", "MultiQPUSystem"]
+__all__ = ["QPUSpec", "InterconnectTopology"]
 
 DEFAULT_CONNECTION_CAPACITY = 4
 """Default ``K_max`` used by the paper's main experiments."""
@@ -81,81 +80,3 @@ class QPUSpec:
     def with_grid_size(self, grid_size: int) -> "QPUSpec":
         """Return a copy with a different grid size (boundary reservation)."""
         return QPUSpec(grid_size, self.rsg_type, self.connection_capacity)
-
-
-@dataclass
-class MultiQPUSystem:
-    """A collection of identical QPUs plus an interconnect topology.
-
-    Retained as the homogeneous convenience wrapper around
-    :class:`~repro.hardware.system.SystemModel` — the full model (per-QPU
-    specs, explicit links, custom adjacency) is what the compile pipeline
-    consumes; this class delegates its connectivity queries to one cached
-    model instead of rebuilding a networkx graph per call (the seed
-    implementation reconstructed the interconnect on every
-    ``are_connected``/``communication_distance`` query).
-    """
-
-    num_qpus: int
-    qpu: QPUSpec
-    topology: InterconnectTopology = InterconnectTopology.FULLY_CONNECTED
-
-    def __post_init__(self) -> None:
-        if self.num_qpus < 1:
-            raise ValueError("need at least one QPU")
-        self._model = None
-        self._model_key = None
-
-    # ------------------------------------------------------------------ #
-    # Topology
-    # ------------------------------------------------------------------ #
-
-    def system_model(self):
-        """The cached :class:`~repro.hardware.system.SystemModel` equivalent.
-
-        Keyed on the (mutable) dataclass fields so reassigning ``topology``
-        or ``num_qpus`` invalidates the cache instead of serving stale
-        connectivity answers.
-        """
-        key = (self.num_qpus, self.qpu, self.topology)
-        if self._model is None or self._model_key != key:
-            from repro.hardware.system import build_system
-
-            self._model = build_system(self.num_qpus, self.qpu, self.topology)
-            self._model_key = key
-        return self._model
-
-    def interconnect_graph(self) -> nx.Graph:
-        """Return the QPU-level connectivity graph."""
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.num_qpus))
-        for link in self.system_model().links:
-            graph.add_edge(link.qpu_a, link.qpu_b, capacity=link.capacity)
-        return graph
-
-    def are_connected(self, qpu_a: int, qpu_b: int) -> bool:
-        """True if the two QPUs share a direct heralded-entanglement link."""
-        return self.system_model().are_connected(qpu_a, qpu_b)
-
-    def communication_distance(self, qpu_a: int, qpu_b: int) -> int:
-        """Hop count between two QPUs in the interconnect graph."""
-        return self.system_model().communication_distance(qpu_a, qpu_b)
-
-    # ------------------------------------------------------------------ #
-    # Aggregate capacities
-    # ------------------------------------------------------------------ #
-
-    @property
-    def total_cells_per_layer(self) -> int:
-        """Total RSG cells across all QPUs in one clock cycle."""
-        return self.num_qpus * self.qpu.cells_per_layer
-
-    def describe(self) -> Dict[str, object]:
-        """Return a plain-dict description for reports."""
-        return {
-            "num_qpus": self.num_qpus,
-            "grid_size": self.qpu.grid_size,
-            "rsg_type": self.qpu.rsg_type.value,
-            "connection_capacity": self.qpu.connection_capacity,
-            "topology": self.topology.value,
-        }

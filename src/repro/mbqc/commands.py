@@ -16,20 +16,19 @@ kind code such as :data:`M_CODE`, a node, a second node, an angle) and
 every domain as a sorted node list in one CSR over the commands.  The
 dataclasses below are the per-command view of those columns, built on
 demand for the simulator, ``repr`` and tests; their domains are frozen
-sets, with the equivalent integer bitsets (bit ``n`` set iff node ``n`` is
-in the domain) as ``s_mask``/``t_mask``/``mask``.
+sets.
 
-Bitsets remain the scratch algebra of signal shifting, where resolving a
-domain is a run of big-int XORs: :func:`domain_mask` encodes a domain,
-:func:`mask_bits` decodes one, and :func:`decode_masks` decodes many at once
-into CSR columns.
+Integer bitsets (bit ``n`` set iff node ``n`` is in the domain) are the
+scratch algebra of signal shifting, where resolving a domain is a run of
+big-int XORs; :func:`decode_masks` decodes many of them at once into CSR
+columns.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, Sequence, Tuple, Union
+from typing import FrozenSet, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -45,13 +44,9 @@ __all__ = [
     "MeasureCommand",
     "CorrectionCommand",
     "Command",
-    "domain_mask",
     "sorted_domain",
-    "mask_bits",
     "decode_masks",
 ]
-
-DomainLike = Union[int, Iterable[int]]
 
 
 class CommandKind(str, enum.Enum):
@@ -68,41 +63,13 @@ class CommandKind(str, enum.Enum):
 N_CODE, E_CODE, M_CODE, X_CODE, Z_CODE = range(len(CommandKind))
 
 
-def domain_mask(nodes: DomainLike) -> int:
-    """Encode a domain as an integer bitset (idempotent on masks).
-
-    Node labels must be non-negative; bit ``n`` of the result is set iff
-    node ``n`` is in the domain.
-    """
-    if isinstance(nodes, int):
-        if nodes < 0:
-            raise ValueError("a domain mask must be non-negative")
-        return nodes
-    mask = 0
-    for node in nodes:
-        node = int(node)
-        if node < 0:
-            raise ValueError("domain node labels must be non-negative")
-        mask |= 1 << node
-    return mask
-
-
-def sorted_domain(nodes: DomainLike) -> List[int]:
-    """A domain as its sorted, distinct node labels (a mask is decoded)."""
-    if isinstance(nodes, int):
-        return list(mask_bits(domain_mask(nodes)))
+def sorted_domain(nodes: Iterable[int]) -> List[int]:
+    """A domain as its sorted, distinct, non-negative node labels."""
     domain = sorted({int(node) for node in nodes})
     if domain and domain[0] < 0:
         raise ValueError("domain node labels must be non-negative")
     return domain
 
-
-#: Work above which :func:`mask_bits` decodes through numpy.  The
-#: lowest-set-bit loop pays about ``2560 + width`` units per set bit (a fixed
-#: step cost plus O(width) big-int ops); the numpy decode pays a fixed call
-#: overhead of about this many units, so the loop keeps the narrow and the
-#: sparse masks and numpy takes the wide, dense ones.
-MASK_BITS_CROSSOVER = 150_000
 
 #: Bytes of packed masks :func:`decode_masks` unpacks per numpy pass.
 _DECODE_CHUNK_BYTES = 1 << 22
@@ -119,31 +86,14 @@ def _set_bits(packed: np.ndarray) -> np.ndarray:
     return nonzero[bits >> 3] * 8 + (bits & 7)
 
 
-def mask_bits(mask: int) -> Tuple[int, ...]:
-    """Decode a bitset into its node labels, in ascending order."""
-    width = mask.bit_length()
-    if mask.bit_count() * (2560 + width) > MASK_BITS_CROSSOVER:
-        packed = np.frombuffer(
-            mask.to_bytes((width + 7) // 8, "little"), dtype=np.uint8
-        )
-        return tuple(_set_bits(packed).tolist())
-    bits = []
-    while mask:
-        low = mask & -mask
-        bits.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(bits)
-
-
 def decode_masks(masks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
     """Decode many bitsets at once into ``(owner, label)`` arrays.
 
     ``owner[i]`` is the index in ``masks`` of the mask whose bit
     ``label[i]`` is set; the pairs come grouped by mask in input order,
-    ascending within each mask (the order :func:`mask_bits` gives).  The
-    masks are packed into byte buffers of about ``_DECODE_CHUNK_BYTES``
-    and only their non-zero bytes are unpacked, so no Python loop touches
-    individual bits.
+    ascending within each mask.  The masks are packed into byte buffers of
+    about ``_DECODE_CHUNK_BYTES`` and only their non-zero bytes are
+    unpacked, so no Python loop touches individual bits.
     """
     owners, labels = [], []
     start = 0
@@ -216,8 +166,7 @@ class MeasureCommand:
     The effective measurement angle is
     ``(-1)^{parity(s_domain)} * angle + parity(t_domain) * pi``.
 
-    Domains may be given as iterables of node labels or as integer bitsets;
-    they are stored as frozen sets.
+    Domains are given as iterables of node labels and stored as frozen sets.
     """
 
     node: int
@@ -228,42 +177,13 @@ class MeasureCommand:
     kind: CommandKind = field(default=CommandKind.MEASURE, init=False, repr=False)
 
     def __init__(
-        self, node: int, angle: float = 0.0, s_domain: DomainLike = (), t_domain: DomainLike = ()
+        self, node: int, angle: float = 0.0, s_domain: Iterable[int] = (), t_domain: Iterable[int] = ()
     ) -> None:
         object.__setattr__(self, "node", int(node))
         object.__setattr__(self, "angle", float(angle))
         object.__setattr__(self, "s_domain", frozenset(sorted_domain(s_domain)))
         object.__setattr__(self, "t_domain", frozenset(sorted_domain(t_domain)))
         object.__setattr__(self, "kind", CommandKind.MEASURE)
-
-    @property
-    def s_mask(self) -> int:
-        """The X-domain as an integer bitset."""
-        return domain_mask(self.s_domain)
-
-    @property
-    def t_mask(self) -> int:
-        """The Z-domain as an integer bitset."""
-        return domain_mask(self.t_domain)
-
-    @property
-    def is_pauli_z(self) -> bool:
-        """True when the measurement removes the node via a Z-basis readout.
-
-        In this library Z-basis removals are encoded as measurements whose
-        angle is tagged NaN-free via the dedicated ``angle=None``-like value;
-        instead, we mark them by the attribute set in the pattern (see
-        :meth:`Pattern.removed_nodes`).  The property here only recognises
-        X-plane angle 0 with empty domains, which is how removees appear once
-        signal shifting has run.
-        """
-        return not self.s_domain and not self.t_domain and self.angle == 0.0
-
-    def with_domains(
-        self, s_domain: DomainLike, t_domain: DomainLike
-    ) -> "MeasureCommand":
-        """Return a copy with replaced correction domains."""
-        return MeasureCommand(self.node, self.angle, s_domain, t_domain)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         extras = ""
@@ -284,7 +204,7 @@ class CorrectionCommand:
 
     kind: CommandKind = field(init=False, repr=False, default=CommandKind.X_CORRECTION)
 
-    def __init__(self, node: int, domain: DomainLike = (), pauli: str = "X") -> None:
+    def __init__(self, node: int, domain: Iterable[int] = (), pauli: str = "X") -> None:
         pauli = pauli.upper()
         if pauli not in ("X", "Z"):
             raise ValueError("correction must be X or Z")
@@ -296,11 +216,6 @@ class CorrectionCommand:
             "kind",
             CommandKind.X_CORRECTION if pauli == "X" else CommandKind.Z_CORRECTION,
         )
-
-    @property
-    def mask(self) -> int:
-        """The correction domain as an integer bitset."""
-        return domain_mask(self.domain)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.pauli}({self.node}, s={sorted(self.domain)})"

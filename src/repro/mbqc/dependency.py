@@ -117,10 +117,8 @@ class DependencyGraph:
     ``indices[indptr[p]:indptr[p + 1]]``, in the order their edges were
     first inserted, and ``kinds`` holds one code per edge in the same order
     (1 = X, 2 = Z, 3 = XZ when both dependency types join the pair).
-
-    :meth:`add_node` and :meth:`add_dependency` serve small hand-built
-    graphs: they edit a Python-side copy that is folded back into arrays
-    on the next read.
+    Instances are immutable: :meth:`from_edges` builds small graphs by
+    hand, and every derived view is a new graph.
     """
 
     def __init__(self) -> None:
@@ -136,10 +134,6 @@ class DependencyGraph:
         self._indptr = indptr
         self._indices = indices
         self._kinds = kinds
-        self._edits: Optional[Tuple[Dict[int, None], Dict[Tuple[int, int], int]]] = None
-        self._clear_caches()
-
-    def _clear_caches(self) -> None:
         self._sources: Optional[np.ndarray] = None
         self._reverse: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._topology: Optional[Tuple[np.ndarray, np.ndarray]] = None
@@ -229,61 +223,6 @@ class DependencyGraph:
         )
         return dag
 
-    @classmethod
-    def from_networkx(cls, graph: nx.DiGraph) -> "DependencyGraph":
-        """Array copy of a ``DiGraph`` whose edges carry ``kind`` attributes.
-
-        Node and successor orders are kept, so :meth:`topological_order`
-        equals ``nx.topological_sort(graph)``.  Edges without a kind are X.
-        """
-        edges = list(graph.edges(data="kind", default="X"))
-        return cls.from_edges(
-            list(graph.nodes),
-            [source for source, _, _ in edges],
-            [target for _, target, _ in edges],
-            [KIND_CODES[kind] for _, _, kind in edges],
-        )
-
-    def add_dependency(self, source: int, target: int, kind: str) -> None:
-        """Record that the basis of ``target`` depends on the outcome of ``source``."""
-        if kind not in ("X", "Z"):
-            raise ValueError("dependency kind must be 'X' or 'Z'")
-        nodes, edges = self._editable()
-        nodes.setdefault(source)
-        nodes.setdefault(target)
-        edges[(source, target)] = edges.get((source, target), 0) | KIND_CODES[kind]
-
-    def add_node(self, node: int) -> None:
-        """Ensure ``node`` exists even if it has no dependencies."""
-        self._editable()[0].setdefault(node)
-
-    def _editable(self) -> Tuple[Dict[int, None], Dict[Tuple[int, int], int]]:
-        if self._edits is None:
-            labels = self.labels.tolist()
-            sources = self._labels[self.sources].tolist()
-            targets = self._labels[self._indices].tolist()
-            edits = (
-                dict.fromkeys(labels),
-                dict(zip(zip(sources, targets), self._kinds.tolist())),
-            )
-            self._clear_caches()
-            self._edits = edits
-        return self._edits
-
-    def _settle(self) -> None:
-        """Fold pending hand edits back into the arrays."""
-        if self._edits is None:
-            return
-        nodes, edges = self._edits
-        pairs = list(edges)
-        built = DependencyGraph.from_edges(
-            list(nodes),
-            [source for source, _ in pairs],
-            [target for _, target in pairs],
-            list(edges.values()),
-        )
-        self._assign(built._labels, built._indptr, built._indices, built._kinds)
-
     # ------------------------------------------------------------------ #
     # Arrays
     # ------------------------------------------------------------------ #
@@ -291,31 +230,26 @@ class DependencyGraph:
     @property
     def labels(self) -> np.ndarray:
         """Node label of every position, in insertion order."""
-        self._settle()
         return self._labels
 
     @property
     def indptr(self) -> np.ndarray:
         """CSR row pointer of the children adjacency."""
-        self._settle()
         return self._indptr
 
     @property
     def indices(self) -> np.ndarray:
         """CSR children (positions), grouped by source position."""
-        self._settle()
         return self._indices
 
     @property
     def kinds(self) -> np.ndarray:
         """Kind code of every CSR edge (1 = X, 2 = Z, 3 = XZ)."""
-        self._settle()
         return self._kinds
 
     @property
     def sources(self) -> np.ndarray:
         """Source position of every CSR edge (the expanded row pointer)."""
-        self._settle()
         if self._sources is None:
             self._sources = np.repeat(
                 np.arange(len(self._labels), dtype=np.int64), np.diff(self._indptr)
@@ -333,7 +267,6 @@ class DependencyGraph:
         Each node's parents are in ascending source position, which is
         ascending label order whenever the labels are sorted.
         """
-        self._settle()
         if self._reverse is None:
             by_target = np.argsort(self._indices, kind="stable")
             self._reverse = (
@@ -350,7 +283,6 @@ class DependencyGraph:
         return self._lookup.positions(np.asarray(nodes, dtype=np.int64))
 
     def _topology_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        self._settle()
         if self._topology is None:
             self._topology = kahn_generations(
                 len(self._labels), self._indptr, self._indices
@@ -375,7 +307,6 @@ class DependencyGraph:
         Built on first access and never pickled; the compile path reads the
         arrays instead.
         """
-        self._settle()
         if self._graph is None:
             self._graph = self._export()
         return self._graph
@@ -400,14 +331,12 @@ class DependencyGraph:
 
     def position_of(self) -> Dict[int, int]:
         """Label → position map (built once, then shared)."""
-        self._settle()
         if self._position is None:
             self._position = {label: i for i, label in enumerate(self._labels.tolist())}
         return self._position
 
     def parent_lists(self) -> List[List[int]]:
         """Parent labels of every position (built once, then shared)."""
-        self._settle()
         if self._parent_lists is None:
             indptr, parents = self.reverse_csr()
             flat = self._labels[parents].tolist()
@@ -499,7 +428,6 @@ class DependencyGraph:
         return self.num_nodes
 
     def __getstate__(self):
-        self._settle()
         # The topological order is kept (it is O(nodes) and costs a Kahn
         # pass to recompute); the other derived views are rebuilt on use.
         return {

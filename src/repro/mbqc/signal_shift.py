@@ -107,10 +107,10 @@ def resolved_domains(
         else:
             _release(nodes, shifts, uses)
         if codes[index] == M_CODE:
-            t_mask = _resolve(flat[bounds[row + 1]:bounds[row + 2]], shifts, uses)
+            shift = _resolve(flat[bounds[row + 1]:bounds[row + 2]], shifts, uses)
             node = targets[index]
-            if t_mask and node < len(uses) and uses[node]:
-                shifts[node] = t_mask
+            if shift and node < len(uses) and uses[node]:
+                shifts[node] = shift
     if masks:
         yield commands, *decode_masks(masks)
 

@@ -43,12 +43,12 @@ def jcz_to_pattern(program: JCZProgram) -> Pattern:
     The returned pattern's input nodes are ``0..n-1`` (one per qubit) and its
     output nodes are the final wire nodes after all J gates.  Commands appear
     in generation order; call :func:`standardize` to obtain standard form.
+    The pattern is valid by construction and is not checked here:
+    :func:`~repro.compiler.compgraph.computation_graph_from_pattern`
+    validates every pattern it compiles.
     """
     with TRACER.span("translate.pattern"):
-        pattern = _build_pattern(program)
-    with TRACER.span("translate.validate"):
-        pattern.validate()
-    return pattern
+        return _build_pattern(program)
 
 
 def _build_pattern(program: JCZProgram) -> Pattern:

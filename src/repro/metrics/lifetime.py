@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.mbqc.dependency import DependencyGraph
 from repro.utils.errors import ValidationError
 
@@ -84,7 +82,7 @@ def fusee_lifetime(
 
 def measuree_lifetime(
     layer_index: Mapping[int, int],
-    dependency_graph: "DependencyGraph | nx.DiGraph",
+    dependency_graph: DependencyGraph,
     removed_nodes: Optional[Set[int]] = None,
 ) -> Tuple[int, Optional[int]]:
     """Part 2 of Algorithm 1: worst wait for measurement-basis signals.
@@ -95,18 +93,13 @@ def measuree_lifetime(
     feed-forward).  The required lifetime of ``u`` is ``MTime[u] -
     LayerIndex(u)``.
     """
-    dag = (
-        dependency_graph
-        if isinstance(dependency_graph, DependencyGraph)
-        else DependencyGraph.from_networkx(dependency_graph)
-    )
     removed = removed_nodes or set()
-    labels = dag.labels.tolist()
-    parents_at = dag.parent_lists()
+    labels = dependency_graph.labels.tolist()
+    parents_at = dependency_graph.parent_lists()
     mtime: Dict[int, int] = {}
     worst = 0
     worst_node: Optional[int] = None
-    for position in dag.topological_positions().tolist():
+    for position in dependency_graph.topological_positions().tolist():
         node = labels[position]
         if node not in layer_index:
             # Nodes outside the schedule (e.g. logical outputs that are
@@ -129,7 +122,7 @@ def measuree_lifetime(
 def required_photon_lifetime(
     layer_index: Mapping[int, int],
     fusee_pairs: Iterable[Tuple[int, int]],
-    dependency_graph: "DependencyGraph | nx.DiGraph",
+    dependency_graph: DependencyGraph,
     removed_nodes: Optional[Set[int]] = None,
     remote_waits: Iterable[int] = (),
 ) -> LifetimeReport:
@@ -139,7 +132,8 @@ def required_photon_lifetime(
         layer_index: Execution-layer index (or scheduled start time) of every
             photon.
         fusee_pairs: Pairs of photons joined by a fusion.
-        dependency_graph: The measurement dependency graph ``G'`` (only
+        dependency_graph: The measurement dependency graph ``G'`` as a
+            :class:`~repro.mbqc.dependency.DependencyGraph` (only
             X-dependencies should be present if signal shifting has run).
         removed_nodes: Removees, excluded from both parts.
         remote_waits: Optional per-connector waits contributed by inter-QPU

@@ -60,7 +60,7 @@ def _compgraph(pattern: Pattern) -> ComputationGraph:
 def translate_stage() -> Stage:
     """circuit → measurement pattern (measurement-calculus translation).
 
-    Version 2: patterns serialised with bitset domains (s_mask/t_mask).
+    Version 2: patterns serialised with integer bitset domains.
     Version 3: patterns pickle as command columns plus a domain CSR, with no
     command objects, so a store must not thaw a version-2 pickle into the
     new class.

@@ -173,8 +173,10 @@ class DistributedRuntime:
 
         Raises:
             ValidationError: if the schedule violates machine exclusivity,
-                connection capacity, per-QPU main-task ordering, or if any
-                photon is generated by no main task.
+                connection capacity, per-QPU main-task ordering, the
+                interconnect of the configured system (see
+                :meth:`verify_degraded`), or if any photon is generated by
+                no main task.
         """
         problem = self.result.problem
         schedule = self.result.schedule
@@ -182,7 +184,7 @@ class DistributedRuntime:
             problem.validate(schedule)
         except SchedulingError as exc:
             raise ValidationError(str(exc)) from exc
-        self._validate_against_system()
+        self.verify_degraded(schedule)
 
         generated: Set[int] = set()
         for tasks in problem.main_tasks:
@@ -195,60 +197,6 @@ class DistributedRuntime:
                 f"{len(missing)} photons are never generated by any main task"
             )
         self._validated = True
-
-    def _validate_against_system(self) -> None:
-        """Independently replay the hardware model's interconnect constraints.
-
-        The scheduling problem carries its own capacity tables; this check
-        rebuilds the :class:`~repro.hardware.system.SystemModel` from the
-        *configuration* and re-derives every constraint from it, so a
-        compiler bug that builds the problem against the wrong system is
-        caught at execution time.
-
-        The per-hop windows come from :meth:`sync_occupancy`, which
-        re-derives them from first principles — the relay model name in the
-        config, not the scheduling layer's
-        :class:`~repro.scheduling.problem.SyncTask` helpers — so the replay
-        disagrees loudly if the scheduler's notion of when a photon crosses
-        a link ever drifts from the hardware semantics.
-        """
-        system = self.result.config.system_model()
-        problem = self.result.problem
-
-        for sync in problem.sync_tasks:
-            route = sync.route_qpus
-            for hop_a, hop_b in zip(route, route[1:]):
-                if not system.are_connected(hop_a, hop_b):
-                    raise ValidationError(
-                        f"sync task {sync.sync_id} crosses QPUs {hop_a}-{hop_b}, "
-                        f"which share no link in the {system.topology.value} "
-                        f"interconnect"
-                    )
-        qpu_slots, link_slots, buffer_slots = self.sync_occupancy()
-        for (qpu, start), holders in qpu_slots.items():
-            count = len(holders)
-            capacity = system.qpus[qpu].connection_capacity
-            if count > capacity:
-                raise ValidationError(
-                    f"QPU {qpu} hosts {count} synchronisations at cycle {start} "
-                    f"but its connection layer supports K_max = {capacity}"
-                )
-        for ((qpu_a, qpu_b), start), holders in link_slots.items():
-            count = len(holders)
-            capacity = system.link_capacity(qpu_a, qpu_b)
-            if count > capacity:
-                raise ValidationError(
-                    f"link ({qpu_a}, {qpu_b}) carries {count} synchronisations "
-                    f"at cycle {start} but supports {capacity}"
-                )
-        for (qpu, start), holders in buffer_slots.items():
-            count = len(holders)
-            capacity = system.qpus[qpu].connection_capacity
-            if count > capacity:
-                raise ValidationError(
-                    f"QPU {qpu} buffers {count} in-flight relay photons at "
-                    f"cycle {start} but has only {capacity} buffer slots"
-                )
 
     def sync_occupancy(
         self,
@@ -491,7 +439,14 @@ class DistributedRuntime:
         link_capacity: Optional[Callable[[Tuple[int, int], int], int]] = None,
         buffer_capacity: Optional[Callable[[int, int], int]] = None,
     ) -> None:
-        """Independently re-check a recovered plan against a degraded system.
+        """Independently re-check a plan against the (possibly degraded) system.
+
+        The constraints are re-derived from the
+        :class:`~repro.hardware.system.SystemModel` of the *configuration*,
+        not from the scheduling problem's own capacity tables, so a
+        compiler bug that builds the problem against the wrong system is
+        caught at execution time.  With no fault arguments this is the
+        healthy interconnect check that :meth:`validate` runs.
 
         Windows strictly before ``fault_cycle`` ran on the healthy system
         and are held to the healthy constraints only; windows at or after
@@ -565,7 +520,8 @@ class DistributedRuntime:
             if len(holders) > capacity:
                 raise ValidationError(
                     f"QPU {qpu} hosts {len(holders)} synchronisations at "
-                    f"cycle {cycle} but the degraded K_max is {capacity}"
+                    f"cycle {cycle} but its connection layer supports "
+                    f"K_max = {capacity}"
                 )
         for (link, cycle), holders in link_slots.items():
             if degraded(cycle) and link in dead_link_keys:
@@ -579,7 +535,7 @@ class DistributedRuntime:
             if len(holders) > capacity:
                 raise ValidationError(
                     f"link {link} carries {len(holders)} synchronisations "
-                    f"at cycle {cycle} but the degraded capacity is {capacity}"
+                    f"at cycle {cycle} but supports {capacity}"
                 )
         for (qpu, cycle), holders in buffer_slots.items():
             if degraded(cycle) and qpu in dead_qpus:
@@ -593,8 +549,8 @@ class DistributedRuntime:
             if len(holders) > capacity:
                 raise ValidationError(
                     f"QPU {qpu} buffers {len(holders)} in-flight relay "
-                    f"photons at cycle {cycle} but the degraded buffer "
-                    f"capacity is {capacity}"
+                    f"photons at cycle {cycle} but has only {capacity} "
+                    f"buffer slots"
                 )
 
     # ------------------------------------------------------------------ #

@@ -342,7 +342,7 @@ def fault_sweep_grid(
     if scale is BenchmarkScale.SMOKE:
         instances = [("QFT", 8)]
         default_faults = ("link:0-1@10%", "qpu:0@25%+8:cap=1")
-        default_policies = ("fail-fast", "reroute")
+        default_policies = ("fail-fast", "reroute", "reschedule-frontier")
         shots = 2
     else:
         if scale is BenchmarkScale.PAPER:

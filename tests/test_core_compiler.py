@@ -90,9 +90,11 @@ class TestPipeline:
         compiler = DCMBQCCompiler(
             DCMBQCConfig(num_qpus=4, grid_size=7, topology=InterconnectTopology.LINE)
         )
-        system = compiler.multi_qpu_system()
+        system = compiler.system_model()
         assert system.num_qpus == 4
         assert system.topology is InterconnectTopology.LINE
+        assert [qpu.grid_size for qpu in system.qpus] == [7] * 4
+        assert system is compiler.system_model()
 
 
 class TestScalingBehaviour:

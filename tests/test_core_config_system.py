@@ -1,10 +1,14 @@
 """Validation tests for the system-model fields of DCMBQCConfig."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import DCMBQCConfig
 from repro.hardware.qpu import InterconnectTopology
 from repro.hardware.resource_states import ResourceStateType
+from repro.sweep.grid import SweepPoint
+from repro.sweep.tasks import config_for_point
 from repro.utils.errors import CompilationError
 
 
@@ -102,3 +106,82 @@ class TestSystemModelFromConfig:
         assert [qpu.grid_size for qpu in system.qpus] == [5, 7, 5]
         assert system.qpu_connection_capacities() == (4, 2, 4)
         assert all(link.capacity == 2 for link in system.links)
+
+
+class TestFieldTypes:
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"link_capacity": "x"}, "link_capacity"),
+            ({"bdir_starts": "3"}, "bdir_starts"),
+            ({"num_qpus": "4"}, "num_qpus"),
+            ({"connection_capacity": True}, "connection_capacity"),
+            ({"alpha_max": "1.5"}, "alpha_max"),
+            ({"qpu_grid_sizes": 5}, "qpu_grid_sizes"),
+            ({"qpu_connection_capacities": (None,) * 4}, "qpu_connection_capacities"),
+            ({"qpu_rsg_types": 3}, "qpu_rsg_types"),
+            ({"custom_links": (5,)}, "custom link"),
+            ({"topology": "custom", "custom_links": {"0": 1}}, "custom_links"),
+        ],
+    )
+    def test_wrongly_typed_field_is_a_compilation_error(self, fields, name):
+        with pytest.raises(CompilationError, match=f"^{name}"):
+            DCMBQCConfig(**fields)
+
+    def test_sequence_fields_are_normalised_to_tuples(self):
+        config = DCMBQCConfig(
+            num_qpus=2,
+            topology="custom",
+            qpu_grid_sizes=[5, 6],
+            custom_links=[[0, 1, 3]],
+        )
+        assert config.qpu_grid_sizes == (5, 6)
+        assert config.custom_links == ((0, 1, 3),)
+
+
+# Small JSON-like values: what a sweep grid file or a stored point can carry.
+_JSON_LIKE = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 9)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from(["", "x", "3", "ring", "custom", "atomic", "5-star"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(["a", "0"]), children, max_size=2),
+    max_leaves=8,
+)
+_OPTIONS = (
+    "topology",
+    "qpu_grid_sizes",
+    "qpu_rsg_types",
+    "qpu_connection_capacities",
+    "link_capacity",
+    "custom_links",
+    "relay_model",
+    "bdir_starts",
+)
+
+
+@given(
+    extra=st.dictionaries(st.sampled_from(_OPTIONS), _JSON_LIKE, max_size=4),
+    num_qpus=st.integers(1, 5) | _JSON_LIKE,
+    k_max=st.integers(1, 4) | _JSON_LIKE,
+    alpha_max=st.floats(1.0, 2.0) | _JSON_LIKE,
+    rsg_type=st.just("5-star") | _JSON_LIKE,
+)
+@settings(max_examples=300, deadline=None)
+def test_sweep_options_build_a_config_or_fail_typed(extra, num_qpus, k_max, alpha_max, rsg_type):
+    point = SweepPoint(
+        task="compile",
+        num_qpus=num_qpus,
+        k_max=k_max,
+        alpha_max=alpha_max,
+        rsg_type=rsg_type,
+        extra=tuple(sorted(extra.items())),
+    )
+    try:
+        config = config_for_point(point)
+    except (CompilationError, ValueError) as exc:
+        assert str(exc)
+    else:
+        assert isinstance(config, DCMBQCConfig)

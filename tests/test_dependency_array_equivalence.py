@@ -1,7 +1,7 @@
 """The array-native dependency DAG is equivalent to the networkx builder.
 
 ``DependencyGraph`` stores G' as CSR arrays built straight from the
-pattern's bitset domains, derives its topological order from Kahn
+pattern's domain CSR, derives its topological order from Kahn
 generations over those arrays, and induces sub-DAGs with an endpoint mask.
 The kernel and the lifetime metric break ties by "first maximum in
 topological order", so the order must equal what ``nx.topological_sort``
@@ -36,7 +36,7 @@ from hypothesis import strategies as st
 
 import repro.compiler.compgraph as compgraph_module
 from repro.compiler.compgraph import ComputationGraph, computation_graph_from_pattern
-from repro.mbqc.commands import CorrectionCommand, MeasureCommand, mask_bits
+from repro.mbqc.commands import CorrectionCommand, MeasureCommand
 from repro.mbqc.dependency import (
     DependencyGraph,
     build_dependency_graph,
@@ -76,14 +76,14 @@ def _reference_build(
             if drop_pauli_dependencies and is_pauli_angle(command.angle):
                 continue
             target = command.node
-            for source in mask_bits(command.s_mask):
+            for source in sorted(command.s_domain):
                 edge_kinds[(source, target)] = edge_kinds.get((source, target), 0) | 1
-            for source in mask_bits(command.t_mask):
+            for source in sorted(command.t_domain):
                 edge_kinds[(source, target)] = edge_kinds.get((source, target), 0) | 2
         elif include_output_corrections and isinstance(command, CorrectionCommand):
             bit = 1 if command.pauli == "X" else 2
             target = command.node
-            for source in mask_bits(command.mask):
+            for source in sorted(command.domain):
                 edge_kinds[(source, target)] = edge_kinds.get((source, target), 0) | bit
     kind_names = {1: "X", 2: "Z", 3: "XZ"}
     graph.add_edges_from(
@@ -228,42 +228,56 @@ def test_random_patterns_match_networkx_builder(pattern, corrections, drop_pauli
     _assert_equivalent(build_dependency_graph(shifted), _reference_build(shifted))
 
 
+def _reference_measuree_lifetime(layer_index, graph: nx.DiGraph):
+    """Part 2 of Algorithm 1 walked over a networkx DAG (test oracle)."""
+    mtime, worst, worst_node = {}, 0, None
+    for node in nx.topological_sort(graph):
+        if node not in layer_index:
+            continue
+        earliest = layer_index[node] + 1
+        for parent in graph.predecessors(node):
+            if parent in mtime:
+                earliest = max(earliest, mtime[parent] + 1)
+        mtime[node] = earliest
+        if earliest - layer_index[node] > worst:
+            worst, worst_node = earliest - layer_index[node], node
+    return worst, worst_node
+
+
 @given(pattern=random_patterns(), layers=st.lists(st.integers(0, 9), min_size=16, max_size=16))
 @settings(max_examples=40, deadline=None)
 def test_lifetime_agrees_on_arrays_and_networkx(pattern, layers):
     reference = _reference_build(pattern, drop_pauli_dependencies=False)
     dag = build_dependency_graph(pattern, drop_pauli_dependencies=False)
     layer_index = {node: layers[i % len(layers)] for i, node in enumerate(pattern.nodes)}
-    assert measuree_lifetime(layer_index, dag) == measuree_lifetime(layer_index, reference)
+    assert measuree_lifetime(layer_index, dag) == _reference_measuree_lifetime(
+        layer_index, reference
+    )
 
 
-def test_from_networkx_keeps_node_and_successor_order():
+def test_from_edges_keeps_node_and_successor_order():
+    # Edge 5 -> 1 is given twice (X, then Z) and merges into one XZ edge at
+    # its first slot; endpoint 7 is missing from the node table and is
+    # appended after it.
+    dag = DependencyGraph.from_edges(
+        [5, 3, 9, 1], [9, 5, 5, 5, 7], [1, 1, 3, 1, 5], [1, 1, 2, 2, 1]
+    )
     graph = nx.DiGraph()
-    graph.add_nodes_from([5, 3, 9, 1])
+    graph.add_nodes_from([5, 3, 9, 1, 7])
     graph.add_edge(9, 1, kind="X")
     graph.add_edge(5, 1, kind="XZ")
     graph.add_edge(5, 3, kind="Z")
-    dag = DependencyGraph.from_networkx(graph)
+    graph.add_edge(7, 5, kind="X")
+    assert dag.labels.tolist() == [5, 3, 9, 1, 7]
     assert dag.topological_order() == list(nx.topological_sort(graph))
     assert _typed_edges(dag.graph) == _typed_edges(graph)
+    for node in graph.nodes:
+        assert list(dag.graph.successors(node)) == list(graph.successors(node))
     assert dag.graph.edges[5, 1]["kind"] == "XZ"
 
 
-def test_hand_edits_after_a_read_are_folded_in():
-    dag = DependencyGraph()
-    dag.add_dependency(0, 1, "X")
-    assert dag.topological_order() == [0, 1]
-    dag.add_dependency(2, 0, "X")
-    dag.add_dependency(0, 1, "Z")
-    dag.add_node(7)
-    assert dag.topological_order() == [2, 7, 0, 1]
-    assert _typed_edges(dag.graph) == {(2, 0): "X", (0, 1): "XZ"}
-
-
 def test_cycles_are_reported():
-    dag = DependencyGraph()
-    dag.add_dependency(0, 1, "X")
-    dag.add_dependency(1, 0, "X")
+    dag = DependencyGraph.from_edges([], [0, 1], [1, 0], [1, 1])
     assert not dag.is_acyclic()
     with pytest.raises(Exception, match="cycle"):
         dag.topological_order()

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.hardware.qpu import InterconnectTopology, MultiQPUSystem, QPUSpec
+from repro.core.compiler import DCMBQCCompiler
+from repro.core.config import DCMBQCConfig
+from repro.hardware.qpu import InterconnectTopology, QPUSpec
 from repro.hardware.resource_states import ResourceStateType
 from repro.hardware.system import (
     Link,
@@ -142,19 +144,16 @@ class TestCaching:
         assert OP_COUNTERS.get("system.graph_builds") - before == built == 1
 
     def test_multi_qpu_system_wrapper_builds_once(self):
-        system = MultiQPUSystem(6, spec(), InterconnectTopology.LINE)
+        # The compiler's system_model() accessor builds one model and then
+        # hands the same one back.
+        compiler = DCMBQCCompiler(DCMBQCConfig(num_qpus=6, topology="line"))
         before = OP_COUNTERS.get("system.graph_builds")
         for _ in range(10):
+            system = compiler.system_model()
             assert system.are_connected(0, 1)
             assert system.communication_distance(0, 5) == 5
-        assert OP_COUNTERS.get("system.graph_builds") - before <= 1
-
-    def test_multi_qpu_system_cache_invalidates_on_mutation(self):
-        system = MultiQPUSystem(4, spec())
-        assert system.are_connected(0, 2)
-        system.topology = InterconnectTopology.LINE
-        assert not system.are_connected(0, 2)
-        assert system.communication_distance(0, 3) == 3
+        assert system is compiler.system_model()
+        assert OP_COUNTERS.get("system.graph_builds") - before == 1
 
 
 class TestHeterogeneity:

@@ -8,9 +8,10 @@ to those recordings across golden seeds of all nine workload families: the
 overhaul is a pure wall-time win and every content hash, partition
 assignment, compile summary and simulated state must be unchanged.
 
-Property tests additionally check the bitset domain algebra against the
-set-based semantics it replaced, and a reference (dict/set) signal-shift
-implementation against the mask-based one on random patterns.
+Property tests additionally check the bitset domain algebra of signal
+shifting against the set-based semantics it replaced, and a reference
+(dict/set) signal-shift implementation against the mask-based one on
+random patterns.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import pytest
 from repro.core.compiler import DCMBQCCompiler
 from repro.core.config import DCMBQCConfig
 from repro.hardware.resource_states import ResourceStateType
-from repro.mbqc.commands import CorrectionCommand, MeasureCommand, domain_mask, mask_bits
+from repro.mbqc.commands import CorrectionCommand, MeasureCommand, decode_masks, sorted_domain
 from repro.mbqc.pattern import Pattern
 from repro.mbqc.signal_shift import signal_shift
 from repro.mbqc.simulator import PatternSimulator
@@ -124,33 +125,50 @@ def test_reshaped_simulator_is_deterministic_per_seed():
 # --------------------------------------------------------------------------- #
 
 
+def _mask(nodes):
+    return sum(1 << node for node in nodes)
+
+
 def test_domain_mask_roundtrip_and_parity():
     rng = make_rng(7)
     for _ in range(200):
         nodes = set(int(x) for x in rng.integers(0, 200, size=rng.integers(0, 30)))
-        mask = domain_mask(nodes)
-        assert set(mask_bits(mask)) == nodes
-        assert mask_bits(mask) == tuple(sorted(nodes))
         other = set(int(x) for x in rng.integers(0, 200, size=rng.integers(0, 30)))
+        mask = _mask(nodes)
         # XOR of masks is symmetric difference; OR is union.
-        assert set(mask_bits(mask ^ domain_mask(other))) == nodes ^ other
-        assert set(mask_bits(mask | domain_mask(other))) == nodes | other
+        owner, labels = decode_masks([mask, mask ^ _mask(other), mask | _mask(other)])
+        decoded = [labels[owner == i].tolist() for i in range(3)]
+        assert decoded == [sorted(nodes), sorted(nodes ^ other), sorted(nodes | other)]
 
 
 def test_domain_mask_rejects_negative_nodes():
+    # A domain mask has no bit for a negative label, so domains refuse one
+    # wherever they enter the library.
     with pytest.raises(ValueError):
-        domain_mask([3, -1])
+        sorted_domain([3, -1])
     with pytest.raises(ValueError):
-        domain_mask(-5)
+        MeasureCommand(2, 0.5, s_domain=[-5])
+    with pytest.raises(ValueError):
+        CorrectionCommand(4, [0, -7], "Z")
+    with pytest.raises(ValueError):
+        Pattern(input_nodes=[0, 1], output_nodes=[1]).measure(0, 0.5, t_domain=[-1])
+    assert sorted_domain((5, 2, 5)) == [2, 5]
 
 
 def test_measure_command_exposes_both_views():
-    command = MeasureCommand(9, 0.25, s_domain=[3, 1], t_domain=domain_mask([2, 5]))
-    assert command.s_mask == (1 << 3) | (1 << 1)
-    assert command.s_domain == frozenset({1, 3})
-    assert command.t_domain == frozenset({2, 5})
-    correction = CorrectionCommand(4, [0, 7], "Z")
-    assert correction.mask == (1 << 0) | (1 << 7)
+    # The pattern's domain CSR and its command objects hold the same domains.
+    pattern = Pattern(input_nodes=[0, 1, 2, 3, 5, 7, 9], output_nodes=[4])
+    pattern.measure(9, 0.25, s_domain=[3, 1], t_domain=[5, 2])
+    pattern.correct(4, [7, 0], "Z")
+    indptr, nodes = pattern.domain_indptr.tolist(), pattern.domain_nodes.tolist()
+    assert [nodes[indptr[row]:indptr[row + 1]] for row in range(4)] == [
+        [1, 3], [2, 5], [0, 7], [],
+    ]
+    measure, correction = pattern.commands
+    assert measure == MeasureCommand(9, 0.25, s_domain=[3, 1], t_domain=[2, 5])
+    assert measure.s_domain == frozenset({1, 3})
+    assert measure.t_domain == frozenset({2, 5})
+    assert correction == CorrectionCommand(4, [0, 7], "Z")
     assert correction.domain == frozenset({0, 7})
 
 

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.mbqc.dependency import (
+    KIND_CODES,
     DependencyGraph,
     build_dependency_graph,
     is_pauli_angle,
@@ -24,52 +25,46 @@ class TestIsPauliAngle:
         assert not is_pauli_angle(angle)
 
 
+def _dag(*edges):
+    """A hand-built DAG from ``(source, target, kind)`` triples, in order."""
+    return DependencyGraph.from_edges(
+        [],
+        [source for source, _, _ in edges],
+        [target for _, target, _ in edges],
+        [KIND_CODES[kind] for _, _, kind in edges],
+    )
+
+
 class TestDependencyGraphClass:
     def test_add_and_query(self):
-        dag = DependencyGraph()
-        dag.add_dependency(0, 1, "X")
-        dag.add_dependency(0, 2, "Z")
+        dag = _dag((0, 1, "X"), (0, 2, "Z"))
         assert dag.children(0) == [1, 2]
         assert dag.parents(1) == [0]
 
     def test_combined_kind(self):
-        dag = DependencyGraph()
-        dag.add_dependency(0, 1, "X")
-        dag.add_dependency(0, 1, "Z")
+        dag = _dag((0, 1, "X"), (0, 1, "Z"))
         assert dag.graph.edges[0, 1]["kind"] == "XZ"
 
-    def test_invalid_kind_rejected(self):
-        with pytest.raises(ValueError):
-            DependencyGraph().add_dependency(0, 1, "Y")
-
     def test_x_only_filter(self):
-        dag = DependencyGraph()
-        dag.add_dependency(0, 1, "X")
-        dag.add_dependency(1, 2, "Z")
+        dag = _dag((0, 1, "X"), (1, 2, "Z"))
         x_only = dag.x_only()
         assert x_only.graph.has_edge(0, 1)
         assert not x_only.graph.has_edge(1, 2)
 
     def test_xz_edge_survives_both_filters(self):
-        dag = DependencyGraph()
-        dag.add_dependency(0, 1, "X")
-        dag.add_dependency(0, 1, "Z")
+        dag = _dag((0, 1, "X"), (0, 1, "Z"))
         assert dag.restricted_to({"X"}).graph.has_edge(0, 1)
         assert dag.restricted_to({"Z"}).graph.has_edge(0, 1)
 
     def test_depth_of_chain(self):
-        dag = DependencyGraph()
-        dag.add_dependency(0, 1, "X")
-        dag.add_dependency(1, 2, "X")
+        dag = _dag((0, 1, "X"), (1, 2, "X"))
         assert dag.depth() == 3
 
     def test_depth_empty(self):
         assert DependencyGraph().depth() == 0
 
     def test_topological_order_respects_edges(self):
-        dag = DependencyGraph()
-        dag.add_dependency(2, 1, "X")
-        dag.add_dependency(1, 0, "X")
+        dag = _dag((2, 1, "X"), (1, 0, "X"))
         order = dag.topological_order()
         assert order.index(2) < order.index(1) < order.index(0)
 

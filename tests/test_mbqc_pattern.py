@@ -150,9 +150,11 @@ class TestColumns:
 
     def test_domains_are_stored_sorted_and_distinct(self):
         pattern = Pattern(input_nodes=[0, 1, 2, 3], output_nodes=[3])
-        pattern.measure(0).measure(1).measure(2, s_domain=[1, 0, 1], t_domain=0b11)
+        pattern.measure(0).measure(1).measure(2, s_domain=[1, 0, 1], t_domain=(1, 0))
         assert pattern.domain_nodes[pattern.domain_indptr[4]:].tolist() == [0, 1, 0, 1]
         assert pattern.commands[2].s_domain == frozenset({0, 1})
+        with pytest.raises(ValueError, match="non-negative"):
+            pattern.measure(3, s_domain=[2, -1])
 
     def test_pickle_holds_columns_not_commands(self, small_pattern):
         import pickle

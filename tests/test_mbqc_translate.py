@@ -6,12 +6,14 @@ output state on arbitrary inputs, up to a global phase.
 """
 
 import numpy as np
+import pytest
 
 from repro.circuit import QuantumCircuit, StatevectorSimulator
 from repro.circuit.decompose import decompose_to_jcz
 from repro.circuit.equivalence import random_product_state, states_equivalent_up_to_phase
 from repro.mbqc.simulator import simulate_pattern
 from repro.mbqc.translate import circuit_to_pattern, jcz_to_pattern, standardize
+from repro.programs.registry import EXTENDED_FAMILIES, PAPER_FAMILIES, build_benchmark
 
 
 def _circuit_output(circuit, probe):
@@ -55,6 +57,12 @@ class TestStructure:
 
     def test_pattern_validates(self, small_circuit):
         circuit_to_pattern(small_circuit).validate()
+
+    @pytest.mark.parametrize("family", PAPER_FAMILIES + EXTENDED_FAMILIES)
+    def test_every_family_translates_to_a_valid_pattern(self, family):
+        # Translation does not check its own output; this pins that it is
+        # valid by construction.
+        circuit_to_pattern(build_benchmark(family, 8, seed=2026)).validate()
 
     def test_standard_form_option(self, small_circuit):
         assert circuit_to_pattern(small_circuit, standard_form=True).is_standard_form()

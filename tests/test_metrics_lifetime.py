@@ -1,6 +1,5 @@
 """Tests for the required-photon-lifetime metric (Algorithm 1)."""
 
-import networkx as nx
 import pytest
 
 from repro.mbqc.dependency import DependencyGraph
@@ -13,12 +12,7 @@ from repro.utils.errors import ValidationError
 
 
 def _chain_dependency(*nodes):
-    dag = DependencyGraph()
-    for node in nodes:
-        dag.add_node(node)
-    for a, b in zip(nodes, nodes[1:]):
-        dag.add_dependency(a, b, "X")
-    return dag
+    return DependencyGraph.from_edges(nodes, nodes[:-1], nodes[1:], [1] * (len(nodes) - 1))
 
 
 class TestFuseeLifetime:
@@ -75,11 +69,6 @@ class TestMeasureeLifetime:
     def test_removed_nodes_do_not_contribute(self):
         dag = _chain_dependency(0, 1, 2)
         tau, _ = measuree_lifetime({0: 4, 1: 4, 2: 4}, dag, removed_nodes={2})
-        assert tau == 2
-
-    def test_accepts_plain_digraph(self):
-        graph = nx.DiGraph([(0, 1)])
-        tau, _ = measuree_lifetime({0: 0, 1: 0}, graph)
         assert tau == 2
 
 

@@ -123,7 +123,7 @@ class TestRuntimeCrossCheckDivergence:
 
         runtime = DistributedRuntime(result)
         with pytest.raises(ValidationError, match=r"link \(0, 1\)"):
-            runtime._validate_against_system()
+            runtime.verify_degraded(result.schedule)
         with pytest.raises(ReproError):
             runtime.validate()
 

@@ -169,11 +169,8 @@ class TestLifetimeProperties:
 
         layer_index = {i: layer for i, layer in enumerate(layers)}
         pairs = [(i, i + 1) for i in range(len(layers) - 1)]
-        dag = DependencyGraph()
-        for i in range(len(layers)):
-            dag.add_node(i)
-        for i in range(len(layers) - 1):
-            dag.add_dependency(i, i + 1, "X")
+        chain = range(len(layers))
+        dag = DependencyGraph.from_edges(chain, chain[:-1], chain[1:], [1] * len(pairs))
         report = required_photon_lifetime(layer_index, pairs, dag)
         assert report.tau_photon == max(report.tau_fusee, report.tau_measuree)
         assert report.tau_fusee >= 0 and report.tau_measuree >= 0

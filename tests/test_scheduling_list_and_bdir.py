@@ -33,9 +33,7 @@ def _problem(num_qpus=2, layers_per_qpu=5, sync_pairs=((1, 2), (3, 4)), kmax=2):
                 connector=(node_of[(0, index_a)], node_of[(1, index_b)]),
             )
         )
-    dependency = DependencyGraph()
-    for value in range(node):
-        dependency.add_node(value)
+    dependency = DependencyGraph.from_edges(range(node), [], [], [])
     fusee_pairs = [
         (node_of[(qpu, i)], node_of[(qpu, i + 1)])
         for qpu in range(num_qpus)

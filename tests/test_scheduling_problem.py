@@ -19,10 +19,7 @@ def _toy_problem(kmax=2):
         [MainTask(1, 0, (10,)), MainTask(1, 1, (11, 12))],
     ]
     sync = SyncTask(0, qpu_a=0, index_a=1, qpu_b=1, index_b=0, connector=(2, 10))
-    dependency = DependencyGraph()
-    for node in (0, 1, 2, 10, 11, 12):
-        dependency.add_node(node)
-    dependency.add_dependency(0, 2, "X")
+    dependency = DependencyGraph.from_edges((0, 1, 2, 10, 11, 12), [0], [2], [1])
     return LayerSchedulingProblem(
         num_qpus=2,
         main_tasks=main_tasks,
