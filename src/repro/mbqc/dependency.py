@@ -296,6 +296,17 @@ class DependencyGraph:
             raise ValidationError("dependency graph contains a cycle")
         return order
 
+    def levels(self) -> np.ndarray:
+        """Longest-path level of every node position (sources are level 0).
+
+        Every edge runs from a lower to a strictly higher level, in this
+        graph and in any sub-DAG induced from it, so the levels order the
+        edges of an induced sub-DAG without a fresh topological pass.
+        """
+        self.topological_positions()
+        _, level = self._topology_arrays()
+        return level
+
     # ------------------------------------------------------------------ #
     # Views
     # ------------------------------------------------------------------ #
@@ -415,8 +426,7 @@ class DependencyGraph:
 
     def depth(self) -> int:
         """Length (in nodes) of the longest dependency chain."""
-        self.topological_positions()
-        _, level = self._topology_arrays()
+        level = self.levels()
         return int(level.max()) + 1 if len(level) else 0
 
     def is_acyclic(self) -> bool:

@@ -127,6 +127,7 @@ class Pattern:
         self._indptr = indptr
         self._domain = domain
         self._pending: Optional[Tuple[list, list, list, list, list, list]] = None
+        self._nodes: Optional[Tuple[List[int], List[int], np.ndarray]] = None
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -300,9 +301,21 @@ class Pattern:
     # ------------------------------------------------------------------ #
 
     def node_array(self) -> np.ndarray:
-        """All node labels mentioned by the pattern, sorted (``int64``)."""
+        """All node labels mentioned by the pattern, sorted (``int64``, read-only).
+
+        Computed once per settled column set and input/output lists: new
+        columns clear it, and the cached copy of the lists is compared on
+        each read.
+        """
         kinds = self.kinds
-        return np.unique(
+        cached = self._nodes
+        if (
+            cached is not None
+            and cached[0] == self.input_nodes
+            and cached[1] == self.output_nodes
+        ):
+            return cached[2]
+        nodes = np.unique(
             np.concatenate(
                 (
                     np.asarray(self.input_nodes, dtype=np.int64),
@@ -312,6 +325,9 @@ class Pattern:
                 )
             )
         )
+        nodes.flags.writeable = False
+        self._nodes = (list(self.input_nodes), list(self.output_nodes), nodes)
+        return nodes
 
     @property
     def nodes(self) -> List[int]:
@@ -457,11 +473,13 @@ class Pattern:
         self._settle()
         state = dict(self.__dict__)
         del state["_pending"]
+        del state["_nodes"]
         return state
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
         self._pending = None
+        self._nodes = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         stats = self.statistics()

@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.mbqc.dependency import DependencyGraph, csr_indptr, kahn_generations
+from repro.mbqc.dependency import DependencyGraph
 from repro.metrics.lifetime import LifetimeReport
 from repro.obs.trace import TRACER
 from repro.utils.counters import OP_COUNTERS
@@ -378,7 +378,11 @@ class LayerSchedulingProblem:
                         f"inconsistent identity ({task.qpu}, {task.index})"
                     )
         main_keys = {t.key for tasks in self.main_tasks for t in tasks}
+        sync_ids: Set[int] = set()
         for sync in self.sync_tasks:
+            if sync.sync_id in sync_ids:
+                raise SchedulingError(f"duplicate sync task id {sync.sync_id}")
+            sync_ids.add(sync.sync_id)
             for key in sync.main_keys:
                 if key not in main_keys:
                     raise SchedulingError(
@@ -618,6 +622,12 @@ class _ProblemIndex:
     Structural tables (tasks, photons, capacities, the dependency closure)
     are built once; the route-dependent ones (hop windows, relay array,
     horizon) are re-derived by :meth:`refresh_routes` after a re-route.
+    The list scheduler's sync tables are plain lists indexed by the sync's
+    position in ``problem.sync_tasks`` (``sync_position`` maps ids to
+    positions), with interconnect links named by their id in ``link_id``.
+    The measuree levels reuse the dependency DAG's cached longest-path
+    levels (:meth:`DependencyGraph.levels`) instead of a topological pass
+    over the scheduled sub-DAG.
     The evaluation mirrors Algorithm 1 exactly, including tie-breaking: the
     worst fusee pair / measuree is the *first* strict maximum in pair order
     / topological order respectively.
@@ -626,11 +636,16 @@ class _ProblemIndex:
     def __init__(self, problem: LayerSchedulingProblem) -> None:
         self.problem = problem
 
-        # List scheduler tables.
+        # List scheduler tables: per QPU, per interconnect link id, and
+        # (below) per sync position.
         qpus = range(problem.num_qpus)
-        self.capacity = [problem.capacity_of(qpu) for qpu in qpus]
+        self.capacity = capacity = [problem.capacity_of(qpu) for qpu in qpus]
         self.buffer_limit = [problem.buffer_limit_of(qpu) for qpu in qpus]
         self.total_tasks = problem.num_main_tasks + problem.num_sync_tasks
+        self.main_keys = [[task.key for task in tasks] for tasks in problem.main_tasks]
+        links = problem.link_capacities
+        self.link_id = {link: i for i, link in enumerate(links or ())}
+        self.link_limit = list((links or {}).values())
 
         # Task table: mains in (qpu, index) order, then syncs.
         self.task_keys: List[TaskKey] = [task.key for task in problem.all_main_tasks()]
@@ -673,6 +688,13 @@ class _ProblemIndex:
         syncs = problem.sync_tasks
         self.sync_position = {sync.sync_id: i for i, sync in enumerate(syncs)}
         self.sync_ids = [sync.sync_id for sync in syncs]
+        self.sync_keys = self.task_keys[self.num_mains:]
+        self.sync_qpu_a = [sync.qpu_a for sync in syncs]
+        self.sync_qpu_b = [sync.qpu_b for sync in syncs]
+        # Phase 1b's top-up window ``min(K_a, K_b)`` of each sync.
+        self.sync_window = [
+            float(min(capacity[sync.qpu_a], capacity[sync.qpu_b])) for sync in syncs
+        ]
         self.sync_idx = np.array([task_index[s.key] for s in syncs], dtype=np.int64)
         self.sync_main_a = np.array(
             [task_index[s.main_keys[0]] for s in syncs], dtype=np.int64
@@ -686,9 +708,9 @@ class _ProblemIndex:
         # scheduled photons, freeze one topological order, and group edges by
         # the longest-path level of their target so MTime can be relaxed one
         # vectorised level at a time.  Everything is read off the DAG's
-        # arrays: the cached topological order, an endpoint mask over the
-        # CSR edges, and Kahn generations (= longest-path levels) of the
-        # scheduled sub-DAG.
+        # cached arrays: the topological order, an endpoint mask over the
+        # CSR edges, and the whole DAG's longest-path levels, which order
+        # the edges of the scheduled sub-DAG too (``DependencyGraph.levels``).
         self.measuree_levels: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.present_pos = np.array([], dtype=np.int64)
         self.present_nodes: List[int] = []
@@ -713,13 +735,10 @@ class _ProblemIndex:
             dst = rank[dag.indices]
             keep = (src >= 0) & (dst >= 0)
             src, dst = src[keep], dst[keep]
-            by_source = np.argsort(src, kind="stable")
-            _, level = kahn_generations(
-                len(topo), csr_indptr(len(topo), src[by_source]), dst[by_source]
-            )
+            dst_level = dag.levels()[dag.indices[keep]]
             # Sort by (level, target) so per-target maxima reduce with reduceat.
-            order = np.lexsort((dst, level[dst]))
-            src, dst, dst_level = src[order], dst[order], level[dst[order]]
+            order = np.lexsort((dst, dst_level))
+            src, dst, dst_level = src[order], dst[order], dst_level[order]
             bounds = np.flatnonzero(np.diff(dst_level)) + 1
             for src_arr, dst_arr in zip(np.split(src, bounds), np.split(dst, bounds)):
                 if not len(dst_arr):
@@ -739,16 +758,32 @@ class _ProblemIndex:
         pipelined = problem.pipelined
         self.route_version = problem._route_version
         syncs = problem.sync_tasks
-        # Hop windows relative to the start cycle, per sync_id.
-        self.qpu_windows = {s.sync_id: s.qpu_windows(0, pipelined) for s in syncs}
-        self.link_windows = {s.sync_id: s.link_windows(0, pipelined) for s in syncs}
-        self.buffer_windows = {s.sync_id: s.buffer_windows(0, pipelined) for s in syncs}
+        # Hop windows relative to the start cycle, per sync position; links
+        # are named by their id in ``link_id`` and only booked when the
+        # interconnect has a link table.
+        self.qpu_windows = [s.qpu_windows(0, pipelined) for s in syncs]
+        if problem.link_capacities is None:
+            self.link_windows = [()] * len(syncs)
+        else:
+            link_id = self.link_id
+            self.link_windows = [
+                tuple((link_id[link], offset) for link, offset in s.link_windows(0, pipelined))
+                for s in syncs
+            ]
+        self.buffer_windows = [s.buffer_windows(0, pipelined) for s in syncs]
         # Relay latency (extra hops beyond a direct link) of each sync;
-        # all-zero for direct routes.
-        self.sync_relay = np.array([s.relay_hops for s in syncs], dtype=np.int64)
+        # all-zero for direct routes.  It is also the largest window offset.
+        self.relay_hops = [s.relay_hops for s in syncs]
+        self.sync_relay = np.array(self.relay_hops, dtype=np.int64)
+        # The source QPU is engaged at offset 0 under every model; the
+        # destination too, except on a pipelined relay (engaged on arrival).
+        self.dest_at_start = [not (pipelined and hops) for hops in self.relay_hops]
         total_relay_hops = int(self.sync_relay.sum())
         self.relayed = total_relay_hops > 0
         self.horizon_limit = 4 * self.total_tasks + 16 + 4 * total_relay_hops
+        # Cycles an occupancy table must cover: every claim starts at or
+        # before the horizon and books at most ``max(relay_hops)`` later.
+        self.occupancy_width = self.horizon_limit + max(self.relay_hops, default=0) + 2
 
     def refresh_routes(self) -> None:
         """Resync the route-dependent tables after a re-route (no rebuild)."""

@@ -10,15 +10,21 @@ objective value.
 
 This module pins that claim: a verbatim copy of the pre-rewrite
 scan-everything scheduler serves as the reference, and both are run over
-compiled problems on four topologies with default, randomised, and
-BDIR-style (start-times-as-priorities plus a pin) inputs.  Equality is
-asserted on the ordered ``start_times`` items — dict insertion order is the
-decision order, so this is bit-identity, not value equality.
+compiled problems with default, randomised, and BDIR-style
+(start-times-as-priorities plus a pin) inputs.  The cases cover four
+topologies, ``K_max`` 1, 2 and 8, the atomic relay model on a line and a
+ring, heterogeneous per-QPU capacities, one-slot relay buffers, and sync
+ids that are not the positions ``0..n-1`` — the scheduler's early exits
+depend on which hop windows sit at the start cycle and on the capacities,
+and its tables are indexed by sync position.  Equality is asserted on the
+ordered ``start_times`` items — dict insertion order is the decision
+order, so this is bit-identity, not value equality.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import Dict, List, Mapping, Optional
 
 import pytest
@@ -216,26 +222,69 @@ def _reference_list_schedule(
     return schedule
 
 
+def _sparse_ids(problem: LayerSchedulingProblem) -> LayerSchedulingProblem:
+    """The same problem with sync ids that descend and skip values."""
+    count = len(problem.sync_tasks)
+    syncs = [
+        replace(sync, sync_id=3 * (count - position) + 7)
+        for position, sync in enumerate(problem.sync_tasks)
+    ]
+    return replace(problem, sync_tasks=syncs)
+
+
+def _one_slot_buffers(problem: LayerSchedulingProblem) -> LayerSchedulingProblem:
+    return replace(problem, buffer_limits=(1,) * problem.num_qpus)
+
+
+# Case name -> (compiler configuration, transform of the compiled problem).
+CASES = {
+    None: ({}, None),
+    "line": ({"topology": "line"}, None),
+    "ring": ({"topology": "ring"}, None),
+    "torus": ({"topology": "torus"}, None),
+    "kmax1": ({"connection_capacity": 1}, None),
+    "kmax2": ({"connection_capacity": 2}, None),
+    "kmax8": ({"connection_capacity": 8}, None),
+    "atomic-line": ({"topology": "line", "relay_model": "atomic"}, None),
+    "atomic-ring": ({"topology": "ring", "relay_model": "atomic"}, None),
+    "heterogeneous": ({"qpu_connection_capacities": (1, 2, 4, 8)}, None),
+    "buffers1-line": ({"topology": "line"}, _one_slot_buffers),
+    "sparse-ids": ({}, _sparse_ids),
+    "sparse-ids-ring": ({"topology": "ring"}, _sparse_ids),
+}
+
 _PROBLEMS = {}
 
 
-def _problem_for(topology):
-    if topology not in _PROBLEMS:
-        config = dict(num_qpus=4, use_bdir=False, seed=3)
-        if topology is not None:
-            config["topology"] = topology
-        compiler = DCMBQCCompiler(DCMBQCConfig(**config))
-        result, _ = compiler.compile_run(
+def _problem_for(case):
+    if case not in _PROBLEMS:
+        overrides, transform = CASES[case]
+        config = DCMBQCConfig(num_qpus=4, use_bdir=False, seed=3, **overrides)
+        result, _ = DCMBQCCompiler(config).compile_run(
             qft_circuit(8), store=None, use_cache=False
         )
-        _PROBLEMS[topology] = result.problem
-    return _PROBLEMS[topology]
+        problem = result.problem
+        _PROBLEMS[case] = transform(problem) if transform else problem
+    return _PROBLEMS[case]
 
 
-TOPOLOGIES = [None, "line", "ring", "torus"]
+def test_cases_exercise_what_they_name():
+    """Each case really has the structure its name promises."""
+    assert _problem_for("kmax1").connection_capacity == 1
+    assert _problem_for("heterogeneous").qpu_capacities == (1, 2, 4, 8)
+    for case in ("atomic-line", "atomic-ring"):
+        problem = _problem_for(case)
+        assert not problem.pipelined
+        assert any(sync.relay_hops for sync in problem.sync_tasks)
+    buffered = _problem_for("buffers1-line")
+    assert buffered.buffer_limits == (1, 1, 1, 1)
+    assert any(sync.relay_hops for sync in buffered.sync_tasks)
+    for case in ("sparse-ids", "sparse-ids-ring"):
+        ids = [sync.sync_id for sync in _problem_for(case).sync_tasks]
+        assert ids and ids != sorted(ids) and min(ids) > 0
 
 
-@pytest.mark.parametrize("topology", TOPOLOGIES)
+@pytest.mark.parametrize("topology", list(CASES))
 class TestBitIdentity:
     def test_default_priorities(self, topology):
         problem = _problem_for(topology)

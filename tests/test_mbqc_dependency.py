@@ -63,6 +63,12 @@ class TestDependencyGraphClass:
     def test_depth_empty(self):
         assert DependencyGraph().depth() == 0
 
+    def test_levels_are_longest_path_distances(self):
+        dag = _dag((0, 1, "X"), (1, 2, "X"), (0, 2, "Z"), (3, 2, "X"))
+        level = dict(zip(dag.labels.tolist(), dag.levels().tolist()))
+        assert level == {0: 0, 1: 1, 2: 2, 3: 0}
+        assert all(level[u] < level[v] for u, v in dag.graph.edges)
+
     def test_topological_order_respects_edges(self):
         dag = _dag((2, 1, "X"), (1, 0, "X"))
         order = dag.topological_order()

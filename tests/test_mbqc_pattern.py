@@ -166,6 +166,22 @@ class TestColumns:
             assert b"MeasureCommand" not in payload
             assert pickle.loads(payload) == original
 
+    def test_node_array_is_computed_once_per_settled_pattern(self):
+        import pickle
+
+        pattern = _j_pattern()
+        payload = pickle.dumps(pattern)
+        nodes = pattern.node_array()
+        assert pattern.node_array() is nodes
+        assert not nodes.flags.writeable
+        assert pickle.dumps(pattern) == payload
+        pattern.prepare(2)
+        assert pattern.node_array().tolist() == [0, 1, 2]
+        pattern.output_nodes = [1, 7]
+        assert pattern.node_array().tolist() == [0, 1, 2, 7]
+        pattern.input_nodes.append(9)
+        assert pattern.nodes == [0, 1, 2, 7, 9]
+
 
 def _sequential_validate(pattern: Pattern) -> None:
     """The command-by-command check the vectorised one replaced (test oracle)."""

@@ -157,9 +157,10 @@ def test_set_route_refreshes_the_index_without_a_rebuild():
     assert counters.get("evaluate.route_refreshes", 0) == 1
     assert counters.get("evaluate.kernel_builds", 0) == 0
     assert problem.delta_evaluator() is index
-    assert index.qpu_windows[sync.sync_id] == problem.sync_tasks[
-        problem.delta_evaluator().sync_position[sync.sync_id]
-    ].qpu_windows(0, problem.pipelined)
+    position = index.sync_position[sync.sync_id]
+    assert index.qpu_windows[position] == problem.sync_tasks[position].qpu_windows(
+        0, problem.pipelined
+    )
 
     problem.set_route(sync.sync_id, sync.route)
     assert list(list_schedule(problem).start_times.items()) == list(

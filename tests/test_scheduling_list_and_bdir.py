@@ -9,7 +9,9 @@ from repro.scheduling.problem import LayerSchedulingProblem, MainTask, SyncTask
 from repro.utils.errors import SchedulingError
 
 
-def _problem(num_qpus=2, layers_per_qpu=5, sync_pairs=((1, 2), (3, 4)), kmax=2):
+def _problem(
+    num_qpus=2, layers_per_qpu=5, sync_pairs=((1, 2), (3, 4)), kmax=2, sync_ids=None
+):
     """A small synthetic scheduling problem with a few sync tasks."""
     main_tasks = []
     node = 0
@@ -22,7 +24,9 @@ def _problem(num_qpus=2, layers_per_qpu=5, sync_pairs=((1, 2), (3, 4)), kmax=2):
             node += 1
         main_tasks.append(tasks)
     sync_tasks = []
-    for sync_id, (index_a, index_b) in enumerate(sync_pairs):
+    if sync_ids is None:
+        sync_ids = range(len(sync_pairs))
+    for sync_id, (index_a, index_b) in zip(sync_ids, sync_pairs):
         sync_tasks.append(
             SyncTask(
                 sync_id,
@@ -107,6 +111,23 @@ class TestListScheduler:
         again = list_schedule(problem, priorities=priorities)
         problem.validate(again)
         assert again.makespan <= schedule.makespan + 1
+
+    def test_sync_id_beyond_the_sync_count(self):
+        problem = _problem(sync_pairs=((1, 2),), sync_ids=(7,))
+        schedule = list_schedule(problem)
+        assert ("sync", 7, 0) in schedule.start_times
+        pinned = list_schedule(problem, pinned={("sync", 7, 0): 6})
+        assert pinned.start_of(("sync", 7, 0)) >= 6
+
+    def test_sync_pin_follows_the_id_not_the_position(self):
+        problem = _problem(sync_ids=(1, 0))
+        schedule = list_schedule(problem, pinned={("sync", 1, 0): 5})
+        assert schedule.start_of(("sync", 1, 0)) >= 5
+        assert list_schedule(problem).start_of(("sync", 1, 0)) < 5
+
+    def test_duplicate_sync_ids_rejected_at_construction(self):
+        with pytest.raises(SchedulingError, match="duplicate sync task id 3"):
+            _problem(sync_ids=(3, 3))
 
 
 class TestBDIR:
