@@ -110,13 +110,15 @@ def test_figure10_compile_time_scaling(benchmark, record_table, record_bench):
     assert all(row["dcmbqc_core_bdir_seconds"] < 120 for row in rows)
 
     # The large instances must run BDIR through the incremental machinery:
-    # exactly one kernel evaluation per annealing iteration on top of the
-    # row's fixed evaluations, and unvalidated in-repair rescheduling.
+    # every annealing iteration either repairs and evaluates one neighbour
+    # (unvalidated in-repair rescheduling, one kernel evaluation) or reuses
+    # a repair it already computed, on top of the row's fixed evaluations.
     # Wall-clock-free, so CI-safe.
     for row in rows:
         if row["qubits"] < 64:
             continue
         iterations = row.get("ops_bdir_iterations", 0)
+        memo_hits = row.get("ops_bdir_repair_memo_hits", 0)
         assert iterations > 0, row["qubits"]
-        assert row["ops_evaluate_calls"] - iterations == FIXED_EVALUATIONS
-        assert row.get("ops_bdir_incremental_repairs", 0) == iterations
+        assert row["ops_evaluate_calls"] + memo_hits - iterations == FIXED_EVALUATIONS
+        assert row.get("ops_bdir_incremental_repairs", 0) + memo_hits == iterations

@@ -135,6 +135,8 @@ class DCMBQCCompiler:
             comm_costs=comm_costs,
         )
         partition = AdaptivePartitioner(adaptive_config).partition(computation.fusion)
+        # The one cover check of a compile: the α candidates are built one
+        # part per node and are not checked on their own.
         partition.validate_covers(computation.fusion)
         return partition
 

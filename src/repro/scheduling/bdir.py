@@ -43,7 +43,19 @@ attached syncs) is read from the problem's one index
 (``LayerSchedulingProblem.delta_evaluator``), which the list scheduler and
 the evaluation share; a main task's anchor set is built there the first
 time BDIR asks for it.
-Each candidate schedule is evaluated exactly once.
+
+Each *distinct* neighbour is scheduled and evaluated once per refine.  A
+pin move is a deterministic function of the current schedule, the route
+table and the (bottleneck, balance point) pair derived from them; the RNG
+only decides the sparse move class and acceptance.  So after a rejection,
+or after accepting a repair that reproduces the current schedule, the next
+iteration would rebuild a neighbour it already has.  ``refine`` keeps the
+pin repairs it computed, keyed by the current start times (in the index's
+task order), the pinned task and its target, and reuses them
+(``bdir.repair_memo_hits``).  Route moves are always rebuilt; an accepted
+one changes the route table and drops the kept repairs, a rejected one
+restores the routes and keeps them.  The memo lives for one ``refine`` call
+and holds at most one entry per iteration.
 """
 
 from __future__ import annotations
@@ -106,16 +118,16 @@ class BDIRScheduler:
             self._node_task = index.node_key
             self._sync_position = index.sync_position
             self._main_anchors = index.main_anchors
+            self._task_keys = index.task_keys
             # Congestion-aware moves only make sense on sparse interconnects:
             # a link table to measure load against, and at least one relayed
             # sync.  Fully-connected problems (the paper's default systems)
             # never enter these paths, keeping their refinement bit-identical.
             self._sparse = problem.link_capacities is not None and index.relayed
             current = initial.copy() if initial is not None else list_schedule(problem)
-            # Each candidate gets one full evaluation pass; a rejected move
-            # simply keeps ``current_eval``.
-            with TRACER.span("schedule.evaluate"):
-                current_eval = index.evaluate(current)
+            # Each distinct candidate gets one full evaluation pass; a
+            # rejected move simply keeps ``current_eval``.
+            current_eval = self._evaluate(current)
             if self._sparse:
                 self._build_link_loads(current)
             best = current.copy()
@@ -123,19 +135,40 @@ class BDIRScheduler:
             best_routes = self._routes_snapshot()
             temperature = self.config.initial_temperature
 
+            # Pin repairs already computed in this refine, keyed by the
+            # current schedule's start times (in index order), the pinned
+            # task and its target: a neighbour is a deterministic function
+            # of those and the route table, and the RNG only decides
+            # acceptance.  One entry per iteration at most; an accepted route
+            # move changes the route table and clears it.
+            repairs: Dict[
+                Tuple[Tuple[int, ...], TaskKey, int],
+                Tuple[Schedule, ScheduleEvaluation],
+            ] = {}
+            current_starts = self._start_vector(current)
+
             for iteration in range(self.config.max_iterations):
                 OP_COUNTERS.add("bdir.iterations")
                 with TRACER.span("bdir.iteration", index=iteration) as step_span:
-                    neighbour, undo_route = self._generate_neighbor(
-                        current, current_eval, rng
-                    )
-                    if neighbour is None:
+                    move = self._generate_neighbor(current, current_eval, rng)
+                    if move is None:
                         step_span.set(outcome="exhausted")
                         break
-                    with TRACER.span("schedule.evaluate"):
-                        # Through the accessor: a re-route move changed the
-                        # routes the evaluation reads.
-                        neighbour_eval = problem.delta_evaluator().evaluate(neighbour)
+                    undo_route = None
+                    if move[0] == "route":
+                        _, neighbour, undo_route = move
+                        neighbour_eval = self._evaluate(neighbour)
+                    else:
+                        _, key, target = move
+                        repair_key = (current_starts, key, target)
+                        repaired = repairs.get(repair_key)
+                        if repaired is None:
+                            neighbour = self._pin_and_reschedule(current, key, target)
+                            neighbour_eval = self._evaluate(neighbour)
+                            repairs[repair_key] = (neighbour, neighbour_eval)
+                        else:
+                            OP_COUNTERS.add("bdir.repair_memo_hits")
+                            neighbour, neighbour_eval = repaired
                     delta = (
                         float(neighbour_eval.tau_photon)
                         - float(current_eval.tau_photon)
@@ -149,7 +182,10 @@ class BDIRScheduler:
                                 neighbour,
                                 undo_route[0] if undo_route is not None else None,
                             )
+                        if undo_route is not None:
+                            repairs.clear()
                         current, current_eval = neighbour, neighbour_eval
+                        current_starts = self._start_vector(current)
                     else:
                         OP_COUNTERS.add("bdir.rollbacks")
                         if undo_route is not None:
@@ -169,6 +205,17 @@ class BDIRScheduler:
             problem.validate(best)
             refine_span.set(best_tau=int(best_cost))
         return best
+
+    def _evaluate(self, schedule: Schedule) -> ScheduleEvaluation:
+        """One full evaluation pass of a candidate."""
+        with TRACER.span("schedule.evaluate"):
+            # Through the accessor: a re-route move changed the routes the
+            # evaluation reads.
+            return self.problem.delta_evaluator().evaluate(schedule)
+
+    def _start_vector(self, schedule: Schedule) -> Tuple[int, ...]:
+        """A schedule's start times in the index's task order."""
+        return tuple(map(schedule.start_times.__getitem__, self._task_keys))
 
     def _routes_snapshot(self) -> Dict[int, Tuple[int, ...]]:
         return {sync.sync_id: sync.route for sync in self.problem.sync_tasks}
@@ -200,23 +247,27 @@ class BDIRScheduler:
 
     def _generate_neighbor(
         self, schedule: Schedule, evaluation: ScheduleEvaluation, rng
-    ) -> Tuple[Optional[Schedule], Optional[Tuple[int, Tuple[int, ...]]]]:
-        """Produce a neighbour schedule and, for route moves, an undo record."""
+    ) -> Optional[Tuple[object, ...]]:
+        """Describe the next move, or ``None`` when there is no bottleneck.
+
+        A pin move is returned as ``("pin", key, target)`` for the caller to
+        repair (or reuse); a route move has already rebuilt its neighbour and
+        is returned as ``("route", neighbour, (sync_id, old_route))``.
+        """
         bottleneck = self._find_bottleneck_task(schedule, evaluation)
         if bottleneck is None:
-            return None, None
+            return None
         if self._sparse:
             roll = rng.random()
             if roll < 1.0 / 3.0 and bottleneck[0] == "sync":
                 move = self._reroute_move(schedule, self._sync_of(bottleneck))
                 if move is not None:
-                    return move
+                    return ("route", *move)
             elif roll < 2.0 / 3.0:
                 move = self._link_shift_move(schedule)
                 if move is not None:
-                    return move
-        target = self._calculate_balance_point(schedule, bottleneck)
-        return self._pin_and_reschedule(schedule, bottleneck, target), None
+                    return ("route", *move)
+        return ("pin", bottleneck, self._calculate_balance_point(schedule, bottleneck))
 
     def _find_bottleneck_task(
         self, schedule: Schedule, evaluation: ScheduleEvaluation
@@ -486,13 +537,12 @@ class BDIRScheduler:
         self, schedule: Schedule, key: TaskKey, target: int
     ) -> Schedule:
         """Pin ``key`` near ``target`` and rebuild the schedule around it."""
-        priorities: Dict[TaskKey, float] = {
-            task_key: float(start) for task_key, start in schedule.start_times.items()
-        }
-        # Give the pinned task a priority equal to its target so the list
-        # scheduler naturally slots it there, and pin it so it cannot run
-        # earlier.
-        priorities[key] = float(target)
+        # The current start times are the priorities (ints compare exactly
+        # with the scheduler's float defaults).  The pinned task's priority is
+        # its target so the list scheduler naturally slots it there, and the
+        # pin keeps it from running earlier.
+        priorities = dict(schedule.start_times)
+        priorities[key] = target
         pinned = {key: max(0, target)}
         # The active-set scheduler reuses the problem's index and skips
         # per-candidate validation; the refine loop validates the best

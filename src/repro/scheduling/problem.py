@@ -735,10 +735,14 @@ class _ProblemIndex:
             dst = rank[dag.indices]
             keep = (src >= 0) & (dst >= 0)
             src, dst = src[keep], dst[keep]
-            dst_level = dag.levels()[dag.indices[keep]]
-            # Sort by (level, target) so per-target maxima reduce with reduceat.
-            order = np.lexsort((dst, dst_level))
-            src, dst, dst_level = src[order], dst[order], dst_level[order]
+            # Group the edges by target rank so per-target maxima reduce with
+            # reduceat.  Ranks follow the Kahn generations, so this one stable
+            # key also orders the edges by target level.  Ranks that fit in
+            # 16 bits sort as uint16, which numpy radix-sorts.
+            key = dst.astype(np.uint16) if len(topo) <= 1 << 16 else dst
+            order = np.argsort(key, kind="stable")
+            src, dst = src[order], dst[order]
+            dst_level = dag.levels()[topo[dst]]
             bounds = np.flatnonzero(np.diff(dst_level)) + 1
             for src_arr, dst_arr in zip(np.split(src, bounds), np.split(dst, bounds)):
                 if not len(dst_arr):

@@ -5,7 +5,9 @@ import pytest
 from repro.core import DCMBQCCompiler, DCMBQCConfig
 from repro.core.compiler import DistributedCompilationResult
 from repro.hardware.qpu import InterconnectTopology
-from repro.utils.errors import CompilationError
+from repro.partition.adaptive import AdaptivePartitioner
+from repro.partition.types import PartitionResult
+from repro.utils.errors import CompilationError, PartitionError
 
 
 class TestConfig:
@@ -128,3 +130,13 @@ class TestScalingBehaviour:
         )
         assert result.num_connectors == 0
         assert result.evaluation.tau_remote == 0
+
+
+def test_partition_stage_rejects_an_uncovered_partition(monkeypatch, qft8_computation):
+    """The compiler's cover check is the one every compiled partition passes."""
+    fusion = qft8_computation.fusion
+    labels = fusion.labels.tolist()
+    partial = PartitionResult({node: 0 for node in labels[:-1]}, 2)
+    monkeypatch.setattr(AdaptivePartitioner, "partition", lambda self, graph: partial)
+    with pytest.raises(PartitionError, match="missing=1"):
+        DCMBQCCompiler(DCMBQCConfig(num_qpus=2)).partition(qft8_computation)

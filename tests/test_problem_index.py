@@ -19,8 +19,10 @@ from repro.core.compiler import DCMBQCCompiler
 from repro.core.config import DCMBQCConfig
 from repro.hardware.system import enumerate_routes
 from repro.programs.qft import qft_circuit
+from repro.programs.registry import benchmark_names, paper_grid_size
 from repro.scheduling.bdir import BDIRConfig, BDIRScheduler
 from repro.scheduling.list_scheduler import list_schedule
+from repro.sweep.cache import build_computation
 from repro.utils.counters import OP_COUNTERS
 
 TOPOLOGIES = [None, "ring"]
@@ -166,3 +168,45 @@ def test_set_route_refreshes_the_index_without_a_rebuild():
     assert list(list_schedule(problem).start_times.items()) == list(
         initial.start_times.items()
     )
+
+
+def _lexsort_measuree_levels(index):
+    """The measuree level table built with the two-key (level, target) lexsort."""
+    dag = index.problem.dependency
+    topo = index.dag_pos[index.present_pos]
+    rank = np.full(dag.num_nodes, -1, dtype=np.int64)
+    rank[topo] = np.arange(len(topo))
+    src, dst = rank[dag.sources], rank[dag.indices]
+    keep = (src >= 0) & (dst >= 0)
+    src, dst = src[keep], dst[keep]
+    dst_level = dag.levels()[dag.indices[keep]]
+    order = np.lexsort((dst, dst_level))
+    src, dst, dst_level = src[order], dst[order], dst_level[order]
+    levels = []
+    bounds = np.flatnonzero(np.diff(dst_level)) + 1
+    for src_arr, dst_arr in zip(np.split(src, bounds), np.split(dst, bounds)):
+        if len(dst_arr):
+            starts = np.flatnonzero(np.r_[True, dst_arr[1:] != dst_arr[:-1]])
+            levels.append((src_arr, dst_arr[starts], starts))
+    return levels
+
+
+@pytest.mark.parametrize("program", benchmark_names())
+def test_measuree_levels_match_the_lexsort_table(program):
+    qubits = 8 if program == "GROVER" else 16
+    config = DCMBQCConfig(num_qpus=4, grid_size=paper_grid_size(qubits))
+    result, _ = DCMBQCCompiler(config).compile_run(
+        build_computation(program, qubits), store=None, use_cache=False
+    )
+    problem = result.problem
+    index = problem.delta_evaluator()
+    reference = _lexsort_measuree_levels(index)
+    assert len(index.measuree_levels) == len(reference)
+    for got, want in zip(index.measuree_levels, reference):
+        for got_array, want_array in zip(got, want):
+            np.testing.assert_array_equal(got_array, want_array)
+
+    schedules = [list_schedule(problem), result.schedule]
+    evaluations = [problem.evaluate(schedule) for schedule in schedules]
+    index.measuree_levels = reference
+    assert [problem.evaluate(schedule) for schedule in schedules] == evaluations

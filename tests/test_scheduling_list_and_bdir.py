@@ -2,10 +2,14 @@
 
 import pytest
 
+from repro.core import DCMBQCCompiler, DCMBQCConfig
+from repro.hardware.system import enumerate_routes
 from repro.mbqc.dependency import DependencyGraph
 from repro.scheduling.bdir import BDIRConfig, BDIRScheduler
 from repro.scheduling.list_scheduler import default_priorities, list_schedule
 from repro.scheduling.problem import LayerSchedulingProblem, MainTask, SyncTask
+from repro.sweep.cache import build_computation
+from repro.utils.counters import OP_COUNTERS
 from repro.utils.errors import SchedulingError
 
 
@@ -51,6 +55,15 @@ def _problem(
         dependency=dependency,
         local_fusee_pairs=fusee_pairs,
     )
+
+
+def _compiled_problem(program, qubits, **options):
+    """The scheduling problem of one compile on four QPUs."""
+    compiler = DCMBQCCompiler(DCMBQCConfig(num_qpus=4, grid_size=7, **options))
+    computation = build_computation(program, qubits)
+    partition = compiler.partition(computation)
+    qpu_schedules = compiler.compile_partitions(computation, partition)
+    return compiler.build_scheduling_problem(computation, partition, qpu_schedules)[0]
 
 
 class TestDefaultPriorities:
@@ -162,3 +175,51 @@ class TestBDIR:
         assert config.initial_temperature == pytest.approx(10.0)
         assert config.cooling_rate == pytest.approx(0.95)
         assert config.max_iterations == 20
+
+    def test_every_iteration_repairs_or_reuses_a_repair(self):
+        problem = _compiled_problem("QFT", 12)
+        before = OP_COUNTERS.snapshot()
+        BDIRScheduler(problem, BDIRConfig()).refine()
+        delta = OP_COUNTERS.delta_since(before)
+        iterations = delta.get("bdir.iterations", 0)
+        hits = delta.get("bdir.repair_memo_hits", 0)
+        assert iterations == BDIRConfig().max_iterations
+        assert hits >= 1
+        assert delta.get("bdir.incremental_repairs", 0) + hits == iterations
+
+    def test_accepted_route_move_drops_earlier_repairs(self):
+        """A repair computed under the old route table is never reused.
+
+        Scripted moves: pin, a route move back to the initial schedule,
+        then the same pin from the same start times.  A temperature this
+        high accepts every move.
+        """
+        problem = _compiled_problem("QFT", 12, topology="ring")
+        initial = list_schedule(problem)
+        key = problem.main_tasks[0][-1].key
+        target = initial.start_of(key) + 2
+        sync = problem.sync_tasks[0]
+        detour = next(
+            route
+            for route in enumerate_routes(problem.link_capacities, sync.qpu_a, sync.qpu_b)
+            if route != sync.route_qpus
+        )
+
+        class Scripted(BDIRScheduler):
+            script = iter(("pin", "route", "pin"))
+
+            def _generate_neighbor(self, schedule, evaluation, rng):
+                if next(self.script) == "pin":
+                    return ("pin", key, target)
+                undo = (sync.sync_id, sync.route)
+                self.problem.set_route(sync.sync_id, detour)
+                return ("route", initial.copy(), undo)
+
+        before = OP_COUNTERS.snapshot()
+        Scripted(problem, BDIRConfig(max_iterations=3, initial_temperature=1e12)).refine(
+            initial
+        )
+        delta = OP_COUNTERS.delta_since(before)
+        assert delta.get("bdir.rollbacks", 0) == 0
+        assert delta.get("bdir.incremental_repairs", 0) == 2
+        assert delta.get("bdir.repair_memo_hits", 0) == 0
