@@ -18,8 +18,14 @@ the pre-overhaul trajectory, the machine-readable perf history CI uploads
 as an artifact.
 """
 
+import json
+import pathlib
+
 from repro.reporting.experiments import figure10_series
 from repro.reporting.render import render_series
+
+#: The committed perf record whose op counters a fresh run must reproduce.
+COMMITTED_RECORD = pathlib.Path(__file__).parent / "results" / "BENCH_figure10.json"
 
 #: Pre-overhaul trajectory, as recorded by this benchmark at PR 3
 #: (benchmarks/results/figure10_scalability.txt before the hot-path rewrite).
@@ -42,7 +48,13 @@ CANONICAL_COLUMNS = (
 )
 
 
+def _op_counters(row):
+    return {name: value for name, value in row.items() if name.startswith("ops_")}
+
+
 def test_figure10_compile_time_scaling(benchmark, record_table, record_bench):
+    # Read before the run: with --record-results the run rewrites this file.
+    committed_rows = json.loads(COMMITTED_RECORD.read_text(encoding="utf-8"))["rows"]
     # Warm up interpreter/numpy first-call overhead on the smallest instance
     # so the timed sweep measures the compiler, not import costs.
     figure10_series(qft_sizes=(8,))
@@ -122,3 +134,19 @@ def test_figure10_compile_time_scaling(benchmark, record_table, record_bench):
         assert iterations > 0, row["qubits"]
         assert row["ops_evaluate_calls"] + memo_hits - iterations == FIXED_EVALUATIONS
         assert row.get("ops_bdir_incremental_repairs", 0) + memo_hits == iterations
+
+    # The op counters are deterministic, so the committed record must carry
+    # exactly the fresh run's (a counter absent from a row reads as 0);
+    # otherwise the record drifts from the code unnoticed.
+    assert [row["qubits"] for row in committed_rows] == [row["qubits"] for row in rows]
+    for fresh, committed in zip(rows, committed_rows):
+        fresh_ops, committed_ops = _op_counters(fresh), _op_counters(committed)
+        drift = {
+            name: (fresh_ops.get(name, 0), committed_ops.get(name, 0))
+            for name in fresh_ops.keys() | committed_ops.keys()
+            if fresh_ops.get(name, 0) != committed_ops.get(name, 0)
+        }
+        assert not drift, (
+            f"{fresh['qubits']}q op counters (fresh, committed) drifted from "
+            f"{COMMITTED_RECORD.name}: {drift}; rerun with --record-results"
+        )

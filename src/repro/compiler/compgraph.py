@@ -8,15 +8,15 @@ are what the required-photon-lifetime metric and the grid mapper need.
 Both graphs are stored as arrays: the fusion graph as a CSR
 :class:`~repro.partition.graph.FusionGraph`, the dependency DAG as a
 :class:`~repro.mbqc.dependency.DependencyGraph`.  networkx appears only in
-their exports and at the constructor boundary.
+their ``graph`` exports (``computation.fusion.graph``,
+``computation.dependency.graph``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.mbqc.dependency import (
@@ -41,7 +41,7 @@ class ComputationGraph:
 
     Attributes:
         fusion: The fusion graph as CSR arrays; nodes are photons, edges are
-            fusions.  An ``nx.Graph`` passed here is converted once.
+            fusions.
         dependency: Real-time dependency DAG (X-dependencies only).
         order: Total order over nodes (measurement order); mappers place
             nodes in this order.
@@ -50,7 +50,7 @@ class ComputationGraph:
         name: Label for reports.
     """
 
-    fusion: Union[FusionGraph, nx.Graph]
+    fusion: FusionGraph
     dependency: DependencyGraph
     order: List[int]
     output_nodes: List[int] = field(default_factory=list)
@@ -59,7 +59,9 @@ class ComputationGraph:
 
     def __post_init__(self) -> None:
         if not isinstance(self.fusion, FusionGraph):
-            self.fusion = FusionGraph.from_networkx(self.fusion)
+            raise CompilationError(
+                f"fusion must be a FusionGraph, not {type(self.fusion).__name__}"
+            )
         found = self.fusion.positions(self.order)
         if (found < 0).any():
             missing = [node for node, at in zip(self.order, found.tolist()) if at < 0]
@@ -74,11 +76,6 @@ class ComputationGraph:
     # ------------------------------------------------------------------ #
     # Basic views
     # ------------------------------------------------------------------ #
-
-    @property
-    def graph(self) -> nx.Graph:
-        """networkx export of the fusion graph (built on first access, never pickled)."""
-        return self.fusion.graph
 
     @property
     def num_nodes(self) -> int:

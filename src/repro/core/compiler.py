@@ -14,7 +14,6 @@ from repro.hardware.resource_states import ResourceStateType
 from repro.mbqc.pattern import Pattern
 from repro.partition.adaptive import AdaptivePartitionConfig, AdaptivePartitioner
 from repro.partition.types import PartitionResult
-from repro.scheduling.bdir import BDIRScheduler
 from repro.scheduling.list_scheduler import list_schedule
 from repro.scheduling.portfolio import portfolio_refine
 from repro.scheduling.problem import (
@@ -249,18 +248,13 @@ class DCMBQCCompiler:
         initial = list_schedule(problem)
         if not self.config.use_bdir:
             return initial
-        if self.config.bdir_starts > 1:
-            return portfolio_refine(
-                problem,
-                self.config.bdir,
-                initial,
-                starts=self.config.bdir_starts,
-                system=self.system_model(),
-            )
-        refined = BDIRScheduler(
-            problem, self.config.bdir, system=self.system_model()
-        ).refine(initial)
-        return refined
+        return portfolio_refine(
+            problem,
+            self.config.bdir,
+            initial,
+            starts=self.config.bdir_starts,
+            system=self.system_model(),
+        )
 
     # ------------------------------------------------------------------ #
     # End-to-end

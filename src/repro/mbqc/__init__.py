@@ -17,10 +17,14 @@ Section II-A of the paper:
   builds the shifted pattern: ``shifted_dependency`` reads the real-time
   DAG G′ straight off the signal-shift resolution, and
   ``build_dependency_graph(signal_shift(p))`` is its test oracle,
-* :mod:`~repro.mbqc.graphstate` — the underlying graph state,
 * :mod:`~repro.mbqc.simulator` — a statevector simulator for patterns, used
   to prove that translation preserves circuit semantics,
 * :mod:`~repro.mbqc.flow` — causal-flow utilities.
+
+The graph state a pattern entangles is read as arrays
+(:meth:`Pattern.node_array` / :meth:`Pattern.edge_array`); the compiler
+stores it as the CSR fusion graph of
+:class:`~repro.compiler.compgraph.ComputationGraph`.
 """
 
 from repro.mbqc.commands import (
@@ -39,7 +43,6 @@ from repro.mbqc.dependency import (
     measurement_order,
     shifted_dependency,
 )
-from repro.mbqc.graphstate import GraphState, graph_state_of_pattern
 from repro.mbqc.simulator import PatternSimulator, simulate_pattern
 from repro.mbqc.flow import find_causal_flow, CausalFlow
 
@@ -57,8 +60,6 @@ __all__ = [
     "build_dependency_graph",
     "shifted_dependency",
     "measurement_order",
-    "GraphState",
-    "graph_state_of_pattern",
     "PatternSimulator",
     "simulate_pattern",
     "find_causal_flow",

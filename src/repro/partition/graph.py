@@ -9,9 +9,9 @@ edge list ``(u, v)`` with ``u <= v`` in ``graph.edges`` order.  Algorithm 2,
 the per-QPU subgraphs and the mapper read these arrays, and the partitioners
 accept nothing else.  A networkx ``Graph`` is available as the
 :attr:`FusionGraph.graph` export (built on first access, never pickled);
-:meth:`FusionGraph.from_networkx` converts one the other way, which
-:class:`~repro.compiler.compgraph.ComputationGraph` does for an ``nx.Graph``
-it is handed.
+:meth:`FusionGraph.from_networkx` converts one the other way for tests and
+hand-made graphs.  :class:`~repro.compiler.compgraph.ComputationGraph`
+accepts only a :class:`FusionGraph`.
 
 networkx orders a node's neighbours by insertion, and the mapper's set
 iteration and the partitioner's tie-breaks follow that order, so every

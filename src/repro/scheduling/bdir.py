@@ -132,7 +132,7 @@ class BDIRScheduler:
                 self._build_link_loads(current)
             best = current.copy()
             best_cost = float(current_eval.tau_photon)
-            best_routes = self._routes_snapshot()
+            best_routes = problem.route_snapshot()
             temperature = self.config.initial_temperature
 
             # Pin repairs already computed in this refine, keyed by the
@@ -195,11 +195,11 @@ class BDIRScheduler:
                     if float(current_eval.tau_photon) < best_cost:
                         best = current.copy()
                         best_cost = float(current_eval.tau_photon)
-                        best_routes = self._routes_snapshot()
+                        best_routes = problem.route_snapshot()
                     step_span.set(accepted=accepted, tau=int(current_eval.tau_photon))
                 temperature *= self.config.cooling_rate
             # The returned schedule and the problem's route table must agree.
-            self._restore_routes(best_routes)
+            problem.restore_routes(best_routes)
             # Inner repairs skip per-candidate validation; the schedule that
             # leaves the annealing loop is checked once, under its routes.
             problem.validate(best)
@@ -216,14 +216,6 @@ class BDIRScheduler:
     def _start_vector(self, schedule: Schedule) -> Tuple[int, ...]:
         """A schedule's start times in the index's task order."""
         return tuple(map(schedule.start_times.__getitem__, self._task_keys))
-
-    def _routes_snapshot(self) -> Dict[int, Tuple[int, ...]]:
-        return {sync.sync_id: sync.route for sync in self.problem.sync_tasks}
-
-    def _restore_routes(self, routes: Dict[int, Tuple[int, ...]]) -> None:
-        for sync in self.problem.sync_tasks:
-            if sync.route != routes[sync.sync_id]:
-                self.problem.set_route(sync.sync_id, routes[sync.sync_id])
 
     # ------------------------------------------------------------------ #
     # Algorithm 3 primitives

@@ -103,16 +103,14 @@ def portfolio_refine(
 
     with TRACER.span("bdir.portfolio", starts=starts) as span:
         budgets = split_budget(config.max_iterations, starts)
-        pristine_routes = {
-            sync.sync_id: sync.route for sync in problem.sync_tasks
-        }
+        pristine_routes = problem.route_snapshot()
 
         best: Optional[Schedule] = None
         best_rank: Optional[Tuple[int, int, int]] = None
         best_routes = pristine_routes
         for index, budget in enumerate(budgets):
             OP_COUNTERS.add("bdir.portfolio_starts")
-            _restore_routes(problem, pristine_routes)
+            problem.restore_routes(pristine_routes)
             if index == 0:
                 start_config = replace(config, max_iterations=budget)
                 start_initial = initial
@@ -131,17 +129,7 @@ def portfolio_refine(
             rank = (int(evaluation.tau_photon), int(evaluation.makespan), index)
             if best_rank is None or rank < best_rank:
                 best, best_rank = schedule, rank
-                best_routes = {
-                    sync.sync_id: sync.route for sync in problem.sync_tasks
-                }
-        _restore_routes(problem, best_routes)
+                best_routes = problem.route_snapshot()
+        problem.restore_routes(best_routes)
         span.set(best_tau=best_rank[0], best_start=best_rank[2])
     return best
-
-
-def _restore_routes(
-    problem: LayerSchedulingProblem, routes: Dict[int, Tuple[int, ...]]
-) -> None:
-    for sync in problem.sync_tasks:
-        if sync.route != routes[sync.sync_id]:
-            problem.set_route(sync.sync_id, routes[sync.sync_id])

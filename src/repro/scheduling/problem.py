@@ -477,6 +477,16 @@ class LayerSchedulingProblem:
         self.sync_tasks[position] = rerouted
         self._route_version += 1
 
+    def route_snapshot(self) -> Dict[int, Tuple[int, ...]]:
+        """The current route of every sync task, by sync id."""
+        return {sync.sync_id: sync.route for sync in self.sync_tasks}
+
+    def restore_routes(self, routes: Dict[int, Tuple[int, ...]]) -> None:
+        """Re-apply a :meth:`route_snapshot`, re-routing only the syncs that moved."""
+        for sync in self.sync_tasks:
+            if sync.route != routes[sync.sync_id]:
+                self.set_route(sync.sync_id, routes[sync.sync_id])
+
     def link_capacity_of(self, link: Tuple[int, int]) -> int:
         """Capacity of one interconnect link.
 
@@ -809,7 +819,8 @@ class _ProblemIndex:
         """
         if self._anchors is None:
             self._anchors = {}
-            self._anchor_tables = self._build_anchor_tables()
+            with TRACER.span("scheduling.anchors"):
+                self._anchor_tables = self._build_anchor_tables()
         anchors = self._anchors.get(key)
         if anchors is None:
             anchors = self._anchors[key] = self._gather_anchors(self.task_index[key])

@@ -5,6 +5,7 @@ import pytest
 
 from repro.compiler.compgraph import ComputationGraph, computation_graph_from_pattern
 from repro.mbqc.dependency import DependencyGraph
+from repro.partition.graph import FusionGraph
 from repro.utils.errors import CompilationError
 
 
@@ -38,22 +39,31 @@ class TestFromPattern:
 
 class TestValidation:
     def test_order_must_cover_all_nodes(self):
-        graph = nx.path_graph(3)
+        graph = FusionGraph.from_networkx(nx.path_graph(3))
         with pytest.raises(CompilationError):
             ComputationGraph(graph, DependencyGraph(), order=[0, 1])
 
     def test_order_must_not_mention_unknown_nodes(self):
-        graph = nx.path_graph(3)
+        graph = FusionGraph.from_networkx(nx.path_graph(3))
         with pytest.raises(CompilationError):
             ComputationGraph(graph, DependencyGraph(), order=[0, 1, 2, 99])
+
+    @pytest.mark.parametrize(
+        "fusion",
+        [nx.path_graph(3), None, [(0, 1), (1, 2)]],
+        ids=["nx-graph", "none", "edge-list"],
+    )
+    def test_fusion_must_be_a_fusion_graph(self, fusion):
+        with pytest.raises(CompilationError, match="FusionGraph"):
+            ComputationGraph(fusion, DependencyGraph(), order=[0, 1, 2])
 
 
 class TestSubgraphAndCuts:
     def test_induced_subgraph_structure(self, small_computation):
         nodes = small_computation.order[: small_computation.num_nodes // 2]
         sub = small_computation.induced_subgraph(nodes)
-        assert set(sub.graph.nodes) == set(nodes)
-        for a, b in sub.graph.edges:
+        assert set(sub.fusion.graph.nodes) == set(nodes)
+        for a, b in sub.fusion.graph.edges:
             assert a in set(nodes) and b in set(nodes)
 
     def test_induced_subgraph_keeps_relative_order(self, small_computation):

@@ -42,7 +42,7 @@ class TestMappingInvariants:
     def test_every_node_placed_exactly_once(self, small_computation):
         schedule = _map(small_computation)
         placement = schedule.node_layer_index()
-        assert set(placement) == set(small_computation.graph.nodes)
+        assert set(placement) == set(small_computation.fusion.graph.nodes)
 
     def test_layer_indices_consecutive(self, small_computation):
         schedule = _map(small_computation)
@@ -63,7 +63,7 @@ class TestMappingInvariants:
     def test_every_edge_is_a_fusee_pair(self, small_computation):
         schedule = _map(small_computation)
         pairs = {tuple(sorted(p)) for p in schedule.fusee_pairs}
-        edges = {tuple(sorted(e)) for e in small_computation.graph.edges}
+        edges = {tuple(sorted(e)) for e in small_computation.fusion.graph.edges}
         assert pairs == edges
 
     def test_layer_capacity_respected(self, qft8_computation):
@@ -79,7 +79,7 @@ class TestMappingInvariants:
 
     def test_no_overflow_on_reasonable_grids(self, qft8_computation):
         schedule = _map(qft8_computation, grid_size=5)
-        assert set(schedule.node_layer_index()) == set(qft8_computation.graph.nodes)
+        assert set(schedule.node_layer_index()) == set(qft8_computation.fusion.graph.nodes)
 
     def test_deterministic(self, qft8_computation):
         a = _map(qft8_computation)

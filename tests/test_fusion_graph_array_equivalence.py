@@ -276,7 +276,7 @@ def family(request):
 def test_csr_order_equals_networkx_adjacency(family):
     computation, reference = family
     _assert_same_adjacency(computation.fusion, reference)
-    _assert_same_adjacency(computation.fusion, computation.graph)
+    _assert_same_adjacency(computation.fusion, computation.fusion.graph)
     assert computation.nodes() == sorted(reference.nodes)
     assert computation.edges() == sorted((min(a, b), max(a, b)) for a, b in reference.edges)
     for node in computation.order[:50]:
@@ -304,7 +304,7 @@ def test_array_modularity_and_cut_match_networkx(family, num_parts):
         reference, assignment
     )
     assert modularity(computation.fusion, assignment) == _reference_modularity(
-        computation.graph, assignment
+        computation.fusion.graph, assignment
     )
     result = PartitionResult(assignment, num_parts)
     expected_cut = _reference_cut_edges(reference, assignment)
@@ -419,7 +419,7 @@ def test_compile_and_replay_never_build_the_networkx_export(monkeypatch):
 
 def test_pickles_hold_arrays_not_the_export():
     computation = computation_graph_from_pattern(_golden_pattern("GHZ"))
-    export = computation.graph
+    export = computation.fusion.graph
     thawed = pickle.loads(pickle.dumps(computation))
     assert b"networkx" not in pickle.dumps(computation)
     _assert_same_adjacency(thawed.fusion, export)
