@@ -253,7 +253,6 @@ class DCMBQCCompiler:
             self.config.bdir,
             initial,
             starts=self.config.bdir_starts,
-            system=self.system_model(),
         )
 
     # ------------------------------------------------------------------ #

@@ -101,7 +101,7 @@ def enumerate_routes(links, qpu_a, qpu_b, limit=4):
     path) comes first, followed by the detours obtained by avoiding one
     primary link at a time — shortest first, ties lexicographic — up to
     ``limit`` routes in total.  This is the route set BDIR's re-route and
-    link-shift moves draw from when no :class:`SystemModel` is at hand.
+    link-shift moves draw from, and :meth:`SystemModel.alternate_routes`.
     """
     neighbours: Dict[int, set] = {}
     for u, v in links:
@@ -298,22 +298,17 @@ class SystemModel:
     def alternate_routes(self, qpu_a: int, qpu_b: int, limit: int = 4) -> List[Tuple[int, ...]]:
         """The canonical route plus deterministic link-avoiding detours.
 
-        The first entry is always :meth:`route`; each further entry is the
-        shortest path avoiding one canonical link (shortest first, ties
-        lexicographic), up to ``limit`` routes.  BDIR's re-route and
-        link-shift moves pick from this set.
+        :func:`enumerate_routes` over this system's links: the first entry
+        is :meth:`route` (both are the lexicographically-smallest shortest
+        path); each further entry is the shortest path avoiding one
+        canonical link (shortest first, ties lexicographic), up to
+        ``limit`` routes.  Fault recovery picks its detours from this set.
+
+        Raises:
+            ValidationError: if the two QPUs are not connected by any path.
         """
-        primary = self.route(qpu_a, qpu_b)
-        adjacency = {qpu: self._adjacency[qpu] for qpu in range(self.num_qpus)}
-        seen = {primary}
-        detours = []
-        for u, v in zip(primary, primary[1:]):
-            detour = _bfs_route(adjacency, qpu_a, qpu_b, banned=(min(u, v), max(u, v)))
-            if detour is not None and detour not in seen:
-                seen.add(detour)
-                detours.append(detour)
-        detours.sort(key=lambda route: (len(route), route))
-        return [primary, *detours][:limit]
+        self.route(qpu_a, qpu_b)
+        return enumerate_routes(self._link_capacity, qpu_a, qpu_b, limit)
 
     def comm_volume_matrix(self) -> Tuple[Tuple[float, ...], ...]:
         """Per-pair communication volume: relay cycles under the route table.

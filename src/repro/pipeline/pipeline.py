@@ -36,7 +36,6 @@ same stage list as ``compile(circuit)``.
 from __future__ import annotations
 
 import gc
-import os
 import pickle
 import threading
 import time
@@ -62,7 +61,7 @@ __all__ = [
     "clear_memory_cache",
 ]
 
-MEMORY_CACHE_SIZE_ENV = "DCMBQC_PIPELINE_MEMORY_CACHE_SIZE"
+#: Entry bound of the in-process stage memo.
 DEFAULT_MEMORY_CACHE_SIZE = 128
 
 #: Artifacts whose pickled snapshot exceeds this many bytes skip the
@@ -130,17 +129,11 @@ _memory_cache: Optional[LRUCache] = None
 def memory_cache() -> LRUCache:
     """The process-global stage memo cache, created lazily.
 
-    The bound comes from ``DCMBQC_PIPELINE_MEMORY_CACHE_SIZE`` (default 128
-    artifacts).
+    It holds at most ``DEFAULT_MEMORY_CACHE_SIZE`` artifacts.
     """
     global _memory_cache
     if _memory_cache is None:
-        raw = os.environ.get(MEMORY_CACHE_SIZE_ENV, "")
-        try:
-            size = max(1, int(raw))
-        except ValueError:
-            size = DEFAULT_MEMORY_CACHE_SIZE
-        _memory_cache = LRUCache(maxsize=size)
+        _memory_cache = LRUCache(maxsize=DEFAULT_MEMORY_CACHE_SIZE)
     return _memory_cache
 
 

@@ -32,23 +32,14 @@ arrays, independent of the scheduling kernel's evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.core.compiler import DistributedCompilationResult
 from repro.hardware.loss import DelayLineModel
 from repro.obs.events import EVENTS
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
+from repro.scheduling.frontier import Degradation
 from repro.utils.errors import SchedulingError, ValidationError
 
 __all__ = [
@@ -427,35 +418,24 @@ class DistributedRuntime:
             pending_syncs=tuple(sorted(pending_syncs)),
         )
 
-    def verify_degraded(
-        self,
-        schedule,
-        sync_tasks: Optional[Sequence] = None,
-        *,
-        fault_cycle: int = 0,
-        dead_qpus: FrozenSet[int] = frozenset(),
-        dead_links: FrozenSet[Tuple[int, int]] = frozenset(),
-        qpu_capacity: Optional[Callable[[int, int], int]] = None,
-        link_capacity: Optional[Callable[[Tuple[int, int], int], int]] = None,
-        buffer_capacity: Optional[Callable[[int, int], int]] = None,
-    ) -> None:
+    def verify_degraded(self, schedule, degradation: Optional[Degradation] = None) -> None:
         """Independently re-check a plan against the (possibly degraded) system.
 
         The constraints are re-derived from the
         :class:`~repro.hardware.system.SystemModel` of the *configuration*,
         not from the scheduling problem's own capacity tables, so a
         compiler bug that builds the problem against the wrong system is
-        caught at execution time.  With no fault arguments this is the
+        caught at execution time.  With no ``degradation`` this is the
         healthy interconnect check that :meth:`validate` runs.
 
-        Windows strictly before ``fault_cycle`` ran on the healthy system
-        and are held to the healthy constraints only; windows at or after
-        ``fault_cycle`` must additionally avoid every element of
-        ``dead_qpus``/``dead_links`` and fit under the (possibly reduced)
-        per-cycle capacity callables — ``qpu_capacity(qpu, cycle)``,
-        ``link_capacity(link, cycle)`` and ``buffer_capacity(qpu, cycle)``
-        model brownouts.  The windows themselves are re-derived from first
-        principles via :meth:`sync_occupancy`, never trusted from the
+        The :class:`~repro.scheduling.frontier.Degradation` carries only
+        the fault: its detour routes, dead elements and brownout window.
+        Windows strictly before its ``fault_cycle`` ran on the healthy
+        system and are held to the healthy constraints only; windows at or
+        after it must additionally avoid every dead QPU and link and fit
+        under the browned-out capacity.  Every healthy capacity comes from
+        the system model, and the windows themselves are re-derived from
+        first principles via :meth:`sync_occupancy`, never trusted from the
         recovery policy that produced the plan.
 
         Raises:
@@ -466,19 +446,19 @@ class DistributedRuntime:
         """
         system = self.result.config.system_model()
         problem = self.result.problem
-        syncs = problem.sync_tasks if sync_tasks is None else sync_tasks
-        dead_link_keys = {
-            (min(a, b), max(a, b)) for a, b in dead_links
-        }
-
-        def degraded(cycle: int) -> bool:
-            return cycle >= fault_cycle
+        if degradation is None:
+            degradation = Degradation()
+        syncs = degradation.apply_routes(problem.sync_tasks)
+        fault_cycle = degradation.fault_cycle
+        dead_qpus = degradation.dead_qpus
+        dead_links = degradation.dead_links
+        capacity_at = degradation.capacity
 
         main_at: Dict[Tuple[int, int], tuple] = {}
         for tasks in problem.main_tasks:
             for task in tasks:
                 start = schedule.start_of(task.key)
-                if degraded(start) and task.qpu in dead_qpus:
+                if start >= fault_cycle and task.qpu in dead_qpus:
                     raise ValidationError(
                         f"main task {task.key} runs on dead QPU {task.qpu} "
                         f"at cycle {start}"
@@ -504,7 +484,7 @@ class DistributedRuntime:
             schedule=schedule, sync_tasks=syncs
         )
         for (qpu, cycle), holders in qpu_slots.items():
-            if degraded(cycle) and qpu in dead_qpus:
+            if cycle >= fault_cycle and qpu in dead_qpus:
                 raise ValidationError(
                     f"sync task(s) {sorted(set(holders))} engage dead QPU "
                     f"{qpu} at cycle {cycle}"
@@ -514,9 +494,7 @@ class DistributedRuntime:
                     f"QPU {qpu} runs main task {main_at[(qpu, cycle)]} and "
                     f"sync task(s) {sorted(set(holders))} at cycle {cycle}"
                 )
-            capacity = system.qpus[qpu].connection_capacity
-            if qpu_capacity is not None and degraded(cycle):
-                capacity = min(capacity, qpu_capacity(qpu, cycle))
+            capacity = capacity_at(qpu, cycle, system.qpus[qpu].connection_capacity)
             if len(holders) > capacity:
                 raise ValidationError(
                     f"QPU {qpu} hosts {len(holders)} synchronisations at "
@@ -524,28 +502,24 @@ class DistributedRuntime:
                     f"K_max = {capacity}"
                 )
         for (link, cycle), holders in link_slots.items():
-            if degraded(cycle) and link in dead_link_keys:
+            if cycle >= fault_cycle and link in dead_links:
                 raise ValidationError(
                     f"sync task(s) {sorted(set(holders))} cross dead link "
                     f"{link} at cycle {cycle}"
                 )
-            capacity = system.link_capacity(*link)
-            if link_capacity is not None and degraded(cycle):
-                capacity = min(capacity, link_capacity(link, cycle))
+            capacity = capacity_at(link, cycle, system.link_capacity(*link))
             if len(holders) > capacity:
                 raise ValidationError(
                     f"link {link} carries {len(holders)} synchronisations "
                     f"at cycle {cycle} but supports {capacity}"
                 )
         for (qpu, cycle), holders in buffer_slots.items():
-            if degraded(cycle) and qpu in dead_qpus:
+            if cycle >= fault_cycle and qpu in dead_qpus:
                 raise ValidationError(
                     f"sync task(s) {sorted(set(holders))} buffer on dead "
                     f"QPU {qpu} at cycle {cycle}"
                 )
-            capacity = system.qpus[qpu].connection_capacity
-            if buffer_capacity is not None and degraded(cycle):
-                capacity = min(capacity, buffer_capacity(qpu, cycle))
+            capacity = capacity_at(qpu, cycle, system.qpus[qpu].connection_capacity)
             if len(holders) > capacity:
                 raise ValidationError(
                     f"QPU {qpu} buffers {len(holders)} in-flight relay "

@@ -28,9 +28,13 @@ Four recovery policies then try to save the run:
 * ``abort-recompile`` — recompile the program on the surviving fleet
   through the existing pipeline (warm artifact cache) and restart.
 
-Every recovered plan is cross-checked by
+Each repair builds one :class:`~repro.scheduling.frontier.Degradation` —
+the fault cycle, the dead QPU or link, the chosen detour routes and the
+brownout window, as data — and hands that one value to both the frontier
+rescheduler and
 :meth:`~repro.runtime.executor.DistributedRuntime.verify_degraded`, an
-independent first-principles re-derivation — a policy never grades its own
+independent first-principles re-derivation that takes its healthy
+capacities from the system model — a policy never grades its own
 homework.  Everything is deterministic given ``(seed, shot)``; the healthy
 replay path is untouched when no fault is injected.
 """
@@ -47,8 +51,8 @@ from repro.obs.events import EVENTS
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
 from repro.runtime.executor import DistributedRuntime, ExecutionTrace
-from repro.scheduling.frontier import reschedule_frontier
-from repro.scheduling.problem import Schedule, SyncTask, TaskKey
+from repro.scheduling.frontier import Degradation, reschedule_frontier
+from repro.scheduling.problem import TaskKey, completion_makespan
 from repro.utils.errors import ReproError, SchedulingError, ValidationError
 from repro.utils.rng import derive_seed, make_rng
 
@@ -252,7 +256,7 @@ class FaultReport:
 class FaultInjector:
     """Inject seeded faults into one compiled program's replay.
 
-    The injector never mutates the compilation result: route overrides are
+    The injector never mutates the compilation result: detour routes are
     applied to local copies of the sync tasks and repaired schedules are
     fresh :class:`~repro.scheduling.problem.Schedule` objects, so the same
     result replays byte-identically before and after any number of
@@ -441,75 +445,51 @@ class FaultInjector:
         return self._trace
 
     # ------------------------------------------------------------------ #
-    # Degraded-system plumbing shared by the re-planning policies
+    # The degraded system shared by the re-planning policies
     # ------------------------------------------------------------------ #
 
-    def _degraded_sets(self, fault: FaultSpec):
-        dead_qpus = frozenset({fault.qpu}) if fault.kind == "qpu-death" else frozenset()
-        dead_links = (
-            frozenset({fault.link}) if fault.kind == "link-death" else frozenset()
+    def _degradation(self, fault: FaultSpec, fault_cycle: int) -> Degradation:
+        """What ``fault`` leaves of the system, before any detour is chosen."""
+        if fault.kind.endswith("brownout"):
+            return Degradation(
+                fault_cycle=fault_cycle,
+                brownout_element=fault.qpu if fault.kind == "qpu-brownout" else fault.link,
+                brownout_end=fault_cycle + fault.duration,
+                brownout_capacity=fault.capacity,
+            )
+        return Degradation(
+            fault_cycle=fault_cycle,
+            dead_qpus={fault.qpu} if fault.kind == "qpu-death" else (),
+            dead_links={fault.link} if fault.kind == "link-death" else (),
         )
-        return dead_qpus, dead_links
 
-    def _capacity_callables(self, fault: FaultSpec, fault_cycle: int):
-        """Per-cycle capacity callables modelling a brownout window."""
-        problem = self.result.problem
-        if fault.kind == "qpu-brownout":
-            end = fault_cycle + fault.duration
-
-            def qpu_capacity(qpu: int, cycle: int) -> int:
-                if qpu == fault.qpu and fault_cycle <= cycle < end:
-                    return min(fault.capacity, problem.capacity_of(qpu))
-                return problem.capacity_of(qpu)
-
-            def buffer_capacity(qpu: int, cycle: int) -> int:
-                if qpu == fault.qpu and fault_cycle <= cycle < end:
-                    return min(fault.capacity, problem.buffer_limit_of(qpu))
-                return problem.buffer_limit_of(qpu)
-
-            return qpu_capacity, None, buffer_capacity
-        if fault.kind == "link-brownout":
-            end = fault_cycle + fault.duration
-
-            def link_capacity(link: Tuple[int, int], cycle: int) -> int:
-                if link == fault.link and fault_cycle <= cycle < end:
-                    return min(fault.capacity, problem.link_capacity_of(link))
-                return problem.link_capacity_of(link)
-
-            return None, link_capacity, None
-        return None, None, None
-
-    def _detour_routes(
-        self, fault: FaultSpec, affected_syncs: Sequence[int]
-    ) -> Tuple[Optional[Dict[int, Tuple[int, ...]]], str]:
-        """Detour routes around a dead element; ``(None, reason)`` if stuck."""
+    def _with_detours(
+        self, fault: FaultSpec, degradation: Degradation, sync_ids: Sequence[int]
+    ) -> Tuple[Optional[Degradation], str]:
+        """``degradation`` plus detours around its dead element; ``(None, reason)`` if stuck."""
         if fault.kind not in ("qpu-death", "link-death"):
-            return {}, ""  # brownouts keep their routes and shift in time
+            return degradation, ""  # brownouts keep their routes and shift in time
         system = self._system
-        dead_qpus, dead_links = self._degraded_sets(fault)
         if fault.kind == "qpu-death":
             degraded = system.without_qpu(fault.qpu)
         else:
             degraded = system.without_link(*fault.link)
         routes: Dict[int, Tuple[int, ...]] = {}
-        for sync_id in affected_syncs:
+        for sync_id in sync_ids:
             sync = self._sync_by_id[sync_id]
             if fault.kind == "qpu-death" and fault.qpu in (sync.qpu_a, sync.qpu_b):
                 return None, (
                     f"sync {sync_id} terminates on dead QPU {fault.qpu}; no "
                     f"detour exists"
                 )
-            chosen: Optional[Tuple[int, ...]] = None
-            for candidate in system.alternate_routes(sync.qpu_a, sync.qpu_b):
-                if any(qpu in dead_qpus for qpu in candidate):
-                    continue
-                crossed = {
-                    (min(a, b), max(a, b)) for a, b in zip(candidate, candidate[1:])
-                }
-                if crossed & dead_links:
-                    continue
-                chosen = candidate
-                break
+            chosen = next(
+                (
+                    candidate
+                    for candidate in system.alternate_routes(sync.qpu_a, sync.qpu_b)
+                    if not degradation.crosses_dead(candidate)
+                ),
+                None,
+            )
             if chosen is None:
                 try:
                     chosen = degraded.route(sync.qpu_a, sync.qpu_b)
@@ -519,70 +499,30 @@ class FaultInjector:
                         f"on the degraded system"
                     )
             routes[sync_id] = chosen
-        return routes, ""
-
-    def _effective_syncs(
-        self, routes: Dict[int, Tuple[int, ...]]
-    ) -> List[SyncTask]:
-        return [
-            replace(sync, route=tuple(routes[sync.sync_id]))
-            if sync.sync_id in routes
-            else sync
-            for sync in self.result.problem.sync_tasks
-        ]
-
-    def _completion_makespan(
-        self, schedule: Schedule, syncs: Sequence[SyncTask]
-    ) -> int:
-        best = max(schedule.start_times.values()) + 1 if schedule.start_times else 0
-        for sync in syncs:
-            if sync.relay_hops:
-                best = max(best, schedule.start_of(sync.key) + sync.duration)
-        return best
+        return replace(degradation, routes=routes), ""
 
     def _repair(
         self,
-        fault: FaultSpec,
-        fault_cycle: int,
+        degradation: Degradation,
         pending: Sequence[TaskKey],
-        routes: Dict[int, Tuple[int, ...]],
         report,
         label: str,
     ) -> FaultReport:
         """Run the frontier scheduler and independently verify its output."""
-        dead_qpus, dead_links = self._degraded_sets(fault)
-        qpu_cap, link_cap, buffer_cap = self._capacity_callables(fault, fault_cycle)
+        problem = self.result.problem
         try:
             repaired = reschedule_frontier(
-                self.result.problem,
-                self.result.schedule,
-                fault_cycle,
-                pending=pending,
-                routes=routes,
-                dead_qpus=dead_qpus,
-                dead_links=dead_links,
-                qpu_capacity=qpu_cap,
-                link_capacity=link_cap,
-                buffer_capacity=buffer_cap,
+                problem, self.result.schedule, pending, degradation
             )
         except SchedulingError as exc:
             return report(True, False, 0, f"{label}: {exc}")
-        effective = self._effective_syncs(routes)
         # Independent cross-check: first-principles window re-derivation in
-        # the executor, against the same degraded constraints.
-        self.runtime.verify_degraded(
-            repaired,
-            effective,
-            fault_cycle=fault_cycle,
-            dead_qpus=dead_qpus,
-            dead_links=dead_links,
-            qpu_capacity=qpu_cap,
-            link_capacity=link_cap,
-            buffer_capacity=buffer_cap,
+        # the executor, against the same degraded system.
+        self.runtime.verify_degraded(repaired, degradation)
+        makespan = completion_makespan(
+            repaired, degradation.apply_routes(problem.sync_tasks)
         )
-        overhead = max(
-            0, self._completion_makespan(repaired, effective) - self._makespan
-        )
+        overhead = max(0, makespan - self._makespan)
         return report(False, True, overhead, f"{label}: verified degraded replay")
 
     # ------------------------------------------------------------------ #
@@ -596,11 +536,13 @@ class FaultInjector:
         affected_syncs: Sequence[int],
         report,
     ) -> FaultReport:
-        routes, reason = self._detour_routes(fault, affected_syncs)
-        if routes is None:
+        degradation, reason = self._with_detours(
+            fault, self._degradation(fault, fault_cycle), affected_syncs
+        )
+        if degradation is None:
             return report(True, False, 0, f"reroute: {reason}")
         pending = [self._sync_by_id[sync_id].key for sync_id in affected_syncs]
-        return self._repair(fault, fault_cycle, pending, routes, report, "reroute")
+        return self._repair(degradation, pending, report, "reroute")
 
     def _reschedule_frontier(
         self,
@@ -617,29 +559,22 @@ class FaultInjector:
         )
         # Only syncs crossing the dead element need a detour; the rest of
         # the frontier keeps its compiled route.
-        routes, reason = self._detour_routes(
+        degradation = self._degradation(fault, fault_cycle)
+        degradation, reason = self._with_detours(
             fault,
+            degradation,
             [
                 sync_id
                 for sync_id in undelivered
-                if self._crosses_dead(fault, self._sync_by_id[sync_id])
+                if degradation.crosses_dead(self._sync_by_id[sync_id].route_qpus)
             ],
         )
-        if routes is None:
+        if degradation is None:
             return report(True, False, 0, f"reschedule-frontier: {reason}")
         pending = list(checkpoint.pending_mains) + [
             self._sync_by_id[sync_id].key for sync_id in undelivered
         ]
-        return self._repair(
-            fault, fault_cycle, pending, routes, report, "reschedule-frontier"
-        )
-
-    def _crosses_dead(self, fault: FaultSpec, sync: SyncTask) -> bool:
-        if fault.kind == "qpu-death":
-            return fault.qpu in sync.route_qpus
-        if fault.kind == "link-death":
-            return fault.link in sync.links
-        return False
+        return self._repair(degradation, pending, report, "reschedule-frontier")
 
     def _abort_recompile(
         self, fault: FaultSpec, shot: int, fault_cycle: int, report

@@ -19,7 +19,7 @@ from repro.scheduling.problem import (
     ScheduleEvaluation,
 )
 from repro.scheduling.list_scheduler import list_schedule, default_priorities
-from repro.scheduling.frontier import reschedule_frontier
+from repro.scheduling.frontier import Degradation, reschedule_frontier
 from repro.scheduling.bdir import BDIRScheduler, BDIRConfig
 from repro.scheduling.portfolio import portfolio_refine, split_budget
 from repro.scheduling.bounds import (
@@ -36,6 +36,7 @@ __all__ = [
     "ScheduleEvaluation",
     "list_schedule",
     "default_priorities",
+    "Degradation",
     "reschedule_frontier",
     "BDIRScheduler",
     "BDIRConfig",

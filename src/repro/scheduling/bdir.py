@@ -22,7 +22,8 @@ On sparse interconnects (a link-capacity table with at least one relayed
 sync) two further move classes join the classic balance-point pin:
 
 * **re-route** — the bottleneck sync is moved onto one of the
-  interconnect's alternate paths (``SystemModel.alternate_routes``),
+  interconnect's alternate paths (``enumerate_routes`` over the problem's
+  link table),
   scored by the pipelined remote gap plus the congestion its hop windows
   would add;
 * **link shift** — the most saturated link's worst sync is re-routed onto
@@ -56,6 +57,12 @@ task order), the pinned task and its target, and reuses them
 one changes the route table and drops the kept repairs, a rejected one
 restores the routes and keeps them.  The memo lives for one ``refine`` call
 and holds at most one entry per iteration.
+
+On a fully-connected problem the RNG draws only for acceptance, so once an
+iteration accepts a pin neighbour equal to the current schedule, every later
+iteration would repeat it exactly: same move, same memoised repair, accepted
+at ``dE = 0`` with no draw.  ``refine`` stops at that fixed point, with the
+schedule and route table it would have returned after the full budget.
 """
 
 from __future__ import annotations
@@ -64,7 +71,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.hardware.system import SystemModel, enumerate_routes
+from repro.hardware.system import enumerate_routes
 from repro.obs.trace import TRACER
 from repro.scheduling.list_scheduler import list_schedule
 from repro.scheduling.problem import (
@@ -101,7 +108,6 @@ class BDIRScheduler:
 
     problem: LayerSchedulingProblem
     config: BDIRConfig = field(default_factory=BDIRConfig)
-    system: Optional[SystemModel] = None
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -176,6 +182,7 @@ class BDIRScheduler:
                     accepted = delta <= 0 or rng.random() < math.exp(
                         -delta / max(temperature, 1e-9)
                     )
+                    fixed_point = False
                     if accepted:
                         if self._sparse:
                             self._update_link_loads(
@@ -184,8 +191,10 @@ class BDIRScheduler:
                             )
                         if undo_route is not None:
                             repairs.clear()
+                        starts = self._start_vector(neighbour)
+                        fixed_point = not self._sparse and starts == current_starts
                         current, current_eval = neighbour, neighbour_eval
-                        current_starts = self._start_vector(current)
+                        current_starts = starts
                     else:
                         OP_COUNTERS.add("bdir.rollbacks")
                         if undo_route is not None:
@@ -197,6 +206,11 @@ class BDIRScheduler:
                         best_cost = float(current_eval.tau_photon)
                         best_routes = problem.route_snapshot()
                     step_span.set(accepted=accepted, tau=int(current_eval.tau_photon))
+                if fixed_point:
+                    # Every later iteration would rebuild this same pin move,
+                    # hit its memoised repair and accept it without an RNG
+                    # draw: the refinement has converged.
+                    break
                 temperature *= self.config.cooling_rate
             # The returned schedule and the problem's route table must agree.
             problem.restore_routes(best_routes)
@@ -432,12 +446,7 @@ class BDIRScheduler:
 
     def _alternate_routes(self, sync: SyncTask) -> List[Tuple[int, ...]]:
         """Interconnect routes between the sync's endpoints, current excluded."""
-        if self.system is not None:
-            routes = self.system.alternate_routes(sync.qpu_a, sync.qpu_b)
-        else:
-            routes = enumerate_routes(
-                self.problem.link_capacities, sync.qpu_a, sync.qpu_b
-            )
+        routes = enumerate_routes(self.problem.link_capacities, sync.qpu_a, sync.qpu_b)
         return [route for route in routes if route != sync.route_qpus]
 
     def _apply_route_move(

@@ -6,20 +6,26 @@ have not started and synchronisations whose entanglement has not been
 delivered) can still be replanned.  :func:`reschedule_frontier` keeps every
 non-frontier task at its recorded start time, books its resource windows as
 immovable occupancy, and greedily re-places the frontier at the earliest
-feasible cycles ``>= t`` against the degraded system: dead QPUs host
-nothing, re-routed syncs follow caller-supplied detour routes, and
-per-cycle capacity callables model brownout windows.
+feasible cycles ``>= t`` against the degraded system.
+
+A :class:`Degradation` is that degraded system, as data: the fault cycle,
+the dead QPUs and links, the detour routes of re-routed syncs and at most
+one brownout window.  It holds no healthy capacity — each reader brings
+its own (the scheduling problem's tables here, the system model in
+:meth:`~repro.runtime.executor.DistributedRuntime.verify_degraded`) — so
+the rescheduler and its independent verifier share the fault, not the
+capacity tables.
 
 The shared :class:`~repro.scheduling.problem.LayerSchedulingProblem` is
-never mutated — route overrides are applied to local
-:func:`dataclasses.replace` copies of the sync tasks — so a recovery
-attempt leaves the original compilation result byte-identical.
+never mutated — detours are applied to local :func:`dataclasses.replace`
+copies of the sync tasks — so a recovery attempt leaves the original
+compilation result byte-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.obs.trace import TRACER
 from repro.scheduling.problem import (
@@ -27,25 +33,81 @@ from repro.scheduling.problem import (
     Schedule,
     SyncTask,
     TaskKey,
+    search_horizon,
 )
 from repro.utils.counters import OP_COUNTERS
 from repro.utils.errors import SchedulingError
 
-__all__ = ["reschedule_frontier"]
+__all__ = ["Degradation", "reschedule_frontier"]
+
+
+@dataclass(frozen=True)
+class Degradation:
+    """What a fault leaves of the system from ``fault_cycle`` on.
+
+    The default value is the healthy system.
+
+    Attributes:
+        fault_cycle: First cycle the degradation is in effect.
+        dead_qpus: QPUs unusable from ``fault_cycle`` on.
+        dead_links: Links unusable from ``fault_cycle`` on, normalised to
+            ``(min, max)``.
+        routes: ``sync_id -> route`` detours (tuples of QPUs) replacing
+            compiled routes.
+        brownout_element: The QPU (an ``int``; it caps both ``K_max`` and
+            the store-and-forward buffer) or the ``(min, max)`` link whose
+            capacity is reduced, or ``None``.
+        brownout_end: First cycle after the brownout window, which opens
+            at ``fault_cycle``.
+        brownout_capacity: Capacity of the browned-out element inside the
+            window.
+    """
+
+    fault_cycle: int = 0
+    dead_qpus: FrozenSet[int] = frozenset()
+    dead_links: FrozenSet[Tuple[int, int]] = frozenset()
+    routes: Mapping[int, Tuple[int, ...]] = field(default_factory=dict)
+    brownout_element: Optional[Union[int, Tuple[int, int]]] = None
+    brownout_end: int = 0
+    brownout_capacity: int = 0
+
+    def __post_init__(self) -> None:
+        set_field = object.__setattr__
+        set_field(self, "dead_qpus", frozenset(self.dead_qpus))
+        set_field(self, "dead_links", frozenset(_link(*link) for link in self.dead_links))
+        if isinstance(self.brownout_element, tuple):
+            set_field(self, "brownout_element", _link(*self.brownout_element))
+
+    def capacity(self, element: Union[int, Tuple[int, int]], cycle: int, healthy: int) -> int:
+        """Capacity of a QPU or link at ``cycle``, given its healthy capacity."""
+        if element == self.brownout_element and self.fault_cycle <= cycle < self.brownout_end:
+            return min(healthy, self.brownout_capacity)
+        return healthy
+
+    def apply_routes(self, sync_tasks: Sequence[SyncTask]) -> List[SyncTask]:
+        """``sync_tasks`` with the detour routes applied (copies, in order)."""
+        routes = self.routes
+        return [
+            replace(sync, route=routes[sync.sync_id]) if sync.sync_id in routes else sync
+            for sync in sync_tasks
+        ]
+
+    def crosses_dead(self, route: Sequence[int]) -> bool:
+        """True if a route visits a dead QPU or crosses a dead link."""
+        if any(qpu in self.dead_qpus for qpu in route):
+            return True
+        return any(_link(a, b) in self.dead_links for a, b in zip(route, route[1:]))
+
+
+def _link(a: int, b: int) -> Tuple[int, int]:
+    return (min(a, b), max(a, b))
 
 
 def reschedule_frontier(
     problem: LayerSchedulingProblem,
     schedule: Schedule,
-    frontier_start: int,
-    *,
     pending: Sequence[TaskKey],
-    routes: Optional[Dict[int, Tuple[int, ...]]] = None,
-    dead_qpus: FrozenSet[int] = frozenset(),
-    dead_links: FrozenSet[Tuple[int, int]] = frozenset(),
-    qpu_capacity: Optional[Callable[[int, int], int]] = None,
-    link_capacity: Optional[Callable[[Tuple[int, int], int], int]] = None,
-    buffer_capacity: Optional[Callable[[int, int], int]] = None,
+    degradation: Degradation,
 ) -> Schedule:
     """Re-place the pending task frontier on a degraded system.
 
@@ -53,19 +115,13 @@ def reschedule_frontier(
         problem: The original scheduling problem (not mutated).
         schedule: The original schedule; non-pending tasks keep their
             start times verbatim.
-        frontier_start: First cycle the degraded system is in effect; no
-            pending task may start (or occupy any window) before it.
-        pending: Task keys to re-place.  Per-QPU main-task order is
+        pending: Task keys to re-place, no earlier than
+            ``degradation.fault_cycle``.  Per-QPU main-task order is
             preserved automatically because main starts strictly increase,
             so a pending main's predecessors are either fixed or pending
             with a smaller index.
-        routes: Optional ``sync_id -> route`` overrides (detours around
-            dead elements); applied to local copies of the sync tasks.
-        dead_qpus / dead_links: Elements unusable from ``frontier_start``
-            onwards.
-        qpu_capacity / link_capacity / buffer_capacity: Optional per-cycle
-            capacity callables replacing the problem's static tables at
-            cycles ``>= frontier_start`` (brownout windows).
+        degradation: The degraded system; healthy capacities come from the
+            problem's tables.
 
     Returns:
         A new :class:`Schedule` covering every task of the problem.
@@ -76,59 +132,20 @@ def reschedule_frontier(
             exists within the search horizon.
     """
     OP_COUNTERS.add("frontier.calls")
-    routes = routes or {}
     pending_set = set(pending)
-    dead_link_keys = {(min(a, b), max(a, b)) for a, b in dead_links}
-    pipelined = problem.pipelined
-
-    def q_cap(qpu: int, cycle: int) -> int:
-        if qpu_capacity is not None and cycle >= frontier_start:
-            return qpu_capacity(qpu, cycle)
-        return problem.capacity_of(qpu)
-
-    def l_cap(link: Tuple[int, int], cycle: int) -> int:
-        if link_capacity is not None and cycle >= frontier_start:
-            return link_capacity(link, cycle)
-        return problem.link_capacity_of(link)
-
-    def b_cap(qpu: int, cycle: int) -> int:
-        if buffer_capacity is not None and cycle >= frontier_start:
-            return buffer_capacity(qpu, cycle)
-        return problem.buffer_limit_of(qpu)
-
-    # Effective sync tasks: route overrides on local copies only.
-    effective: Dict[TaskKey, SyncTask] = {}
-    for sync in problem.sync_tasks:
-        if sync.sync_id in routes:
-            effective[sync.key] = replace(sync, route=tuple(routes[sync.sync_id]))
-        else:
-            effective[sync.key] = sync
-
-    known_keys = {task.key for task in problem.all_main_tasks()} | set(effective)
+    known_keys = {task.key for task in problem.all_tasks()}
     unknown = pending_set - known_keys
     if unknown:
         raise SchedulingError(f"unknown pending task keys: {sorted(unknown)}")
 
     with TRACER.span(
         "scheduling.frontier",
-        frontier_start=frontier_start,
+        frontier_start=degradation.fault_cycle,
         pending=len(pending_set),
-        dead_qpus=len(dead_qpus),
-        dead_links=len(dead_link_keys),
+        dead_qpus=len(degradation.dead_qpus),
+        dead_links=len(degradation.dead_links),
     ) as span:
-        new_schedule = _place(
-            problem,
-            schedule,
-            frontier_start,
-            pending_set,
-            effective,
-            dead_qpus,
-            dead_link_keys,
-            q_cap,
-            l_cap,
-            b_cap,
-            pipelined,
-        )
+        new_schedule = _place(problem, schedule, pending_set, degradation)
         span.set(makespan=new_schedule.makespan)
     return new_schedule
 
@@ -136,16 +153,12 @@ def reschedule_frontier(
 def _place(
     problem: LayerSchedulingProblem,
     schedule: Schedule,
-    frontier_start: int,
     pending_set,
-    effective: Dict[TaskKey, SyncTask],
-    dead_qpus,
-    dead_link_keys,
-    q_cap,
-    l_cap,
-    b_cap,
-    pipelined: bool,
+    degradation: Degradation,
 ) -> Schedule:
+    pipelined = problem.pipelined
+    frontier_start = degradation.fault_cycle
+    syncs = degradation.apply_routes(problem.sync_tasks)
     main_at: Dict[Tuple[int, int], TaskKey] = {}
     sync_at: Dict[Tuple[int, int], int] = {}
     link_at: Dict[Tuple[Tuple[int, int], int], int] = {}
@@ -161,36 +174,55 @@ def _place(
         for qpu, cycle in sync.buffer_windows(start, pipelined):
             buffer_at[(qpu, cycle)] = buffer_at.get((qpu, cycle), 0) + 1
 
+    def fits(sync: SyncTask, start: int) -> bool:
+        capacity = degradation.capacity
+        for qpu, cycle in sync.qpu_windows(start, pipelined):
+            if (qpu, cycle) in main_at:
+                return False
+            if sync_at.get((qpu, cycle), 0) + 1 > capacity(qpu, cycle, problem.capacity_of(qpu)):
+                return False
+        for link, cycle in sync.link_windows(start, pipelined):
+            healthy = problem.link_capacity_of(link)
+            if link_at.get((link, cycle), 0) + 1 > capacity(link, cycle, healthy):
+                return False
+        for qpu, cycle in sync.buffer_windows(start, pipelined):
+            healthy = problem.buffer_limit_of(qpu)
+            if buffer_at.get((qpu, cycle), 0) + 1 > capacity(qpu, cycle, healthy):
+                return False
+        return True
+
     # Fixed tasks keep their recorded starts and occupy their windows.
+    frontier = []
     for task in problem.all_main_tasks():
         if task.key in pending_set:
+            frontier.append(task)
             continue
         start = schedule.start_of(task.key)
         new_starts[task.key] = start
         main_at[(task.qpu, start)] = task.key
         last_main_end[task.qpu] = max(last_main_end.get(task.qpu, 0), start + 1)
-    for key, sync in effective.items():
-        if key in pending_set:
+    for sync in syncs:
+        if sync.key in pending_set:
+            frontier.append(sync)
             continue
-        start = schedule.start_of(key)
-        new_starts[key] = start
+        start = schedule.start_of(sync.key)
+        new_starts[sync.key] = start
         book_sync(sync, start)
 
-    total_hops = sum(sync.relay_hops for sync in effective.values())
-    horizon = (
-        frontier_start
-        + 4 * (problem.num_main_tasks + problem.num_sync_tasks)
-        + 16
-        + 4 * total_hops
+    horizon = frontier_start + search_horizon(
+        problem.num_main_tasks + problem.num_sync_tasks,
+        sum(sync.relay_hops for sync in syncs),
     )
 
-    def order_key(key: TaskKey):
+    def order_key(task) -> tuple:
+        key = task.key
         return (schedule.start_of(key), 0 if key[0] == "main" else 1, key)
 
-    for key in sorted(pending_set, key=order_key):
+    for task in sorted(frontier, key=order_key):
+        key = task.key
         if key[0] == "main":
-            _, qpu, index = key
-            if qpu in dead_qpus:
+            qpu = task.qpu
+            if qpu in degradation.dead_qpus:
                 raise SchedulingError(
                     f"main task {key} cannot be re-placed: QPU {qpu} is dead"
                 )
@@ -204,67 +236,25 @@ def _place(
                     f"frontier rescheduling exceeded the search horizon "
                     f"({horizon}) placing main task {key}"
                 )
-            new_starts[key] = start
             main_at[(qpu, start)] = key
             last_main_end[qpu] = start + 1
-            OP_COUNTERS.add("frontier.placements")
         else:
-            sync = effective[key]
-            route = sync.route_qpus
-            dead_on_route = [qpu for qpu in route if qpu in dead_qpus]
-            if dead_on_route:
+            if degradation.crosses_dead(task.route_qpus):
                 raise SchedulingError(
-                    f"sync task {sync.sync_id} route {route} crosses dead "
-                    f"QPU(s) {dead_on_route}"
-                )
-            dead_crossed = [
-                link for link in sync.links if link in dead_link_keys
-            ]
-            if dead_crossed:
-                raise SchedulingError(
-                    f"sync task {sync.sync_id} route {route} crosses dead "
-                    f"link(s) {dead_crossed}"
+                    f"sync task {task.sync_id} route {task.route_qpus} crosses "
+                    f"a dead QPU or link"
                 )
             start = frontier_start
-            while start < horizon and not _fits(
-                sync, start, pipelined, main_at, sync_at, link_at, buffer_at,
-                q_cap, l_cap, b_cap,
-            ):
+            while start < horizon and not fits(task, start):
                 start += 1
                 OP_COUNTERS.add("frontier.cycles_scanned")
             if start >= horizon:
                 raise SchedulingError(
                     f"frontier rescheduling exceeded the search horizon "
-                    f"({horizon}) placing sync task {sync.sync_id}"
+                    f"({horizon}) placing sync task {task.sync_id}"
                 )
-            new_starts[key] = start
-            book_sync(sync, start)
-            OP_COUNTERS.add("frontier.placements")
+            book_sync(task, start)
+        new_starts[key] = start
+        OP_COUNTERS.add("frontier.placements")
 
     return Schedule(new_starts)
-
-
-def _fits(
-    sync: SyncTask,
-    start: int,
-    pipelined: bool,
-    main_at,
-    sync_at,
-    link_at,
-    buffer_at,
-    q_cap,
-    l_cap,
-    b_cap,
-) -> bool:
-    for qpu, cycle in sync.qpu_windows(start, pipelined):
-        if (qpu, cycle) in main_at:
-            return False
-        if sync_at.get((qpu, cycle), 0) + 1 > q_cap(qpu, cycle):
-            return False
-    for link, cycle in sync.link_windows(start, pipelined):
-        if link_at.get((link, cycle), 0) + 1 > l_cap(link, cycle):
-            return False
-    for qpu, cycle in sync.buffer_windows(start, pipelined):
-        if buffer_at.get((qpu, cycle), 0) + 1 > b_cap(qpu, cycle):
-            return False
-    return True

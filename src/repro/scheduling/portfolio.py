@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.hardware.system import SystemModel
 from repro.obs.trace import TRACER
 from repro.scheduling.bdir import BDIRConfig, BDIRScheduler
 from repro.scheduling.list_scheduler import default_priorities, list_schedule
@@ -78,7 +77,6 @@ def portfolio_refine(
     initial: Optional[Schedule] = None,
     *,
     starts: int = 1,
-    system: Optional[SystemModel] = None,
 ) -> Schedule:
     """Refine with a best-of-``starts`` BDIR portfolio under a shared budget.
 
@@ -90,7 +88,6 @@ def portfolio_refine(
         initial: Optional initial schedule for start 0 (the canonical
             single-start path); further starts build their own.
         starts: Number of independently seeded refinement starts.
-        system: Optional system model for cached alternate-route lookups.
 
     Returns:
         The best schedule over all starts, ranked by
@@ -99,7 +96,7 @@ def portfolio_refine(
     if starts < 1:
         raise SchedulingError("portfolio needs at least one start")
     if starts == 1:
-        return BDIRScheduler(problem, config, system=system).refine(initial)
+        return BDIRScheduler(problem, config).refine(initial)
 
     with TRACER.span("bdir.portfolio", starts=starts) as span:
         budgets = split_budget(config.max_iterations, starts)
@@ -122,9 +119,7 @@ def portfolio_refine(
                 start_initial = list_schedule(
                     problem, priorities=_jittered_priorities(problem, seed)
                 )
-            schedule = BDIRScheduler(
-                problem, start_config, system=system
-            ).refine(start_initial)
+            schedule = BDIRScheduler(problem, start_config).refine(start_initial)
             evaluation = problem.evaluate(schedule)
             rank = (int(evaluation.tau_photon), int(evaluation.makespan), index)
             if best_rank is None or rank < best_rank:

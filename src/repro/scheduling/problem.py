@@ -57,6 +57,8 @@ __all__ = [
     "ScheduleEvaluation",
     "RELAY_MODELS",
     "remote_sync_gaps",
+    "completion_makespan",
+    "search_horizon",
 ]
 
 TaskKey = Tuple[str, int, int]
@@ -89,6 +91,28 @@ def remote_sync_gaps(sync_start, start_a, start_b, relay_hops, *, pipelined=True
         np.maximum(np.abs(sync_start - start_a), np.abs(sync_start - start_b))
         + relay_hops
     )
+
+
+def completion_makespan(schedule: "Schedule", sync_tasks) -> int:
+    """Completion-based makespan of ``schedule`` with the given sync tasks.
+
+    The last start plus one, or the delivery of the last relayed sync
+    (``relay_hops`` cycles after it starts) if that is later.  Taking the
+    sync list as an argument lets a repaired plan be measured with its
+    detoured routes.
+    """
+    if not schedule.start_times:
+        return 0
+    best = max(schedule.start_times.values()) + 1
+    for sync in sync_tasks:
+        if sync.relay_hops:
+            best = max(best, schedule.start_of(sync.key) + sync.duration)
+    return best
+
+
+def search_horizon(num_tasks: int, total_relay_hops: int) -> int:
+    """Cycles a greedy placement may scan before it gives up as infeasible."""
+    return 4 * num_tasks + 16 + 4 * total_relay_hops
 
 
 @dataclass(frozen=True)
@@ -445,13 +469,7 @@ class LayerSchedulingProblem:
         the transfer holds meanwhile, not in when it is delivered).
         Zero-hop problems reduce to ``schedule.makespan`` exactly.
         """
-        if not schedule.start_times:
-            return 0
-        best = max(schedule.start_times.values()) + 1
-        for sync in self.sync_tasks:
-            if sync.relay_hops:
-                best = max(best, schedule.start_of(sync.key) + sync.duration)
-        return best
+        return completion_makespan(schedule, self.sync_tasks)
 
     def set_route(self, sync_id: int, route: Tuple[int, ...]) -> None:
         """Replace one sync task's relay route (the BDIR re-route move).
@@ -794,7 +812,7 @@ class _ProblemIndex:
         self.dest_at_start = [not (pipelined and hops) for hops in self.relay_hops]
         total_relay_hops = int(self.sync_relay.sum())
         self.relayed = total_relay_hops > 0
-        self.horizon_limit = 4 * self.total_tasks + 16 + 4 * total_relay_hops
+        self.horizon_limit = search_horizon(self.total_tasks, total_relay_hops)
         # Cycles an occupancy table must cover: every claim starts at or
         # before the horizon and books at most ``max(relay_hops)`` later.
         self.occupancy_width = self.horizon_limit + max(self.relay_hops, default=0) + 2

@@ -120,15 +120,9 @@ def run_bdir(point: SweepPoint) -> Dict[str, object]:
 
     baseline_schedule = list_schedule(problem)
     baseline_lifetime = problem.evaluate(baseline_schedule).tau_photon
-    # The system model is threaded through so sparse-topology points hit
-    # its alternate-route cache instead of re-enumerating per move; a
-    # one-start portfolio is the exact single-start refinement.
+    # A one-start portfolio is the exact single-start refinement.
     refined = portfolio_refine(
-        problem,
-        BDIRConfig(seed=point.seed),
-        baseline_schedule,
-        starts=config.bdir_starts,
-        system=compiler.system_model(),
+        problem, BDIRConfig(seed=point.seed), baseline_schedule, starts=config.bdir_starts
     )
     bdir_lifetime = problem.evaluate(refined).tau_photon
     return {

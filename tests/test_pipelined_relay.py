@@ -92,11 +92,7 @@ class TestHopWindowsRespectCapacities:
         initial = list_schedule(problem)
         assert_occupancy_feasible(problem, initial)
 
-        refined = BDIRScheduler(
-            problem,
-            BDIRConfig(max_iterations=25, seed=3),
-            system=result.config.system_model(),
-        ).refine(initial)
+        refined = BDIRScheduler(problem, BDIRConfig(max_iterations=25, seed=3)).refine(initial)
         # Routes may have been rewritten by re-route / link-shift moves;
         # the occupancy of the refined schedule must still be feasible.
         assert_occupancy_feasible(problem, refined)

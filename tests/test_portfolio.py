@@ -72,45 +72,34 @@ class TestSplitBudget:
 class TestPortfolio:
     def test_single_start_is_exact_bdir(self, topology):
         """starts=1 must reproduce the plain scheduler bit for bit."""
-        compiler, problem = _compiled(topology)
+        _, problem = _compiled(topology)
         initial = list_schedule(problem)
         config = BDIRConfig(seed=3)
-        system = compiler.system_model()
         with _pristine_routes(problem):
-            direct = BDIRScheduler(problem, config, system=system).refine(initial)
+            direct = BDIRScheduler(problem, config).refine(initial)
         with _pristine_routes(problem):
-            one = portfolio_refine(
-                problem, config, initial, starts=1, system=system
-            )
+            one = portfolio_refine(problem, config, initial, starts=1)
         assert list(one.start_times.items()) == list(direct.start_times.items())
 
     def test_multi_start_deterministic(self, topology):
-        compiler, problem = _compiled(topology)
+        _, problem = _compiled(topology)
         initial = list_schedule(problem)
         config = BDIRConfig(seed=3, max_iterations=30)
-        system = compiler.system_model()
         with _pristine_routes(problem):
-            first = portfolio_refine(
-                problem, config, initial, starts=3, system=system
-            )
+            first = portfolio_refine(problem, config, initial, starts=3)
         with _pristine_routes(problem):
-            second = portfolio_refine(
-                problem, config, initial, starts=3, system=system
-            )
+            second = portfolio_refine(problem, config, initial, starts=3)
         assert list(first.start_times.items()) == list(
             second.start_times.items()
         )
 
     def test_winner_is_best_of_starts(self, topology):
         """The portfolio result matches the best start run in isolation."""
-        compiler, problem = _compiled(topology)
+        _, problem = _compiled(topology)
         initial = list_schedule(problem)
         config = BDIRConfig(seed=3, max_iterations=30)
-        system = compiler.system_model()
         with _pristine_routes(problem):
-            best = portfolio_refine(
-                problem, config, initial, starts=3, system=system
-            )
+            best = portfolio_refine(problem, config, initial, starts=3)
             best_tau = int(problem.evaluate(best).tau_photon)
         # Start 0 in isolation: same seed and initial, a third of the budget.
         with _pristine_routes(problem):
@@ -119,13 +108,12 @@ class TestPortfolio:
                 BDIRConfig(seed=3, max_iterations=10),
                 initial,
                 starts=1,
-                system=system,
             )
             solo_tau = int(problem.evaluate(solo).tau_photon)
         assert best_tau <= solo_tau
 
     def test_routes_match_returned_schedule(self, topology):
-        compiler, problem = _compiled(topology)
+        _, problem = _compiled(topology)
         initial = list_schedule(problem)
         with _pristine_routes(problem):
             best = portfolio_refine(
@@ -133,7 +121,6 @@ class TestPortfolio:
                 BDIRConfig(seed=3, max_iterations=30),
                 initial,
                 starts=3,
-                system=compiler.system_model(),
             )
             # validate() books relay windows from the live route table; it
             # only passes if the restored routes belong to the schedule.
@@ -167,7 +154,7 @@ class TestConfigWiring:
 
 
 class TestSystemRouteCache:
-    """`system=` threading (sweep fix) cannot change sparse refinement."""
+    """`SystemModel.alternate_routes` is BDIR's route enumeration."""
 
     @pytest.mark.parametrize("topology", ["line", "ring", "torus"])
     def test_alternate_routes_match_enumeration(self, topology):
@@ -179,18 +166,3 @@ class TestSystemRouteCache:
                     problem.link_capacities, sync.qpu_a, sync.qpu_b
                 )
             )
-
-    @pytest.mark.parametrize("topology", ["line", "ring"])
-    def test_refinement_identical_with_and_without_system(self, topology):
-        compiler, problem = _compiled(topology)
-        initial = list_schedule(problem)
-        config = BDIRConfig(seed=5)
-        with _pristine_routes(problem):
-            with_system = BDIRScheduler(
-                problem, config, system=compiler.system_model()
-            ).refine(initial)
-        with _pristine_routes(problem):
-            without = BDIRScheduler(problem, config).refine(initial)
-        assert list(with_system.start_times.items()) == list(
-            without.start_times.items()
-        )

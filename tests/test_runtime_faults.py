@@ -14,6 +14,7 @@ from repro.runtime.faults import (
     parse_fault,
     run_fault_scenario,
 )
+from repro.scheduling import Degradation
 from repro.utils.errors import ValidationError
 
 
@@ -290,8 +291,7 @@ class TestVerifyDegraded:
         with pytest.raises(ValidationError):
             runtime.verify_degraded(
                 ring_result.schedule,
-                fault_cycle=0,
-                dead_links=frozenset({(0, 1)}),
+                Degradation(fault_cycle=0, dead_links=frozenset({(0, 1)})),
             )
 
     def test_accepts_healthy_schedule_without_faults(self, ring_result):
@@ -302,9 +302,11 @@ class TestVerifyDegraded:
         makespan = ring_result.problem.makespan_of(ring_result.schedule)
         DistributedRuntime(ring_result).verify_degraded(
             ring_result.schedule,
-            fault_cycle=makespan + 10,
-            dead_qpus=frozenset({0}),
-            dead_links=frozenset({(0, 1)}),
+            Degradation(
+                fault_cycle=makespan + 10,
+                dead_qpus=frozenset({0}),
+                dead_links=frozenset({(0, 1)}),
+            ),
         )
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.scheduling import (
+    Degradation,
     LayerSchedulingProblem,
     MainTask,
     Schedule,
@@ -56,8 +57,8 @@ class TestRescheduleFrontier:
         repaired = reschedule_frontier(
             problem,
             schedule,
-            5,
-            pending=[("sync", 0, 0), ("sync", 1, 0)],
+            [("sync", 0, 0), ("sync", 1, 0)],
+            Degradation(fault_cycle=5),
         )
         assert repaired.start_of(("sync", 0, 0)) >= 5
         assert repaired.start_of(("sync", 1, 0)) >= 5
@@ -68,7 +69,7 @@ class TestRescheduleFrontier:
     def test_pending_main_respects_predecessor_and_sync_windows(self):
         problem, schedule = make_problem(), make_schedule()
         repaired = reschedule_frontier(
-            problem, schedule, 0, pending=[("main", 0, 1)]
+            problem, schedule, [("main", 0, 1)], Degradation()
         )
         # After main (0,0) ends at 1; cycles 2 and 3 carry sync windows on
         # QPU 0, but cycle 1 is free.
@@ -81,9 +82,8 @@ class TestRescheduleFrontier:
             reschedule_frontier(
                 problem,
                 schedule,
-                0,
-                pending=[("main", 1, 0)],
-                dead_qpus=frozenset({1}),
+                [("main", 1, 0)],
+                Degradation(dead_qpus=frozenset({1})),
             )
 
     def test_dead_link_blocks_unrouted_sync(self):
@@ -92,9 +92,8 @@ class TestRescheduleFrontier:
             reschedule_frontier(
                 problem,
                 schedule,
-                0,
-                pending=[("sync", 0, 0)],
-                dead_links=frozenset({(0, 1)}),
+                [("sync", 0, 0)],
+                Degradation(dead_links=frozenset({(0, 1)})),
             )
 
     def test_brownout_capacity_defers_placement(self):
@@ -102,9 +101,8 @@ class TestRescheduleFrontier:
         repaired = reschedule_frontier(
             problem,
             schedule,
-            0,
-            pending=[("sync", 0, 0)],
-            qpu_capacity=lambda qpu, cycle: 0 if qpu == 1 and cycle < 5 else 1,
+            [("sync", 0, 0)],
+            Degradation(brownout_element=1, brownout_end=5, brownout_capacity=0),
         )
         assert repaired.start_of(("sync", 0, 0)) == 5
 
@@ -114,9 +112,8 @@ class TestRescheduleFrontier:
         repaired = reschedule_frontier(
             problem,
             schedule,
-            0,
-            pending=[("sync", 1, 0)],
-            routes={1: (0, 2)},
+            [("sync", 1, 0)],
+            Degradation(routes={1: (0, 2)}),
         )
         # Direct detour: mains hold (0,0)/(0,1) and the fixed sync holds
         # (0,2) at K_max = 1, so the first feasible cycle is 3.
@@ -128,5 +125,36 @@ class TestRescheduleFrontier:
         problem, schedule = make_problem(), make_schedule()
         with pytest.raises(SchedulingError):
             reschedule_frontier(
-                problem, schedule, 0, pending=[("sync", 9, 0)]
+                problem, schedule, [("sync", 9, 0)], Degradation()
             )
+
+
+class TestDegradation:
+    def test_default_is_the_healthy_system(self):
+        healthy = Degradation()
+        assert not healthy.crosses_dead((0, 1, 2))
+        assert healthy.capacity(0, 7, healthy=3) == 3
+        assert healthy.apply_routes(make_problem().sync_tasks) == make_problem().sync_tasks
+
+    def test_links_are_normalised(self):
+        degradation = Degradation(dead_links={(2, 1)}, brownout_element=(1, 0))
+        assert degradation.dead_links == frozenset({(1, 2)})
+        assert degradation.brownout_element == (0, 1)
+        assert degradation.crosses_dead((0, 1, 2))
+        assert not degradation.crosses_dead((0, 2))
+
+    def test_brownout_caps_only_its_element_inside_its_window(self):
+        degradation = Degradation(
+            fault_cycle=4, brownout_element=1, brownout_end=6, brownout_capacity=1
+        )
+        assert [degradation.capacity(1, cycle, healthy=3) for cycle in range(3, 8)] == [
+            3, 1, 1, 3, 3,
+        ]
+        assert degradation.capacity(2, 4, healthy=3) == 3
+        assert degradation.capacity((0, 1), 4, healthy=3) == 3
+
+    def test_detours_apply_to_copies(self):
+        problem = make_problem(extra_links=[(0, 2)])
+        syncs = Degradation(routes={1: (0, 2)}).apply_routes(problem.sync_tasks)
+        assert [sync.route_qpus for sync in syncs] == [(0, 1), (0, 2)]
+        assert problem.sync_tasks[1].route == (0, 1, 2)
