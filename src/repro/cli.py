@@ -226,13 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--rsg", default="5-star", help="4-ring, 5-star, 6-ring or 7-star")
         sub.add_argument("--kmax", type=int, default=4)
         sub.add_argument("--no-bdir", action="store_true", help="disable BDIR refinement")
-        sub.add_argument(
-            "--bdir-starts",
-            type=int,
-            default=1,
-            help="BDIR portfolio size: independently seeded refinement starts "
-            "sharing the annealing move budget (default 1 = single start)",
-        )
         sub.add_argument("--seed", type=int, default=0)
         add_system_arguments(sub)
 
@@ -570,7 +563,6 @@ def _config_from_args(args: argparse.Namespace) -> DCMBQCConfig:
         rsg_type=ResourceStateType.from_name(args.rsg),
         connection_capacity=args.kmax,
         use_bdir=not args.no_bdir,
-        bdir_starts=getattr(args, "bdir_starts", 1),
         seed=args.seed,
     )
     base.update(_system_overrides(args))

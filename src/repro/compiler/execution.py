@@ -55,10 +55,6 @@ class ExecutionLayer:
         """Number of photons generated in this layer."""
         return len(self.node_cells)
 
-    def cell_of(self, node: int) -> GridPoint:
-        """Grid cell of ``node`` (raises if the node is not in this layer)."""
-        return self.node_cells[node]
-
 
 @dataclass
 class SingleQPUSchedule:
@@ -100,13 +96,6 @@ class SingleQPUSchedule:
                     raise ValidationError(f"node {node} placed in two layers")
                 placement[node] = layer.index
         return placement
-
-    def layer_of(self, node: int) -> int:
-        """Layer index of one photon."""
-        for layer in self.layers:
-            if node in layer.node_cells:
-                return layer.index
-        raise KeyError(f"node {node} is not placed in this schedule")
 
     def validate(self) -> None:
         """Check structural consistency of the schedule.

@@ -14,8 +14,8 @@ from repro.hardware.resource_states import ResourceStateType
 from repro.mbqc.pattern import Pattern
 from repro.partition.adaptive import AdaptivePartitionConfig, AdaptivePartitioner
 from repro.partition.types import PartitionResult
+from repro.scheduling.bdir import BDIRScheduler
 from repro.scheduling.list_scheduler import list_schedule
-from repro.scheduling.portfolio import portfolio_refine
 from repro.scheduling.problem import (
     LayerSchedulingProblem,
     MainTask,
@@ -248,12 +248,7 @@ class DCMBQCCompiler:
         initial = list_schedule(problem)
         if not self.config.use_bdir:
             return initial
-        return portfolio_refine(
-            problem,
-            self.config.bdir,
-            initial,
-            starts=self.config.bdir_starts,
-        )
+        return BDIRScheduler(problem, self.config.bdir).refine(initial)
 
     # ------------------------------------------------------------------ #
     # End-to-end

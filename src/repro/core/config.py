@@ -73,10 +73,6 @@ class DCMBQCConfig:
         use_bdir: Refine the schedule with BDIR (Algorithm 3); when False
             only priority-based list scheduling is used ("DC-MBQC (Core)").
         bdir: Simulated-annealing parameters for BDIR.
-        bdir_starts: Number of independently seeded BDIR refinement starts
-            sharing ``bdir.max_iterations`` as a total move budget (best-of
-            selection).  ``1`` (the default) is the canonical single-start
-            refinement, bit-identical to earlier releases.
         relay_model: Communication model for relayed syncs on sparse
             interconnects: ``"pipelined"`` (store-and-forward hop windows,
             the default) or ``"atomic"`` (circuit-switched: the whole route
@@ -102,12 +98,11 @@ class DCMBQCConfig:
     gamma: float = 1.02
     use_bdir: bool = True
     bdir: BDIRConfig = field(default_factory=BDIRConfig)
-    bdir_starts: int = 1
     relay_model: str = "pipelined"
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("num_qpus", "grid_size", "connection_capacity", "bdir_starts", "seed"):
+        for name in ("num_qpus", "grid_size", "connection_capacity", "seed"):
             _require_int(name, getattr(self, name))
         if self.link_capacity is not None:
             _require_int("link_capacity", self.link_capacity)
@@ -121,8 +116,6 @@ class DCMBQCConfig:
             raise CompilationError("grid_size must be at least 1")
         if self.connection_capacity < 1:
             raise CompilationError("connection_capacity must be at least 1")
-        if self.bdir_starts < 1:
-            raise CompilationError("bdir_starts must be at least 1")
         if self.alpha_max < 1.0:
             raise CompilationError("alpha_max must be at least 1.0")
         if self.relay_model not in ("pipelined", "atomic"):

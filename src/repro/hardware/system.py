@@ -271,10 +271,6 @@ class SystemModel:
         """Hop count between two QPUs (``UNREACHABLE`` when disconnected)."""
         return self._distance[qpu_a][qpu_b]
 
-    def hop_matrix(self) -> Tuple[Tuple[int, ...], ...]:
-        """Cached all-pairs hop-distance matrix."""
-        return self._distance
-
     def route(self, qpu_a: int, qpu_b: int) -> Tuple[int, ...]:
         """Deterministic shortest QPU path from ``qpu_a`` to ``qpu_b``.
 
@@ -358,10 +354,11 @@ class SystemModel:
         """Copy of the ``(min, max) pair -> capacity`` link table."""
         return dict(self._link_capacity)
 
-    def validate_connected(self) -> None:
-        """Raise unless every QPU can reach every other QPU."""
-        for source in range(self.num_qpus):
-            for target in range(self.num_qpus):
+    def validate_connected(self, qpus: Optional[Sequence[int]] = None) -> None:
+        """Raise unless every QPU (or each of ``qpus``) can reach the others."""
+        qpus = range(self.num_qpus) if qpus is None else qpus
+        for source in qpus:
+            for target in qpus:
                 if self._distance[source][target] == UNREACHABLE:
                     raise ValidationError(
                         f"interconnect is disconnected: QPU {source} cannot "

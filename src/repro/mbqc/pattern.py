@@ -350,19 +350,9 @@ class Pattern:
         return self.targets[self._kinds == M_CODE].tolist()
 
     @property
-    def entangle_commands(self) -> List[EntangleCommand]:
-        """All E commands in order."""
-        return [c for c in self.commands if isinstance(c, EntangleCommand)]
-
-    @property
     def measure_commands(self) -> List[MeasureCommand]:
         """All M commands in order."""
         return [c for c in self.commands if isinstance(c, MeasureCommand)]
-
-    @property
-    def correction_commands(self) -> List[CorrectionCommand]:
-        """All X/Z correction commands in order."""
-        return [c for c in self.commands if isinstance(c, CorrectionCommand)]
 
     def edge_array(self) -> np.ndarray:
         """The distinct graph-state edges as sorted ``(low, high)`` rows."""

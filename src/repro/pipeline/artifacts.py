@@ -150,10 +150,6 @@ class ArtifactStore:
             entries.append((stat.st_mtime, stat.st_size, path))
         return entries
 
-    def total_bytes(self) -> int:
-        """Total size of every stored artifact."""
-        return sum(size for _, size, _ in self._entries())
-
     def _evict(self) -> None:
         entries = sorted(self._entries())
         total = sum(size for _, size, _ in entries)

@@ -214,7 +214,6 @@ def table6_rows(
     workers: int = 1,
     store: Optional[ResultStore] = None,
     system_overrides: SystemOverrides = None,
-    bdir_starts: int = 1,
 ) -> List[Dict[str, object]]:
     """Table VI: required lifetime of list scheduling vs BDIR on QFT programs."""
     grid = pin_system_overrides(
@@ -222,7 +221,6 @@ def table6_rows(
             seed=seed,
             qft_sizes=qft_sizes,
             num_qpus=num_qpus,
-            bdir_starts=bdir_starts,
         ),
         system_overrides,
     )
@@ -462,7 +460,6 @@ def figure10_series(
     workers: int = 1,
     store: Optional[ResultStore] = None,
     system_overrides: SystemOverrides = None,
-    bdir_starts: int = 1,
 ) -> List[Dict[str, object]]:
     """Figure 10: compilation-runtime scaling of the three compiler variants."""
     grid = pin_system_overrides(
@@ -470,7 +467,6 @@ def figure10_series(
             seed=seed,
             qft_sizes=qft_sizes,
             num_qpus=num_qpus,
-            bdir_starts=bdir_starts,
         ),
         system_overrides,
     )

@@ -47,6 +47,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.compiler import DistributedCompilationResult
 from repro.hardware.loss import DelayLineModel
+from repro.hardware.system import SystemModel
 from repro.obs.events import EVENTS
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
@@ -470,10 +471,7 @@ class FaultInjector:
         if fault.kind not in ("qpu-death", "link-death"):
             return degradation, ""  # brownouts keep their routes and shift in time
         system = self._system
-        if fault.kind == "qpu-death":
-            degraded = system.without_qpu(fault.qpu)
-        else:
-            degraded = system.without_link(*fault.link)
+        degraded = self._degraded_system(fault)
         routes: Dict[int, Tuple[int, ...]] = {}
         for sync_id in sync_ids:
             sync = self._sync_by_id[sync_id]
@@ -616,8 +614,12 @@ class FaultInjector:
                 False, True, overhead, "abort-recompile: restarted after brownout"
             )
         try:
+            # Checked before the survivors are renumbered, so an error names
+            # the QPUs by their indices in the compiled program.
+            self._degraded_system(fault).validate_connected(
+                [qpu for qpu in range(self._system.num_qpus) if qpu != fault.qpu]
+            )
             new_config = self._surviving_config(fault)
-            new_config.system_model().validate_connected()
             from repro.core.compiler import DCMBQCCompiler
 
             new_result = DCMBQCCompiler(new_config).compile(self.result.computation)
@@ -631,6 +633,12 @@ class FaultInjector:
             overhead,
             f"abort-recompile: surviving fleet makespan {new_makespan}",
         )
+
+    def _degraded_system(self, fault: FaultSpec) -> SystemModel:
+        """The interconnect left by a death fault, with QPU indices unchanged."""
+        if fault.kind == "qpu-death":
+            return self._system.without_qpu(fault.qpu)
+        return self._system.without_link(*fault.link)
 
     def _surviving_config(self, fault: FaultSpec):
         """The compilation config for the fleet that survives a death fault."""

@@ -21,7 +21,6 @@ from repro.scheduling.problem import (
 from repro.scheduling.list_scheduler import list_schedule, default_priorities
 from repro.scheduling.frontier import Degradation, reschedule_frontier
 from repro.scheduling.bdir import BDIRScheduler, BDIRConfig
-from repro.scheduling.portfolio import portfolio_refine, split_budget
 from repro.scheduling.bounds import (
     makespan_lower_bound,
     lifetime_lower_bound,
@@ -40,8 +39,6 @@ __all__ = [
     "reschedule_frontier",
     "BDIRScheduler",
     "BDIRConfig",
-    "portfolio_refine",
-    "split_budget",
     "makespan_lower_bound",
     "lifetime_lower_bound",
     "schedule_quality",

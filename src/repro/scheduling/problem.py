@@ -204,11 +204,6 @@ class SyncTask:
         )
 
     @property
-    def num_hops(self) -> int:
-        """Number of links the route crosses (1 for a direct sync)."""
-        return len(self.route_qpus) - 1
-
-    @property
     def duration(self) -> int:
         """Cycles from departure to delivery (1 for a direct sync)."""
         return self.relay_hops + 1

@@ -203,20 +203,14 @@ def table6_grid(
     seed: int = 0,
     qft_sizes: Optional[Sequence[int]] = None,
     num_qpus: int = 4,
-    bdir_starts: int = 1,
 ) -> ParameterGrid:
     """Table VI: list scheduling vs BDIR on QFT programs."""
     if qft_sizes is None:
         qft_sizes = (12,) if scale is BenchmarkScale.SMOKE else (16, 25, 36)
-    fixed: Dict[str, object] = {"num_qpus": num_qpus, "seed": seed}
-    # Only non-default portfolios ride the option channel so pre-existing
-    # single-start grids keep their cache keys (and stored rows) unchanged.
-    if bdir_starts != 1:
-        fixed["bdir_starts"] = bdir_starts
     return ParameterGrid(
         "bdir",
         axes={"instance": [("QFT", qubits) for qubits in qft_sizes]},
-        fixed=fixed,
+        fixed={"num_qpus": num_qpus, "seed": seed},
     )
 
 
@@ -342,7 +336,12 @@ def fault_sweep_grid(
     if scale is BenchmarkScale.SMOKE:
         instances = [("QFT", 8)]
         default_faults = ("link:0-1@10%", "qpu:0@25%+8:cap=1")
-        default_policies = ("fail-fast", "reroute", "reschedule-frontier")
+        default_policies = (
+            "fail-fast",
+            "reroute",
+            "reschedule-frontier",
+            "abort-recompile",
+        )
         shots = 2
     else:
         if scale is BenchmarkScale.PAPER:
@@ -440,16 +439,12 @@ def figure10_grid(
     seed: int = 0,
     qft_sizes: Sequence[int] = (8, 12, 16, 24, 32),
     num_qpus: int = 8,
-    bdir_starts: int = 1,
 ) -> ParameterGrid:
     """Figure 10: compilation-runtime scaling of the three compiler variants."""
-    fixed: Dict[str, object] = {"num_qpus": num_qpus, "seed": seed}
-    if bdir_starts != 1:
-        fixed["bdir_starts"] = bdir_starts
     return ParameterGrid(
         "runtime",
         axes={"instance": [("QFT", qubits) for qubits in qft_sizes]},
-        fixed=fixed,
+        fixed={"num_qpus": num_qpus, "seed": seed},
     )
 
 

@@ -22,9 +22,8 @@ from repro.hardware.resource_states import ResourceStateType
 from repro.metrics.improvement import improvement_factor
 from repro.pipeline import LRUCache
 from repro.programs.registry import paper_grid_size
-from repro.scheduling.bdir import BDIRConfig
+from repro.scheduling.bdir import BDIRConfig, BDIRScheduler
 from repro.scheduling.list_scheduler import list_schedule
-from repro.scheduling.portfolio import portfolio_refine
 from repro.sweep.cache import build_computation
 from repro.sweep.grid import SweepPoint
 
@@ -62,7 +61,6 @@ def config_for_point(point: SweepPoint) -> DCMBQCConfig:
         "link_capacity",
         "custom_links",
         "relay_model",
-        "bdir_starts",
     ):
         value = point.option(name)
         if value is not None:
@@ -120,10 +118,7 @@ def run_bdir(point: SweepPoint) -> Dict[str, object]:
 
     baseline_schedule = list_schedule(problem)
     baseline_lifetime = problem.evaluate(baseline_schedule).tau_photon
-    # A one-start portfolio is the exact single-start refinement.
-    refined = portfolio_refine(
-        problem, BDIRConfig(seed=point.seed), baseline_schedule, starts=config.bdir_starts
-    )
+    refined = BDIRScheduler(problem, BDIRConfig(seed=point.seed)).refine(baseline_schedule)
     bdir_lifetime = problem.evaluate(refined).tau_photon
     return {
         "program": point.label,

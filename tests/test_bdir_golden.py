@@ -13,8 +13,7 @@ Cases:
   ``families-kmax`` mix at the base circuit seed;
 * QAOA, QFT and VQE at 16 qubits on a four-QPU line and ring at K_max 1
   and 4, where syncs are relayed and, on the ring, the re-route and
-  link-shift moves fire and change the route table;
-* one three-start BDIR portfolio.
+  link-shift moves fire and change the route table.
 
 Each digest is the SHA-256 of the sorted ``start_times`` items plus the
 ``(sync_id, route)`` table.
@@ -62,7 +61,6 @@ def _cases() -> Iterator[Tuple[str, Case]]:
                     f"{family}-16@4{topology.value}/K{k_max}",
                     (family, 16, {"topology": topology, "connection_capacity": k_max}),
                 )
-    yield "QFT-16@4fc/K4/starts3", ("QFT", 16, {"bdir_starts": 3})
 
 
 CASES: Dict[str, Case] = dict(_cases())

@@ -113,7 +113,6 @@ class TestFieldTypes:
         "fields, name",
         [
             ({"link_capacity": "x"}, "link_capacity"),
-            ({"bdir_starts": "3"}, "bdir_starts"),
             ({"num_qpus": "4"}, "num_qpus"),
             ({"connection_capacity": True}, "connection_capacity"),
             ({"alpha_max": "1.5"}, "alpha_max"),
@@ -158,7 +157,6 @@ _OPTIONS = (
     "link_capacity",
     "custom_links",
     "relay_model",
-    "bdir_starts",
 )
 
 

@@ -183,6 +183,20 @@ class TestFaultPolicies:
         assert recompiled["recovered_rate"] == 1.0
         assert recompiled["recovery_overhead_cycles"] > 0
 
+    def test_disconnected_survivors_named_by_compiled_index(self):
+        """On a line, QPU 1's death cuts QPU 0 off from QPUs 2 and 3.
+
+        The survivors are renumbered for the recompile; the failure must
+        still name them by their indices in the compiled program.
+        """
+        config = DCMBQCConfig(num_qpus=4, grid_size=5, topology="line", seed=3)
+        result = DCMBQCCompiler(config).compile(build_benchmark("QFT", 8))
+        report = FaultInjector(result).inject(parse_fault("qpu:1@25%"), "abort-recompile")
+        assert report.failed
+        assert report.detail == (
+            "abort-recompile: interconnect is disconnected: QPU 0 cannot reach QPU 2"
+        )
+
     def test_photon_loss_draws_are_seeded(self, ring_result, ring_trace):
         fault = parse_fault("loss:5000ns")
         first = run_fault_scenario(
