@@ -135,20 +135,17 @@ def collect_counters() -> dict:
 def check_zero_overhead(reference: dict) -> list:
     """Guard the disabled-observability fast path.
 
-    With tracer, event log and resource sampler all off, a second collection
+    With tracer and resource sampler both off, a second collection
     pass must produce an op-counter table byte-identical to ``reference``.
     Any drift means an instrumentation layer leaked ops (or state) into the
     hot path while disabled.
     """
-    from repro.obs.events import EVENTS
     from repro.obs.resources import RESOURCES
     from repro.obs.trace import TRACER
 
     problems = []
     if TRACER.enabled:
         problems.append("tracer unexpectedly enabled during perf smoke")
-    if EVENTS.enabled:
-        problems.append("event log unexpectedly enabled during perf smoke")
     if RESOURCES.enabled:
         problems.append("resource sampler unexpectedly enabled during perf smoke")
     if problems:

@@ -5,7 +5,8 @@ without the ``wheel`` package: ``pip install -e .`` falls back to the legacy
 ``setup.py develop`` path when PEP 660 editable builds are unavailable.
 
 Runtime dependencies are the imports of ``src/repro``: numpy (array
-kernels) and networkx (graph containers and exports).
+kernels) and networkx (graph containers and exports).  The ``test`` extra
+adds what the test suite imports: ``pip install -e ".[test]"``.
 """
 
 from setuptools import find_packages, setup
@@ -17,4 +18,5 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.10",
     install_requires=["numpy", "networkx"],
+    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
 )

@@ -9,7 +9,7 @@ Seven subcommands cover the common workflows::
     python -m repro.cli sweep status results/table3/results.jsonl
     python -m repro.cli trace summarize out.json --json
     python -m repro.cli trace flamegraph out.json --out out.collapsed
-    python -m repro.cli obs report --trace out.json --events run.events.jsonl
+    python -m repro.cli obs report --trace out.json --metrics metrics.json
     python -m repro.cli bench diff old/BENCH_figure10.json new/BENCH_figure10.json
 
 ``compile`` runs the distributed compiler and prints the schedule summary,
@@ -21,15 +21,13 @@ same command skips every completed point; ``--csv`` exports the run table).
 
 The run-health flags (``compile`` and ``sweep``) feed :mod:`repro.obs`:
 ``--trace [PATH]`` records a span trace and exports it as Chrome trace-event
-JSON; ``--events [PATH]`` journals a structured JSONL event log (manifest,
-stage/cache events, errors with tracebacks, sweep point health);
-``--metrics [PATH]`` dumps the metrics registry (histogram buckets included)
-as JSON; ``--trace-resources`` / ``--trace-malloc`` annotate spans with
-RSS/CPU deltas and tracemalloc peaks.  ``trace summarize`` renders an
+JSON; ``--metrics [PATH]`` dumps the metrics registry (histogram buckets
+included) as JSON; ``--trace-resources`` / ``--trace-malloc`` annotate spans
+with RSS/CPU deltas and tracemalloc peaks.  ``trace summarize`` renders an
 exported trace as a text tree plus a self-time table (``--json`` for the
 machine-readable form), ``trace flamegraph`` emits collapsed stacks for
-flamegraph.pl/speedscope, ``obs report`` merges trace + events + metrics
-(histogram quantiles included) into one markdown run report, ``sweep
+flamegraph.pl/speedscope, ``obs report`` merges the trace and the metrics
+dump (histogram quantiles included) into one markdown run report, ``sweep
 status`` digests a result store into a health summary (failure rate,
 duration quantiles, stragglers, tracebacks), and ``bench diff`` compares two
 ``BENCH_*.json`` perf trajectories, exiting non-zero on op-counter
@@ -60,7 +58,6 @@ from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 from repro.core import DCMBQCCompiler, DCMBQCConfig, compare_with_baseline
 from repro.hardware.qpu import InterconnectTopology
 from repro.obs.bench_diff import DEFAULT_SLACK, DEFAULT_TOLERANCE, diff_bench_files
-from repro.obs.events import EVENTS, read_events
 from repro.obs.export import (
     collapsed_stacks,
     load_chrome_trace,
@@ -70,7 +67,7 @@ from repro.obs.export import (
     write_chrome_trace,
     write_collapsed_stacks,
 )
-from repro.obs.metrics import METRICS
+from repro.obs.metrics import METRICS, check_dump
 from repro.obs.report import build_report
 from repro.obs.resources import RESOURCES, RESOURCES_ENV, TRACEMALLOC_ENV
 from repro.obs.trace import DETERMINISTIC_ENV, TRACE_ENV, TRACER
@@ -273,15 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
             "timestamps spans by op-counter ticks for byte-stable output",
         )
         sub.add_argument(
-            "--events",
-            nargs="?",
-            const="run.events.jsonl",
-            default=None,
-            metavar="PATH.jsonl",
-            help="journal a structured JSONL event log (run manifest, stage "
-            "and cache events, errors with tracebacks, sweep point health)",
-        )
-        sub.add_argument(
             "--metrics",
             nargs="?",
             const="metrics.json",
@@ -435,20 +423,13 @@ def build_parser() -> argparse.ArgumentParser:
     obs_sub = obs_parser.add_subparsers(dest="obs_command", required=True)
     report_parser = obs_sub.add_parser(
         "report",
-        help="merge a trace + event log + metrics dump into a markdown "
-        "run report",
+        help="merge a trace and a metrics dump into a markdown run report",
     )
     report_parser.add_argument(
         "--trace",
         default=None,
         metavar="PATH.json",
         help="Chrome trace file (from --trace)",
-    )
-    report_parser.add_argument(
-        "--events",
-        default=None,
-        metavar="PATH.jsonl",
-        help="event-log file (from --events)",
     )
     report_parser.add_argument(
         "--metrics",
@@ -601,39 +582,26 @@ def _export_trace(args: argparse.Namespace) -> Dict[str, object]:
     return {"path": str(path), "spans": len(spans), "run_id": TRACER.run_id}
 
 
-def _apply_obs_arguments(args: argparse.Namespace, **manifest: object) -> None:
-    """Enable resource sampling and the event log per the run-health flags.
+def _apply_obs_arguments(args: argparse.Namespace) -> None:
+    """Enable resource sampling per ``--trace-resources``/``--trace-malloc``.
 
-    Resource sampling exports through the environment so sweep workers
-    inherit it (same channel as ``DCMBQC_TRACE``); the event log is
-    parent-process-only — worker outcomes reach it through the runner's
-    per-point ``sweep.point`` events.
+    Sampling exports through the environment so sweep workers inherit it
+    (same channel as ``DCMBQC_TRACE``).
     """
     if getattr(args, "trace_resources", False) or getattr(args, "trace_malloc", False):
         os.environ[RESOURCES_ENV] = "1"
         if getattr(args, "trace_malloc", False):
             os.environ[TRACEMALLOC_ENV] = "1"
         RESOURCES.enable(tracemalloc_peaks=getattr(args, "trace_malloc", False))
-    if getattr(args, "events", None):
-        EVENTS.open(
-            args.events,
-            run_id=TRACER.run_id or "",
-            command=args.command,
-            **manifest,
-        )
 
 
 def _export_obs(args: argparse.Namespace) -> Dict[str, Dict[str, object]]:
-    """Close the event log / dump metrics per the run-health flags.
+    """Dump the metrics registry per ``--metrics``.
 
-    Returns ``{"events": {...}, "metrics": {...}}`` entries for whatever was
-    produced, for the text/JSON run summaries.
+    Returns a ``{"metrics": {...}}`` entry when a dump was written, for the
+    text/JSON run summaries.
     """
     info: Dict[str, Dict[str, object]] = {}
-    if EVENTS.enabled:
-        path = EVENTS.close()
-        if path is not None:
-            info["events"] = {"path": path}
     if getattr(args, "metrics", None):
         deterministic = (
             TRACER.deterministic or os.environ.get(DETERMINISTIC_ENV) == "1"
@@ -675,9 +643,7 @@ def _parse_fault_specs(specs: Sequence[str]) -> List[Tuple[str, object]]:
 def _run_compile(args: argparse.Namespace) -> int:
     _apply_cache_arguments(args)
     tracing = _apply_trace_arguments(args)
-    _apply_obs_arguments(
-        args, program=args.program, qubits=args.qubits, qpus=args.qpus
-    )
+    _apply_obs_arguments(args)
     faults = _parse_fault_specs(args.inject_fault or ())
     circuit = build_benchmark(args.program, args.qubits, seed=args.seed)
     config = _config_from_args(args)
@@ -747,8 +713,6 @@ def _run_compile(args: argparse.Namespace) -> int:
             )
     if trace_info is not None:
         print(f"trace: {trace_info['spans']} spans -> {trace_info['path']}")
-    if "events" in obs_info:
-        print(f"events: {obs_info['events']['path']}")
     if "metrics" in obs_info:
         print(
             f"metrics: {obs_info['metrics']['series']} series -> "
@@ -817,7 +781,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
         return 2
     _apply_cache_arguments(args)
     tracing = _apply_trace_arguments(args)
-    _apply_obs_arguments(args, grid=args.grid, scale=args.scale, workers=args.workers)
+    _apply_obs_arguments(args)
     scale = experiments.BenchmarkScale(args.scale)
     grid = GRID_REGISTRY[args.grid](scale, seed=args.seed)
     system_overrides = _serialise_system_overrides(_system_overrides(args))
@@ -827,6 +791,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
         grid = pin_system_overrides(grid, system_overrides)
     try:
         store = ResultStore(args.out)
+        # Create the store's directory now: a bad --out fails before any point runs.
+        store.path.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"error: cannot open result store at {args.out}: {exc}", file=sys.stderr)
         return 2
@@ -883,8 +849,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
         print(f"stragglers: {len(outcome.stragglers)}")
     if trace_info is not None:
         print(f"trace: {trace_info['spans']} spans -> {trace_info['path']}")
-    if "events" in obs_info:
-        print(f"events: {obs_info['events']['path']}")
     if "metrics" in obs_info:
         print(
             f"metrics: {obs_info['metrics']['series']} series -> "
@@ -935,7 +899,11 @@ def _run_sweep_status(args: argparse.Namespace) -> int:
 
 
 def _run_trace(args: argparse.Namespace) -> int:
-    spans = load_chrome_trace(args.path)
+    try:
+        spans = load_chrome_trace(args.path)
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot read trace: {exc}", file=sys.stderr)
+        return 2
     if not spans:
         print(f"no spans in {args.path}", file=sys.stderr)
         return 1
@@ -957,26 +925,23 @@ def _run_trace(args: argparse.Namespace) -> int:
 
 def _run_obs(args: argparse.Namespace) -> int:
     spans = []
-    events = []
     metrics_doc = None
-    if not (args.trace or args.events or args.metrics):
+    if not (args.trace or args.metrics):
         print(
-            "error: obs report needs at least one of --trace/--events/--metrics",
+            "error: obs report needs at least one of --trace/--metrics",
             file=sys.stderr,
         )
         return 2
     try:
         if args.trace:
             spans = load_chrome_trace(args.trace)
-        if args.events:
-            events = read_events(args.events)
         if args.metrics:
             with open(args.metrics, encoding="utf-8") as handle:
-                metrics_doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+                metrics_doc = check_dump(json.load(handle))
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read obs artifact: {exc}", file=sys.stderr)
         return 2
-    report = build_report(spans, events=events, metrics_doc=metrics_doc, top=args.top)
+    report = build_report(spans, metrics_doc=metrics_doc, top=args.top)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(report)

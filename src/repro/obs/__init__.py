@@ -11,13 +11,11 @@ The observability substrate every layer of the compiler reports through:
   are now views over, plus JSON dump/restore for cross-process snapshots;
 * :mod:`repro.obs.resources` — per-span RSS/CPU-time deltas and optional
   tracemalloc peaks (``--trace-resources`` / ``--trace-malloc``);
-* :mod:`repro.obs.events` — append-only JSONL run journal (manifest, stage
-  and cache events, errors with tracebacks, sweep point health);
 * :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto-loadable),
   text span trees, top-N self-time summaries, machine-readable trace
   summaries and collapsed-stack flamegraph export;
 * :mod:`repro.obs.report` — ``repro obs report``: one markdown run report
-  merging trace + event log + metrics snapshot;
+  merging a trace and a metrics snapshot;
 * :mod:`repro.obs.bench_diff` — ``repro bench diff``: counter-regression
   comparison of two ``BENCH_*.json`` perf trajectories.
 
@@ -30,13 +28,12 @@ Quick start::
         ...
     write_chrome_trace("out.json", TRACER.spans())
 
-Tracing, resource sampling and the event log are all off by default and
-the disabled per-span fast path is a no-op; merely importing this package
-changes no counter, no timing and no output.
+Tracing and resource sampling are both off by default and the disabled
+per-span fast path is a no-op; merely importing this package changes no
+counter, no timing and no output.
 """
 
 from repro.obs.bench_diff import BenchDiff, CounterChange, diff_bench_files
-from repro.obs.events import EVENTS, EventLog, read_events
 from repro.obs.export import (
     chrome_trace,
     collapsed_stacks,
@@ -77,8 +74,6 @@ __all__ = [
     "BenchDiff",
     "CounterChange",
     "DETERMINISTIC_ENV",
-    "EVENTS",
-    "EventLog",
     "Histogram",
     "HistogramSummary",
     "METRICS",
@@ -97,7 +92,6 @@ __all__ = [
     "diff_bench_files",
     "is_volatile_metric",
     "load_chrome_trace",
-    "read_events",
     "registry_from_dump",
     "render_span_tree",
     "render_top_spans",

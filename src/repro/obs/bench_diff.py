@@ -50,6 +50,8 @@ def load_bench_rows(
 ) -> Tuple[str, Dict[str, Dict[str, object]]]:
     """Load a BENCH json; returns (bench name, row-label → row dict)."""
     document = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+    if not isinstance(document, dict):
+        raise ValueError(f"{path}: not a BENCH trajectory (not a JSON object)")
     rows = document.get("rows")
     if not isinstance(rows, list):
         raise ValueError(f"{path}: not a BENCH trajectory (no 'rows' list)")

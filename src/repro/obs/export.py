@@ -114,13 +114,16 @@ def load_chrome_trace(path: Union[str, pathlib.Path]) -> List[SpanRecord]:
     converted back to seconds here so loaded spans carry the same units as
     in-memory ones.  Deterministic traces (recognisable by the pinned
     ``pid=0``) use tick timestamps exported 1:1 and are left untouched.
+    Raises ``ValueError`` for a document without a ``traceEvents`` list of
+    objects.
     """
     document = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
-    events = [
-        event
-        for event in document.get("traceEvents", [])
-        if event.get("ph") == "X"
-    ]
+    trace_events = document.get("traceEvents") if isinstance(document, dict) else None
+    if not isinstance(trace_events, list) or not all(
+        isinstance(event, dict) for event in trace_events
+    ):
+        raise ValueError(f"{path}: not a Chrome trace (no 'traceEvents' list of objects)")
+    events = [event for event in trace_events if event.get("ph") == "X"]
     deterministic = bool(events) and all(event.get("pid") == 0 for event in events)
     scale = 1.0 if deterministic else 1.0 / _US
     spans: List[SpanRecord] = []

@@ -41,6 +41,7 @@ __all__ = [
     "HistogramSummary",
     "MetricsRegistry",
     "METRICS",
+    "check_dump",
     "is_volatile_metric",
     "registry_from_dump",
 ]
@@ -458,15 +459,32 @@ class MetricsRegistry:
                         del table[name]
 
 
+def check_dump(doc: object) -> Mapping[str, object]:
+    """Return ``doc`` if it has the shape of a :meth:`MetricsRegistry.dump`.
+
+    Raises ``ValueError`` for a document of another schema, or one whose
+    series lists are not lists of objects, so ``repro obs report`` and
+    :func:`registry_from_dump` reject malformed input before reading it.
+    """
+    schema = doc.get("schema") if isinstance(doc, Mapping) else None
+    if schema != DUMP_SCHEMA:
+        raise ValueError(f"unsupported metrics dump schema: {schema!r}")
+    for kind in ("counters", "gauges", "histograms"):
+        series = doc.get(kind, [])
+        if not isinstance(series, list) or not all(
+            isinstance(entry, Mapping) for entry in series
+        ):
+            raise ValueError(f"metrics dump {kind!r} is not a list of objects")
+    return doc
+
+
 def registry_from_dump(doc: Mapping[str, object]) -> MetricsRegistry:
     """Rebuild a :class:`MetricsRegistry` from :meth:`MetricsRegistry.dump`.
 
-    Used by ``repro obs report`` to render a snapshot taken in another
-    process without touching the live registry.
+    Restores a snapshot taken in another process without touching the live
+    registry.
     """
-    schema = doc.get("schema")
-    if schema != DUMP_SCHEMA:
-        raise ValueError(f"unsupported metrics dump schema: {schema!r}")
+    check_dump(doc)
     registry = MetricsRegistry()
     for entry in doc.get("counters", ()):  # type: ignore[union-attr]
         labels = {key: value for key, value in entry.get("labels", ())}

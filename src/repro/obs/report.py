@@ -1,19 +1,17 @@
-"""`repro obs report`: merge trace + event log + metrics into one markdown.
+"""`repro obs report`: merge a trace and a metrics dump into one markdown.
 
-A run leaves up to three artifacts behind — a Chrome trace (``--trace``), an
-event-log journal (``--events``) and a metrics dump (``--metrics``).  Each
-answers one question; :func:`build_report` merges whichever subset exists
-into a single markdown run report:
+A run leaves up to two artifacts behind — a Chrome trace (``--trace``) and
+a metrics dump (``--metrics``).  :func:`build_report` merges whichever
+exists into a single markdown run report:
 
 * a **run header** (run id, span count, clock unit);
 * the **span self-time table** (where the time went, no double counting);
 * **top memory spans** when resource sampling annotated RSS deltas or
   tracemalloc peaks onto spans;
-* an **event summary** (counts per event kind) plus every ``error`` event
-  with its exception type and message;
-* a **failure / straggler summary** from the sweep health monitor's
-  ``sweep.point`` events;
 * a **metrics snapshot** (counters and histogram quantiles).
+
+Sweep health (failure rate, stragglers, tracebacks) is read from the
+result store by ``repro sweep status``, not from this report.
 
 The report deliberately contains no filesystem paths and no wall-clock
 text of its own: under ``DCMBQC_TRACE_DETERMINISTIC=1`` every input is a
@@ -24,7 +22,7 @@ the CI obs-report smoke step both pin.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from repro.obs.export import self_time_rows
 from repro.obs.trace import SpanRecord
@@ -98,81 +96,6 @@ def _memory_section(spans: Sequence[SpanRecord], top: int) -> Optional[str]:
     return f"## Top memory spans\n\n{table}"
 
 
-def _events_section(events: Sequence[Mapping[str, object]]) -> Optional[str]:
-    if not events:
-        return None
-    counts: Dict[str, int] = {}
-    for event in events:
-        kind = str(event.get("event", "?"))
-        counts[kind] = counts.get(kind, 0) + 1
-    table = _markdown_table(
-        ("event", "count"), sorted(counts.items())
-    )
-    parts = [f"## Events ({len(events)} total)\n\n{table}"]
-    errors = [event for event in events if event.get("event") == "error"]
-    if errors:
-        error_rows = [
-            (
-                event.get("error_type", "?"),
-                str(event.get("message", "")).replace("|", "\\|"),
-                event.get("point", event.get("stage", "")),
-            )
-            for event in errors
-        ]
-        parts.append(
-            "### Errors\n\n"
-            + _markdown_table(("type", "message", "where"), error_rows)
-        )
-    return "\n\n".join(parts)
-
-
-def _sweep_section(events: Sequence[Mapping[str, object]]) -> Optional[str]:
-    points = [event for event in events if event.get("event") == "sweep.point"]
-    if not points:
-        return None
-    failed = [p for p in points if p.get("status") == "failed"]
-    stragglers = [p for p in points if p.get("straggler")]
-    lines = [
-        "## Sweep health",
-        "",
-        f"- points: {len(points)}",
-        f"- failed: {len(failed)}"
-        + (
-            f" ({100.0 * len(failed) / len(points):.1f}% failure rate)"
-            if points
-            else ""
-        ),
-        f"- stragglers: {len(stragglers)}",
-    ]
-    if failed:
-        lines.append("")
-        lines.append(
-            _markdown_table(
-                ("point", "error type", "error"),
-                [
-                    (
-                        p.get("key", "?"),
-                        p.get("error_type", "?"),
-                        str(p.get("error", "")).replace("|", "\\|"),
-                    )
-                    for p in failed
-                ],
-            )
-        )
-    if stragglers:
-        lines.append("")
-        lines.append(
-            _markdown_table(
-                ("straggler", "duration vs median"),
-                [
-                    (p.get("key", "?"), p.get("straggler_ratio", "?"))
-                    for p in stragglers
-                ],
-            )
-        )
-    return "\n".join(lines)
-
-
 def _metrics_section(doc: Mapping[str, object]) -> Optional[str]:
     counters = list(doc.get("counters", ()))  # type: ignore[arg-type]
     histograms = list(doc.get("histograms", ()))  # type: ignore[arg-type]
@@ -228,27 +151,17 @@ def _metrics_section(doc: Mapping[str, object]) -> Optional[str]:
 
 def build_report(
     spans: Sequence[SpanRecord],
-    events: Optional[Sequence[Mapping[str, object]]] = None,
     metrics_doc: Optional[Mapping[str, object]] = None,
     top: int = 10,
 ) -> str:
     """Render the markdown run report for whatever artifacts exist.
 
-    ``spans`` may be empty (event-log-only report); ``events`` and
-    ``metrics_doc`` are optional.  Output ends in exactly one newline and
-    contains no filesystem paths, so a deterministic run renders
-    byte-identical markdown.
+    ``spans`` may be empty (metrics-only report); ``metrics_doc`` is
+    optional.  Output ends in exactly one newline and contains no
+    filesystem paths, so a deterministic run renders byte-identical
+    markdown.
     """
-    events = list(events or ())
     run_ids = sorted({span.run_id for span in spans if span.run_id})
-    if not run_ids:
-        run_ids = sorted(
-            {
-                str(event["run_id"])
-                for event in events
-                if event.get("event") == "run.start" and event.get("run_id")
-            }
-        )
     run_id = ", ".join(run_ids) if run_ids else "(unknown)"
     unit = "ticks" if spans and all(
         float(span.start).is_integer() for span in spans
@@ -262,7 +175,6 @@ def build_report(
                 "",
                 f"- spans: {len(spans)}",
                 f"- clock unit: {unit}",
-                f"- events: {len(events)}",
             ]
         ),
     ]
@@ -271,11 +183,7 @@ def build_report(
         memory = _memory_section(spans, top)
         if memory:
             sections.append(memory)
-    for section in (
-        _events_section(events),
-        _sweep_section(events),
-        _metrics_section(metrics_doc or {}),
-    ):
-        if section:
-            sections.append(section)
+    metrics = _metrics_section(metrics_doc or {})
+    if metrics:
+        sections.append(metrics)
     return "\n\n".join(sections) + "\n"

@@ -44,7 +44,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, TypeVar
 
-from repro.obs.events import EVENTS
 from repro.obs.trace import TRACER
 from repro.pipeline.artifacts import ArtifactStore, caching_disabled
 from repro.pipeline.hashing import content_hash
@@ -339,8 +338,6 @@ class Pipeline:
                 value: object = _MISSING
                 status = "executed"
 
-                if EVENTS.enabled:
-                    EVENTS.emit("stage.start", stage=stage.name)
                 with TRACER.span(f"stage.{stage.name}", stage=stage.name) as stage_span:
                     if cacheable:
                         with TRACER.span("pipeline.hash", artifact="key"):
@@ -360,25 +357,13 @@ class Pipeline:
                             loaded = self.store.get(key)
                             if loaded is not None:
                                 value, status = loaded, "disk-hit"
-                                self._memoise(stage.name, key, loaded, stage_span)
+                                self._memoise(key, loaded, stage_span)
                                 self.telemetry.record_hit(stage.name, "disk")
-
-                    if EVENTS.enabled and status in ("memory-hit", "disk-hit"):
-                        EVENTS.emit(
-                            "cache.hit", stage=stage.name, layer=status[:-4]
-                        )
 
                     seconds = 0.0
                     if value is _MISSING:
-                        if EVENTS.enabled and cacheable:
-                            EVENTS.emit("cache.miss", stage=stage.name)
                         start = time.perf_counter()
-                        try:
-                            value = stage.run(state)
-                        except Exception as exc:
-                            if EVENTS.enabled:
-                                EVENTS.error(exc, stage=stage.name)
-                            raise
+                        value = stage.run(state)
                         seconds = time.perf_counter() - start
                         if value is None:
                             raise CompilationError(
@@ -386,13 +371,11 @@ class Pipeline:
                             )
                         self.telemetry.record_execution(stage.name, seconds)
                         if cacheable and key is not None:
-                            payload = self._memoise(stage.name, key, value, stage_span)
+                            payload = self._memoise(key, value, stage_span)
                             if self.store is not None:
                                 self.store.put(key, value, payload=payload)
                     stage_span.set(status=status)
 
-                if EVENTS.enabled:
-                    EVENTS.emit("stage.finish", stage=stage.name, status=status)
                 state[stage.output] = value
                 if use_cache:
                     # Provenance rule: the stage key names its output.  Only
@@ -419,7 +402,7 @@ class Pipeline:
             final_output=self.stages[-1].output if self.stages else None,
         )
 
-    def _memoise(self, stage: str, key: str, value: object, span) -> bytes:
+    def _memoise(self, key: str, value: object, span) -> bytes:
         """Put a snapshot of ``value`` in the memo unless it exceeds ``MEMO_MAX_ENTRY_BYTES``.
 
         Returns the pickled snapshot, which the artifact store reuses.
@@ -431,6 +414,4 @@ class Pipeline:
             self.memo.put(key, payload)
             return payload
         span.set(memo_skipped=True)
-        if EVENTS.enabled:
-            EVENTS.emit("cache.skip", stage=stage, bytes=len(payload))
         return payload

@@ -36,7 +36,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.core.compiler import DistributedCompilationResult
 from repro.hardware.loss import DelayLineModel
-from repro.obs.events import EVENTS
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
 from repro.scheduling.frontier import Degradation
@@ -282,13 +281,6 @@ class DistributedRuntime:
         # metric dumps, so metrics reports always carry histograms.
         METRICS.observe("runtime.replay.cycles", trace.total_cycles)
         METRICS.observe("runtime.replay.sync_events", trace.sync_events)
-        if EVENTS.enabled:
-            EVENTS.emit(
-                "runtime.replay",
-                cycles=trace.total_cycles,
-                sync_events=trace.sync_events,
-                photons=len(trace.storage_records),
-            )
         return trace
 
     def _run(self) -> ExecutionTrace:

@@ -48,7 +48,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.compiler import DistributedCompilationResult
 from repro.hardware.loss import DelayLineModel
 from repro.hardware.system import SystemModel
-from repro.obs.events import EVENTS
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
 from repro.runtime.executor import DistributedRuntime, ExecutionTrace
@@ -302,15 +301,6 @@ class FaultInjector:
             shot=shot,
         ) as span:
             METRICS.inc("runtime.faults_injected", kind=fault.kind)
-            if EVENTS.enabled:
-                EVENTS.emit(
-                    "runtime.fault",
-                    fault=fault.describe(),
-                    kind=fault.kind,
-                    policy=policy,
-                    cycle=fault_cycle,
-                    shot=shot,
-                )
             report = self._inject(fault, policy, shot, fault_cycle)
             span.set(
                 failed=report.failed,
@@ -319,17 +309,6 @@ class FaultInjector:
             )
         if report.recovered:
             METRICS.inc("runtime.recoveries", policy=policy)
-        if EVENTS.enabled:
-            EVENTS.emit(
-                "runtime.recovery",
-                fault=report.fault,
-                policy=policy,
-                shot=shot,
-                failed=report.failed,
-                recovered=report.recovered,
-                overhead_cycles=report.overhead_cycles,
-                detail=report.detail,
-            )
         return report
 
     def _inject(

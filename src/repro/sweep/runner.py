@@ -22,7 +22,6 @@ import traceback as traceback_module
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Set, Union
 
-from repro.obs.events import EVENTS
 from repro.obs.metrics import METRICS
 from repro.obs.resources import RESOURCES
 from repro.obs.trace import TRACER
@@ -291,22 +290,6 @@ class SweepRunner:
                 METRICS.inc("sweep.failures_total", count, task=point.task)
             if record.get("straggler"):
                 METRICS.inc("sweep.stragglers_total", count, task=point.task)
-            if EVENTS.enabled:
-                event_fields: Dict[str, object] = {
-                    "key": point.cache_key(),
-                    "task": point.task,
-                    "status": status,
-                    "attempts": record.get("attempts"),
-                    "duration_s": record.get("duration_s"),
-                }
-                if record.get("straggler"):
-                    event_fields["straggler"] = True
-                    event_fields["straggler_ratio"] = record.get("straggler_ratio")
-                if status != "done":
-                    event_fields["error_type"] = record.get("error_type")
-                    event_fields["error"] = record.get("error")
-                    event_fields["traceback"] = record.get("traceback")
-                EVENTS.emit("sweep.point", **event_fields)
             if self.progress is not None:
                 self.progress(point, record, finished, len(points))
 

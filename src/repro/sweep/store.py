@@ -80,7 +80,6 @@ class ResultStore:
             self.path = path
         else:
             self.path = path / STORE_FILENAME
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         self._records: Dict[str, Dict[str, object]] = {}
         self.corrupt_lines = 0
         self._load()
@@ -159,6 +158,7 @@ class ResultStore:
         for name in ("error_type", "traceback", "straggler", "straggler_ratio"):
             if outcome.get(name) is not None:
                 record[name] = outcome[name]
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a", encoding="utf-8") as handle:
             handle.write(json.dumps(record, sort_keys=True, default=str) + "\n")
             handle.flush()

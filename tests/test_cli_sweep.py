@@ -166,6 +166,11 @@ class TestSweepStatus:
         assert main(["sweep", "status", str(tmp_path / "absent.jsonl")]) == 1
         assert "no records" in capsys.readouterr().err
 
+    def test_status_on_missing_store_creates_nothing(self, tmp_path, capsys):
+        absent = tmp_path / "nothere" / "deeper"
+        assert main(["sweep", "status", str(absent)]) != 0
+        assert not (tmp_path / "nothere").exists()
+
 
 class TestSweepSeed:
     def test_seed_flag_reaches_circuit_construction(self, capsys):

@@ -189,3 +189,35 @@ def test_trace_flamegraph_stdout_and_file(tmp_path, capsys):
 def test_obs_report_without_inputs_errors(capsys):
     assert main(["obs", "report"]) == 2
     assert "at least one" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["trace", "summarize", "bad.json"], {"bad.json": [1, 2]}),
+        (["trace", "flamegraph", "bad.json", "--out", "x"], {"bad.json": [1, 2]}),
+        (["obs", "report", "--trace", "bad.json"], {"bad.json": [1, 2]}),
+        (["bench", "diff", "bad.json", "bad.json"], {"bad.json": [1, 2]}),
+        (["trace", "summarize", "missing.json"], {}),
+        (["obs", "report", "--metrics", "m.json"], {"m.json": {"counters": [1]}}),
+        (["obs", "report", "--trace", "t.json"], {"t.json": {"a": 1}}),
+    ],
+    ids=[
+        "summarize-list",
+        "flamegraph-list",
+        "report-trace-list",
+        "bench-diff-list",
+        "summarize-missing",
+        "report-metrics-no-schema",
+        "report-trace-no-events",
+    ],
+)
+def test_malformed_obs_artifact_exits_two(tmp_path, capsys, monkeypatch, argv, files):
+    for name, document in files.items():
+        (tmp_path / name).write_text(json.dumps(document))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()

@@ -122,6 +122,58 @@ class TestTracedCompile:
         assert len(set(ids)) == len(ids)
 
 
+class TestStageSpanStatus:
+    """Each ``stage.*`` span's ``status`` names where its artifact came from."""
+
+    @staticmethod
+    def _pipeline(store):
+        from repro.pipeline import LRUCache, Pipeline, TelemetryRegistry, single_qpu_stages
+
+        return Pipeline(
+            single_qpu_stages(grid_size=5, seed=0),
+            store=store,
+            memo=LRUCache(maxsize=16),
+            telemetry=TelemetryRegistry(),
+        )
+
+    @staticmethod
+    def _statuses(pipeline):
+        from repro.pipeline.stages import initial_program_state
+        from repro.programs import build_benchmark
+
+        TRACER.reset()
+        pipeline.run(initial_program_state(build_benchmark("QFT", 6, seed=0)))
+        return {
+            record.name: record.attributes["status"]
+            for record in TRACER.spans()
+            if record.name.startswith("stage.")
+        }
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        from repro.pipeline import ArtifactStore
+
+        return ArtifactStore(tmp_path / "artifacts")
+
+    def test_cold_run_executes_every_stage(self, traced, store):
+        statuses = self._statuses(self._pipeline(store))
+        assert len(statuses) == 3
+        assert set(statuses.values()) == {"executed"}
+
+    def test_second_run_through_same_memo_hits_memory(self, traced, store):
+        pipeline = self._pipeline(store)
+        cold = self._statuses(pipeline)
+        warm = self._statuses(pipeline)
+        assert warm.keys() == cold.keys()
+        assert set(warm.values()) == {"memory-hit"}
+
+    def test_fresh_memo_over_same_store_hits_disk(self, traced, store):
+        cold = self._statuses(self._pipeline(store))
+        warm = self._statuses(self._pipeline(store))
+        assert warm.keys() == cold.keys()
+        assert set(warm.values()) == {"disk-hit"}
+
+
 class TestSweepSpanTransport:
     def test_serial_sweep_keeps_spans_local(self, traced):
         points = [

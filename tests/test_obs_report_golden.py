@@ -1,14 +1,14 @@
 """Golden run-report test: `repro obs report` is byte-stable.
 
 Runs a deterministic QFT-12 compile twice in fresh subprocesses with
-``--trace``/``--events``/``--metrics``, renders `repro obs report` over
-each run's artifacts, and asserts:
+``--trace``/``--metrics``, renders `repro obs report` over each run's
+artifacts, and asserts:
 
 * the two reports are **byte-identical** — the deterministic clock makes
-  trace, journal and metrics dump pure functions of the compile;
+  trace and metrics dump pure functions of the compile;
 * the report matches the committed golden
-  (``tests/golden/report_qft12.md``), pinning the self-time table, the
-  event counts and the deterministic metric series end to end.
+  (``tests/golden/report_qft12.md``), pinning the self-time table and the
+  deterministic metric series end to end.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ def _run_cli(args, cwd):
 
 def _compile_and_report(base: pathlib.Path, tag: str) -> pathlib.Path:
     trace = base / f"trace-{tag}.json"
-    events = base / f"events-{tag}.jsonl"
     metrics = base / f"metrics-{tag}.json"
     report = base / f"report-{tag}.md"
     _run_cli(
@@ -55,8 +54,6 @@ def _compile_and_report(base: pathlib.Path, tag: str) -> pathlib.Path:
             "--no-cache",
             "--trace",
             str(trace),
-            "--events",
-            str(events),
             "--metrics",
             str(metrics),
         ],
@@ -68,8 +65,6 @@ def _compile_and_report(base: pathlib.Path, tag: str) -> pathlib.Path:
             "report",
             "--trace",
             str(trace),
-            "--events",
-            str(events),
             "--metrics",
             str(metrics),
             "--out",
@@ -103,7 +98,6 @@ class TestGoldenReport:
         for heading in (
             "# Run report: run-0001",
             "## Span self-time",
-            "## Events",
             "## Metrics",
             "### Counters",
             "### Histograms",

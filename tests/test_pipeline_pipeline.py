@@ -16,7 +16,6 @@ from repro.core.compiler import DCMBQCCompiler
 from repro.core.config import DCMBQCConfig
 from repro.mbqc.pattern import Pattern
 from repro.mbqc.translate import circuit_to_pattern
-from repro.obs.events import EVENTS, read_events
 from repro.obs.trace import TRACER
 from repro.partition.types import PartitionResult
 from repro.pipeline import (
@@ -334,29 +333,33 @@ class TestProvenanceKeys:
 
 class TestMemoSkip:
     @pytest.fixture
-    def observed(self, tmp_path):
-        path = tmp_path / "run.events.jsonl"
+    def traced(self):
         TRACER.reset()
         TRACER.enable(deterministic=True)
-        EVENTS.open(str(path), deterministic=True)
-        yield path
-        if EVENTS.enabled:
-            EVENTS.close()
+        yield
         TRACER.disable()
         TRACER.reset()
 
-    def test_oversized_snapshot_emits_cache_skip(self, observed, monkeypatch):
+    def test_oversized_snapshot_emits_cache_skip(self, traced, monkeypatch):
         monkeypatch.setattr(pipeline_module, "MEMO_MAX_ENTRY_BYTES", 64)
         pipeline = fresh_pipeline()
         run = pipeline.run(initial_program_state(qft()))
-        EVENTS.close()
         assert run.executions == 3 and len(pipeline.memo) == 0
-        skips = [entry for entry in read_events(str(observed)) if entry["event"] == "cache.skip"]
-        assert [entry["stage"] for entry in skips] == ["translate", "compgraph", "grid_mapping"]
-        assert all(entry["bytes"] > 64 for entry in skips)
-        stage_spans = [span for span in TRACER.spans() if span.name.startswith("stage.")]
-        assert len(stage_spans) == 3
+        spans = TRACER.spans()
+        by_id = {span.span_id: span for span in spans}
+        stage_spans = [span for span in spans if span.name.startswith("stage.")]
+        assert [span.name for span in stage_spans] == [
+            "stage.translate",
+            "stage.compgraph",
+            "stage.grid_mapping",
+        ]
         assert all(span.attributes.get("memo_skipped") is True for span in stage_spans)
+        # The skipped snapshot's size is on the pickle span inside each stage.
+        pickles = [span for span in spans if span.name == "pipeline.pickle"]
+        assert [by_id[span.parent_id].name for span in pickles] == [
+            span.name for span in stage_spans
+        ]
+        assert all(span.attributes["bytes"] > 64 for span in pickles)
 
 
 class TestBookkeepingSpans:

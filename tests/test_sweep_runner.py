@@ -200,19 +200,3 @@ class TestRunHealth:
         assert METRICS.counter("sweep.failures_total", task="_test_boom") == 1
         assert METRICS.histogram("sweep.point.duration_s", task="_test_boom").count == 1
         METRICS.reset("sweep.")
-
-    def test_sweep_point_events_emitted(self, tmp_path):
-        from repro.obs.events import EVENTS, read_events
-
-        path = tmp_path / "run.events.jsonl"
-        EVENTS.open(str(path), run_id="test")
-        try:
-            run_grid([SweepPoint(task="_test_boom")])
-        finally:
-            EVENTS.close()
-        events = read_events(str(path))
-        point_events = [e for e in events if e["event"] == "sweep.point"]
-        assert len(point_events) == 1
-        assert point_events[0]["status"] == "failed"
-        assert point_events[0]["error_type"] == "ValueError"
-        assert "always fails" in point_events[0]["traceback"]
