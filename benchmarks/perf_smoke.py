@@ -87,7 +87,7 @@ def collect_counters() -> dict:
                 counters[name.replace(".", "_")] = counters.get(
                     name.replace(".", "_"), 0
                 ) + value
-        counters["dependency_edges"] = dependency.graph.number_of_edges()
+        counters["dependency_edges"] = dependency.num_edges
         table[f"qft-{row['qubits']}"] = counters
 
     # Sparse-interconnect point: a 4-QPU line exercises the pipelined

@@ -25,10 +25,9 @@ from repro.utils.tables import Table
 def main() -> None:
     num_qubits = 16
     circuit = qaoa_maxcut_circuit(num_qubits, p=1, seed=7)
-    graph = circuit.maxcut_graph
     print(
         f"QAOA Max-Cut instance: {num_qubits} qubits, "
-        f"{graph.number_of_edges()} edges in the cost graph"
+        f"{len(circuit.maxcut_edges)} edges in the cost graph"
     )
 
     computation = computation_graph_from_pattern(circuit_to_pattern(circuit))

@@ -4,9 +4,11 @@ This classic ``setup.py`` is the only packaging file.  It works offline and
 without the ``wheel`` package: ``pip install -e .`` falls back to the legacy
 ``setup.py develop`` path when PEP 660 editable builds are unavailable.
 
-Runtime dependencies are the imports of ``src/repro``: numpy (array
-kernels) and networkx (graph containers and exports).  The ``test`` extra
-adds what the test suite imports: ``pip install -e ".[test]"``.
+numpy is the only runtime dependency: ``src/repro`` stores every graph as
+numpy arrays and imports nothing else outside the standard library.  The
+``test`` extra adds what the test suite imports, networkx among it (the
+tests' oracles compare the arrays with networkx graphs):
+``pip install -e ".[test]"``.
 """
 
 from setuptools import find_packages, setup
@@ -17,6 +19,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["numpy", "networkx"],
-    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
+    install_requires=["numpy"],
+    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis", "networkx"]},
 )

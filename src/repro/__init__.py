@@ -6,7 +6,7 @@ The package is organised bottom-up:
 * :mod:`repro.circuit` — gate-level circuit IR, decomposition, simulator;
 * :mod:`repro.programs` — the paper's benchmark programs (QAOA, VQE, QFT, RCA);
 * :mod:`repro.mbqc` — measurement calculus: patterns, translation, signal
-  shifting, dependency graphs, causal flow, pattern simulation;
+  shifting, dependency graphs, pattern simulation;
 * :mod:`repro.hardware` — photonic hardware model (resource states, fusion,
   delay-line loss, QPUs);
 * :mod:`repro.metrics` — required photon lifetime (Algorithm 1), execution

@@ -7,9 +7,8 @@ node per photon of the logical graph state and one edge per required fusion
 are what the required-photon-lifetime metric and the grid mapper need.
 Both graphs are stored as arrays: the fusion graph as a CSR
 :class:`~repro.partition.graph.FusionGraph`, the dependency DAG as a
-:class:`~repro.mbqc.dependency.DependencyGraph`.  networkx appears only in
-their ``graph`` exports (``computation.fusion.graph``,
-``computation.dependency.graph``).
+:class:`~repro.mbqc.dependency.DependencyGraph`.  Neither builds a networkx
+graph; the test suite's oracles convert them (``tests/nx_oracles.py``).
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from repro.hardware.resource_states import (
     ResourceStateType,
     ResourceStateSpec,
     RESOURCE_STATE_LIBRARY,
-    resource_state_graph,
+    resource_state_edges,
 )
 from repro.hardware.fusion import FusionModel, FusionOutcome
 from repro.hardware.loss import (
@@ -45,7 +45,7 @@ __all__ = [
     "ResourceStateType",
     "ResourceStateSpec",
     "RESOURCE_STATE_LIBRARY",
-    "resource_state_graph",
+    "resource_state_edges",
     "FusionModel",
     "FusionOutcome",
     "DelayLineModel",

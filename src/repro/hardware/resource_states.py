@@ -18,15 +18,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict
-
-import networkx as nx
+from typing import Dict, List, Tuple
 
 __all__ = [
     "ResourceStateType",
     "ResourceStateSpec",
     "RESOURCE_STATE_LIBRARY",
-    "resource_state_graph",
+    "resource_state_edges",
 ]
 
 
@@ -78,20 +76,15 @@ RESOURCE_STATE_LIBRARY: Dict[ResourceStateType, ResourceStateSpec] = {
 }
 
 
-def resource_state_graph(rsg_type: "ResourceStateType | str") -> nx.Graph:
-    """Return the entanglement graph of one freshly generated resource state.
+def resource_state_edges(rsg_type: "ResourceStateType | str") -> List[Tuple[int, int]]:
+    """Return the entanglement edges of one freshly generated resource state.
 
-    Ring states are cycles; star states have one central photon entangled
-    with all leaves.  Node labels are ``0..k-1`` with node 0 the star centre.
+    The photons are ``0..num_photons-1``.  Ring states are cycles
+    ``(i, i + 1 mod k)``; star states have photon 0, the centre, entangled
+    with every leaf.
     """
-    rsg_type = ResourceStateType.from_name(rsg_type)
-    spec = RESOURCE_STATE_LIBRARY[rsg_type]
-    graph = nx.Graph()
-    graph.add_nodes_from(range(spec.num_photons))
+    spec = RESOURCE_STATE_LIBRARY[ResourceStateType.from_name(rsg_type)]
+    count = spec.num_photons
     if spec.is_ring:
-        for i in range(spec.num_photons):
-            graph.add_edge(i, (i + 1) % spec.num_photons)
-    else:
-        for leaf in range(1, spec.num_photons):
-            graph.add_edge(0, leaf)
-    return graph
+        return [(i, (i + 1) % count) for i in range(count)]
+    return [(0, leaf) for leaf in range(1, count)]

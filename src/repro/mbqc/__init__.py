@@ -18,8 +18,7 @@ Section II-A of the paper:
   DAG G′ straight off the signal-shift resolution, and
   ``build_dependency_graph(signal_shift(p))`` is its test oracle,
 * :mod:`~repro.mbqc.simulator` — a statevector simulator for patterns, used
-  to prove that translation preserves circuit semantics,
-* :mod:`~repro.mbqc.flow` — causal-flow utilities.
+  to prove that translation preserves circuit semantics.
 
 The graph state a pattern entangles is read as arrays
 (:meth:`Pattern.node_array` / :meth:`Pattern.edge_array`); the compiler
@@ -44,7 +43,6 @@ from repro.mbqc.dependency import (
     shifted_dependency,
 )
 from repro.mbqc.simulator import PatternSimulator, simulate_pattern
-from repro.mbqc.flow import find_causal_flow, CausalFlow
 
 __all__ = [
     "CommandKind",
@@ -62,6 +60,4 @@ __all__ = [
     "measurement_order",
     "PatternSimulator",
     "simulate_pattern",
-    "find_causal_flow",
-    "CausalFlow",
 ]

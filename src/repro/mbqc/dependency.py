@@ -11,9 +11,9 @@ compiler needs.
 The graph is stored as flat arrays — a node-label table, a CSR adjacency by
 source (``indptr``/``indices``) and a ``uint8`` kind code per edge — whose
 edges are gathered straight from the pattern's domain CSR.  The reverse
-(parent) CSR and the topological order are derived on first use and cached.  A networkx
-``DiGraph`` is available as the :attr:`DependencyGraph.graph` export for
-tests and examples; no compile-path consumer builds it.
+(parent) CSR and the topological order are derived on first use and cached.
+The compile path builds no networkx graph; the one networkx export left,
+:attr:`DependencyGraph.graph`, imports networkx only when it is read.
 
 The compile path reads G′ of the signal-shifted pattern from
 :func:`shifted_dependency`, which builds it straight from the signal-shift
@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.mbqc.commands import M_CODE, X_CODE
@@ -140,7 +139,6 @@ class DependencyGraph:
         self._position: Optional[Dict[int, int]] = None
         self._lookup: Optional[LabelIndex] = None
         self._parent_lists: Optional[List[List[int]]] = None
-        self._graph: Optional[nx.DiGraph] = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -261,6 +259,11 @@ class DependencyGraph:
         """Number of nodes (positions)."""
         return len(self.labels)
 
+    @property
+    def num_edges(self) -> int:
+        """Number of edges (CSR entries)."""
+        return len(self._indices)
+
     def reverse_csr(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(indptr, parents)``: parent positions of every position.
 
@@ -312,17 +315,15 @@ class DependencyGraph:
     # ------------------------------------------------------------------ #
 
     @property
-    def graph(self) -> nx.DiGraph:
-        """networkx export (nodes, then edges with ``kind``, in array order).
+    def graph(self):
+        """networkx ``DiGraph`` export (nodes, then edges with ``kind``, in array order).
 
-        Built on first access and never pickled; the compile path reads the
-        arrays instead.
+        Its only reader is the traced run of ``compilebench/ops.py``
+        (``_sizes`` counts G′'s edges with it); it goes once that count reads
+        :attr:`num_edges`.  Built on every access and never pickled.
         """
-        if self._graph is None:
-            self._graph = self._export()
-        return self._graph
+        import networkx as nx
 
-    def _export(self) -> nx.DiGraph:
         graph = nx.DiGraph()
         labels = self._labels.tolist()
         graph.add_nodes_from(labels)
@@ -418,8 +419,8 @@ class DependencyGraph:
     def topological_order(self) -> List[int]:
         """Return nodes in a topological (dependency-respecting) order.
 
-        Identical to ``nx.topological_sort`` on :attr:`graph`, so every
-        "first maximum in topological order" tie-break is unchanged.
+        Identical to ``nx.topological_sort`` on the same nodes and edges, so
+        every "first maximum in topological order" tie-break is unchanged.
         """
         order = self.topological_positions()
         return self._labels[order].tolist()

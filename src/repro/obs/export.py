@@ -115,7 +115,8 @@ def load_chrome_trace(path: Union[str, pathlib.Path]) -> List[SpanRecord]:
     in-memory ones.  Deterministic traces (recognisable by the pinned
     ``pid=0``) use tick timestamps exported 1:1 and are left untouched.
     Raises ``ValueError`` for a document without a ``traceEvents`` list of
-    objects.
+    objects, or for an event whose fields do not convert (the message names
+    the event's index in ``traceEvents``).
     """
     document = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
     trace_events = document.get("traceEvents") if isinstance(document, dict) else None
@@ -123,37 +124,42 @@ def load_chrome_trace(path: Union[str, pathlib.Path]) -> List[SpanRecord]:
         isinstance(event, dict) for event in trace_events
     ):
         raise ValueError(f"{path}: not a Chrome trace (no 'traceEvents' list of objects)")
-    events = [event for event in trace_events if event.get("ph") == "X"]
-    deterministic = bool(events) and all(event.get("pid") == 0 for event in events)
+    events = [
+        (index, event) for index, event in enumerate(trace_events) if event.get("ph") == "X"
+    ]
+    deterministic = bool(events) and all(event.get("pid") == 0 for _, event in events)
     scale = 1.0 if deterministic else 1.0 / _US
     spans: List[SpanRecord] = []
-    for event in events:
-        args = dict(event.get("args") or {})
-        span_id = args.pop("span_id", None)
-        parent_id = args.pop("parent_id", None)
-        run_id = args.pop("run_id", "")
-        deltas = {
-            key[len("ops."):]: int(value)
-            for key, value in list(args.items())
-            if key.startswith("ops.")
-        }
-        attributes = {
-            key: value for key, value in args.items() if not key.startswith("ops.")
-        }
-        start = float(event.get("ts", 0.0)) * scale
-        spans.append(
-            SpanRecord(
-                name=str(event.get("name", "?")),
-                span_id=int(span_id) if span_id is not None else len(spans) + 1,
-                parent_id=None if parent_id is None else int(parent_id),
-                run_id=str(run_id),
-                start=start,
-                end=start + float(event.get("dur", 0.0)) * scale,
-                attributes=attributes,
-                counter_deltas=deltas,
-                tid=int(event.get("tid", 0)),
+    for index, event in events:
+        try:
+            args = dict(event.get("args") or {})
+            span_id = args.pop("span_id", None)
+            parent_id = args.pop("parent_id", None)
+            run_id = args.pop("run_id", "")
+            deltas = {
+                key[len("ops."):]: int(value)
+                for key, value in list(args.items())
+                if key.startswith("ops.")
+            }
+            attributes = {
+                key: value for key, value in args.items() if not key.startswith("ops.")
+            }
+            start = float(event.get("ts", 0.0)) * scale
+            spans.append(
+                SpanRecord(
+                    name=str(event.get("name", "?")),
+                    span_id=int(span_id) if span_id is not None else len(spans) + 1,
+                    parent_id=None if parent_id is None else int(parent_id),
+                    run_id=str(run_id),
+                    start=start,
+                    end=start + float(event.get("dur", 0.0)) * scale,
+                    attributes=attributes,
+                    counter_deltas=deltas,
+                    tid=int(event.get("tid", 0)),
+                )
             )
-        )
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed trace event {index}: {exc}") from exc
     return spans
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import bisect
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "BUCKET_BOUNDS",
@@ -459,11 +459,34 @@ class MetricsRegistry:
                         del table[name]
 
 
+def _read_entry(kind: str, entry: Mapping[str, Any]) -> Tuple[str, Dict[str, object], Any]:
+    """``(name, labels, value)`` of one entry of a dump's ``kind`` series list.
+
+    A histogram's value is a :class:`Histogram`.  A missing or malformed
+    field raises ``KeyError``, ``TypeError`` or ``ValueError``.
+    """
+    name = str(entry["name"])
+    labels = {str(key): value for key, value in entry.get("labels", ())}
+    if kind == "histograms":
+        value: Any = Histogram.from_parts(
+            entry["count"],
+            entry["total"],
+            entry.get("min"),
+            entry.get("max"),
+            entry.get("buckets", ()),
+        )
+    else:
+        value = (int if kind == "counters" else float)(entry["value"])
+    return name, labels, value
+
+
 def check_dump(doc: object) -> Mapping[str, object]:
     """Return ``doc`` if it has the shape of a :meth:`MetricsRegistry.dump`.
 
-    Raises ``ValueError`` for a document of another schema, or one whose
-    series lists are not lists of objects, so ``repro obs report`` and
+    Raises ``ValueError`` for a document of another schema, one whose
+    series lists are not lists of objects, or one with an entry that lacks
+    a field a reader uses or holds it in a form the reader cannot convert
+    (the message names the entry), so ``repro obs report`` and
     :func:`registry_from_dump` reject malformed input before reading it.
     """
     schema = doc.get("schema") if isinstance(doc, Mapping) else None
@@ -475,6 +498,11 @@ def check_dump(doc: object) -> Mapping[str, object]:
             isinstance(entry, Mapping) for entry in series
         ):
             raise ValueError(f"metrics dump {kind!r} is not a list of objects")
+        for index, entry in enumerate(series):
+            try:
+                _read_entry(kind, entry)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"metrics dump {kind}[{index}] is malformed: {exc!r}") from exc
     return doc
 
 
@@ -486,24 +514,16 @@ def registry_from_dump(doc: Mapping[str, object]) -> MetricsRegistry:
     """
     check_dump(doc)
     registry = MetricsRegistry()
-    for entry in doc.get("counters", ()):  # type: ignore[union-attr]
-        labels = {key: value for key, value in entry.get("labels", ())}
-        registry.inc(str(entry["name"]), int(entry["value"]), **labels)
-    for entry in doc.get("gauges", ()):  # type: ignore[union-attr]
-        labels = {key: value for key, value in entry.get("labels", ())}
-        registry.set_gauge(str(entry["name"]), float(entry["value"]), **labels)
-    for entry in doc.get("histograms", ()):  # type: ignore[union-attr]
-        labels = {key: value for key, value in entry.get("labels", ())}
-        histogram = Histogram.from_parts(
-            entry["count"],
-            entry["total"],
-            entry.get("min"),
-            entry.get("max"),
-            entry.get("buckets", ()),
-        )
-        key = _label_key(labels)
-        with registry._lock:
-            registry._histograms.setdefault(str(entry["name"]), {})[key] = histogram
+    for kind in ("counters", "gauges", "histograms"):
+        for entry in doc.get(kind, ()):  # type: ignore[union-attr]
+            name, labels, value = _read_entry(kind, entry)
+            if kind == "counters":
+                registry.inc(name, value, **labels)
+            elif kind == "gauges":
+                registry.set_gauge(name, value, **labels)
+            else:
+                with registry._lock:
+                    registry._histograms.setdefault(name, {})[_label_key(labels)] = value
     return registry
 
 

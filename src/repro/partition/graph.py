@@ -5,13 +5,12 @@ per fusion.  :class:`FusionGraph` stores it the way
 :class:`~repro.mbqc.dependency.DependencyGraph` stores the dependency DAG: a
 node-label table, a CSR adjacency over label positions
 (``indptr``/``indices``) whose rows keep networkx adjacency order, and the
-edge list ``(u, v)`` with ``u <= v`` in ``graph.edges`` order.  Algorithm 2,
+edge list ``(u, v)`` with ``u <= v`` in networkx ``edges`` order.  Algorithm 2,
 the per-QPU subgraphs and the mapper read these arrays, and the partitioners
-accept nothing else.  A networkx ``Graph`` is available as the
-:attr:`FusionGraph.graph` export (built on first access, never pickled);
-:meth:`FusionGraph.from_networkx` converts one the other way for tests and
-hand-made graphs.  :class:`~repro.compiler.compgraph.ComputationGraph`
-accepts only a :class:`FusionGraph`.
+accept nothing else.  :meth:`FusionGraph.from_edges` builds small graphs by
+hand; :class:`~repro.compiler.compgraph.ComputationGraph` accepts only a
+:class:`FusionGraph`.  No networkx graph is built here: the test suite's
+oracles (``tests/nx_oracles.py``) convert between the two representations.
 
 networkx orders a node's neighbours by insertion, and the mapper's set
 iteration and the partitioner's tie-breaks follow that order, so every
@@ -23,7 +22,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.utils.csr import LabelIndex, csr_indptr, row_slots
@@ -64,7 +62,7 @@ class FusionGraph:
     ``indices[indptr[p]:indptr[p + 1]]`` in networkx adjacency order (a
     self-loop holds one slot).  The undirected edges are
     ``edge_arrays()``: every slot whose target is at or after its source,
-    which is the order of ``graph.edges``.
+    which is the order of networkx's ``edges``.
     """
 
     def __init__(self, labels: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> None:
@@ -76,7 +74,6 @@ class FusionGraph:
         self._lookup: Optional[LabelIndex] = None
         self._position: Optional[Dict[object, int]] = None
         self._neighbor_lists: Optional[List[List[object]]] = None
-        self._graph: Optional[nx.Graph] = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -112,22 +109,6 @@ class FusionGraph:
         order = np.argsort(sources, kind="stable")
         return cls(labels, csr_indptr(num_nodes, sources[order]), targets[order])
 
-    @classmethod
-    def from_networkx(cls, graph: nx.Graph) -> "FusionGraph":
-        """Array copy of ``graph``: node order and adjacency order are kept."""
-        nodes = list(graph.nodes)
-        index = {node: position for position, node in enumerate(nodes)}
-        adjacency = graph.adj
-        degrees = [len(adjacency[node]) for node in nodes]
-        indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        indices = np.fromiter(
-            (index[neighbour] for node in nodes for neighbour in adjacency[node]),
-            dtype=np.int64,
-            count=int(indptr[-1]),
-        )
-        return cls(_label_array(nodes), indptr, indices)
-
     # ------------------------------------------------------------------ #
     # Arrays and views
     # ------------------------------------------------------------------ #
@@ -150,7 +131,7 @@ class FusionGraph:
         return self._sources
 
     def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(u, v)`` positions of every edge, ``u <= v``, in ``graph.edges`` order."""
+        """``(u, v)`` positions of every edge, ``u <= v``, in networkx ``edges`` order."""
         if self._edges is None:
             sources = self.sources
             upper = self.indices >= sources
@@ -229,7 +210,7 @@ class FusionGraph:
         return int(self._crossing(self._part_array(assignment)).sum())
 
     # ------------------------------------------------------------------ #
-    # Subgraphs and export
+    # Subgraphs and pickling
     # ------------------------------------------------------------------ #
 
     def subgraph(self, nodes: Iterable[object]) -> "FusionGraph":
@@ -265,26 +246,6 @@ class FusionGraph:
         return FusionGraph(
             self.labels[kept], csr_indptr(len(kept), sources[order]), targets[order]
         )
-
-    @property
-    def graph(self) -> nx.Graph:
-        """networkx export: nodes in label order, then edges in ``edges`` order.
-
-        Its adjacency equals the arrays' whenever they hold an adjacency
-        networkx builds by adding edges in ``edges`` order — true of every
-        graph built from a pattern or by :meth:`subgraph`.  Built on first
-        access and never pickled; the compile path reads the arrays.
-        """
-        if self._graph is None:
-            graph = nx.Graph()
-            labels = self.labels.tolist()
-            graph.add_nodes_from(labels)
-            u, v = self.edge_arrays()
-            graph.add_edges_from(
-                (labels[a], labels[b]) for a, b in zip(u.tolist(), v.tolist())
-            )
-            self._graph = graph
-        return self._graph
 
     def __getstate__(self):
         return {"labels": self.labels, "indptr": self.indptr, "indices": self.indices}

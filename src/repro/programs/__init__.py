@@ -29,7 +29,7 @@ from repro.programs.ansatz import random_ansatz_circuit
 from repro.programs.ghz import ghz_circuit, graph_state_circuit
 from repro.programs.grover import grover_circuit
 from repro.programs.hidden_shift import hidden_shift_circuit
-from repro.programs.qaoa import qaoa_maxcut_circuit, random_maxcut_graph
+from repro.programs.qaoa import qaoa_maxcut_circuit, random_maxcut_edges
 from repro.programs.qft import qft_circuit
 from repro.programs.qpe import qpe_circuit
 from repro.programs.rca import rca_circuit
@@ -46,7 +46,7 @@ from repro.programs.vqe import vqe_circuit
 
 __all__ = [
     "qaoa_maxcut_circuit",
-    "random_maxcut_graph",
+    "random_maxcut_edges",
     "vqe_circuit",
     "qft_circuit",
     "rca_circuit",

@@ -13,19 +13,17 @@ from __future__ import annotations
 import math
 from typing import List, Sequence, Tuple
 
-import networkx as nx
-
 from repro.circuit.circuit import QuantumCircuit
 from repro.utils.rng import make_rng
 
-__all__ = ["random_maxcut_graph", "qaoa_maxcut_circuit", "matching_ordered_edges"]
+__all__ = ["random_maxcut_edges", "qaoa_maxcut_circuit", "matching_ordered_edges"]
 
 
-def random_maxcut_graph(num_nodes: int, seed: int | None = None) -> nx.Graph:
-    """Return a random graph with half of all possible edges.
+def random_maxcut_edges(num_nodes: int, seed: int | None = None) -> List[Tuple[int, int]]:
+    """Return the sorted edges ``(i, j)``, ``i < j``, of a random half-dense graph.
 
     Args:
-        num_nodes: Number of vertices (QAOA qubits).
+        num_nodes: Number of vertices (QAOA qubits), labelled ``0..num_nodes-1``.
         seed: RNG seed; the same seed always yields the same instance.
     """
     if num_nodes < 2:
@@ -36,10 +34,7 @@ def random_maxcut_graph(num_nodes: int, seed: int | None = None) -> nx.Graph:
     ]
     num_selected = len(all_edges) // 2
     chosen = rng.choice(len(all_edges), size=num_selected, replace=False)
-    graph = nx.Graph()
-    graph.add_nodes_from(range(num_nodes))
-    graph.add_edges_from(all_edges[index] for index in sorted(chosen))
-    return graph
+    return [all_edges[index] for index in sorted(chosen)]
 
 
 def _zz_interaction(circuit: QuantumCircuit, a: int, b: int, gamma: float) -> None:
@@ -55,7 +50,7 @@ def qaoa_maxcut_circuit(
     seed: int | None = None,
     gammas: Sequence[float] | None = None,
     betas: Sequence[float] | None = None,
-    graph: nx.Graph | None = None,
+    edges: Sequence[Tuple[int, int]] | None = None,
 ) -> QuantumCircuit:
     """Build a depth-``p`` QAOA Max-Cut circuit on ``num_qubits`` qubits.
 
@@ -65,18 +60,20 @@ def qaoa_maxcut_circuit(
         seed: Seed for the random Max-Cut instance and default angles.
         gammas: Cost angles, one per round; defaults to evenly spread values.
         betas: Mixer angles, one per round; defaults to evenly spread values.
-        graph: Use this Max-Cut instance instead of generating a random one.
+        edges: Use this Max-Cut instance (an edge list over the qubits)
+            instead of generating a random one.
 
     Returns:
-        The QAOA circuit.  The underlying Max-Cut graph is stored on the
-        circuit as the ``maxcut_graph`` attribute for downstream analysis.
+        The QAOA circuit.  The Max-Cut instance's edges are stored on the
+        circuit as the ``maxcut_edges`` attribute for downstream analysis.
     """
     if p < 1:
         raise ValueError("QAOA depth p must be at least 1")
-    if graph is None:
-        graph = random_maxcut_graph(num_qubits, seed=seed)
-    if graph.number_of_nodes() > num_qubits:
-        raise ValueError("graph has more nodes than qubits")
+    if edges is None:
+        edges = random_maxcut_edges(num_qubits, seed=seed)
+    edges = [(a, b) for a, b in edges]
+    if any(not (0 <= node < num_qubits) for edge in edges for node in edge):
+        raise ValueError("an edge names a node outside the qubits")
     if gammas is None:
         gammas = [math.pi * (k + 1) / (2.0 * p + 1.0) for k in range(p)]
     if betas is None:
@@ -87,25 +84,25 @@ def qaoa_maxcut_circuit(
     circuit = QuantumCircuit(num_qubits, name=f"qaoa_{num_qubits}")
     for qubit in range(num_qubits):
         circuit.h(qubit)
-    ordered_edges = matching_ordered_edges(graph)
+    ordered_edges = matching_ordered_edges(edges)
     for layer in range(p):
         for a, b in ordered_edges:
             _zz_interaction(circuit, a, b, gammas[layer])
         for qubit in range(num_qubits):
             circuit.rx(2.0 * betas[layer], qubit)
-    circuit.maxcut_graph = graph  # type: ignore[attr-defined]
+    circuit.maxcut_edges = edges  # type: ignore[attr-defined]
     return circuit
 
 
-def matching_ordered_edges(graph: nx.Graph) -> List[Tuple[int, int]]:
-    """Order the edges of ``graph`` as consecutive matchings.
+def matching_ordered_edges(edges: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """Order ``edges`` as consecutive matchings (each edge once, as ``(min, max)``).
 
     The ZZ cost terms of one QAOA layer commute, so they can be applied in
     any order; grouping them into rounds of vertex-disjoint edges (a greedy
     edge colouring) mirrors how they would be parallelised on hardware and
     keeps the translated graph state temporally local.
     """
-    remaining = {tuple(sorted(edge)) for edge in graph.edges()}
+    remaining = {tuple(sorted(edge)) for edge in edges}
     ordered: List[Tuple[int, int]] = []
     while remaining:
         used_vertices: set = set()

@@ -201,6 +201,19 @@ def test_obs_report_without_inputs_errors(capsys):
         (["trace", "summarize", "missing.json"], {}),
         (["obs", "report", "--metrics", "m.json"], {"m.json": {"counters": [1]}}),
         (["obs", "report", "--trace", "t.json"], {"t.json": {"a": 1}}),
+        (
+            ["obs", "report", "--metrics", "m.json"],
+            {"m.json": {"schema": "dcmbqc-metrics/1", "counters": [{}]}},
+        ),
+        (
+            ["obs", "report", "--metrics", "m.json"],
+            {"m.json": {"schema": "dcmbqc-metrics/1", "histograms": [{"name": "h"}]}},
+        ),
+        (["trace", "summarize", "t.json"], {"t.json": {"traceEvents": [{"ph": "X", "args": [1]}]}}),
+        (
+            ["obs", "report", "--trace", "t.json"],
+            {"t.json": {"traceEvents": [{"ph": "X", "args": [1]}]}},
+        ),
     ],
     ids=[
         "summarize-list",
@@ -210,6 +223,10 @@ def test_obs_report_without_inputs_errors(capsys):
         "summarize-missing",
         "report-metrics-no-schema",
         "report-trace-no-events",
+        "report-metrics-counter-without-name",
+        "report-metrics-histogram-without-count",
+        "summarize-bad-event-args",
+        "report-trace-bad-event-args",
     ],
 )
 def test_malformed_obs_artifact_exits_two(tmp_path, capsys, monkeypatch, argv, files):

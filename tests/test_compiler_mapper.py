@@ -7,6 +7,8 @@ from repro.hardware.resource_states import ResourceStateType
 from repro.utils.errors import CompilationError
 from repro.utils.grid import grid_points, l_shaped_path
 
+from nx_oracles import dependency_to_networkx
+
 
 def _map(computation, grid_size=5, rsg="5-star", **kwargs):
     config = MapperConfig(
@@ -42,7 +44,7 @@ class TestMappingInvariants:
     def test_every_node_placed_exactly_once(self, small_computation):
         schedule = _map(small_computation)
         placement = schedule.node_layer_index()
-        assert set(placement) == set(small_computation.fusion.graph.nodes)
+        assert set(placement) == set(small_computation.fusion.labels.tolist())
 
     def test_layer_indices_consecutive(self, small_computation):
         schedule = _map(small_computation)
@@ -63,7 +65,7 @@ class TestMappingInvariants:
     def test_every_edge_is_a_fusee_pair(self, small_computation):
         schedule = _map(small_computation)
         pairs = {tuple(sorted(p)) for p in schedule.fusee_pairs}
-        edges = {tuple(sorted(e)) for e in small_computation.fusion.graph.edges}
+        edges = set(small_computation.fusion.sorted_edge_labels())
         assert pairs == edges
 
     def test_layer_capacity_respected(self, qft8_computation):
@@ -74,12 +76,12 @@ class TestMappingInvariants:
     def test_dependency_parents_in_earlier_layers(self, qft8_computation):
         schedule = _map(qft8_computation)
         placement = schedule.node_layer_index()
-        for source, target in qft8_computation.dependency.graph.edges:
+        for source, target in dependency_to_networkx(qft8_computation.dependency).edges:
             assert placement[source] < placement[target]
 
     def test_no_overflow_on_reasonable_grids(self, qft8_computation):
         schedule = _map(qft8_computation, grid_size=5)
-        assert set(schedule.node_layer_index()) == set(qft8_computation.fusion.graph.nodes)
+        assert set(schedule.node_layer_index()) == set(qft8_computation.fusion.labels.tolist())
 
     def test_deterministic(self, qft8_computation):
         a = _map(qft8_computation)

@@ -49,7 +49,7 @@ class TestPipeline:
     def test_every_node_compiled_on_its_qpu(self, distributed_result):
         partition = distributed_result.partition
         for qpu, schedule in enumerate(distributed_result.qpu_schedules):
-            for node in schedule.computation.fusion.graph.nodes:
+            for node in schedule.computation.fusion.labels.tolist():
                 assert partition.part_of(node) == qpu
 
     def test_connectors_match_cut_edges(self, distributed_result):

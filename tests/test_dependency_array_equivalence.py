@@ -53,6 +53,8 @@ from repro.pipeline.hashing import computation_hash
 from repro.programs.registry import build_benchmark
 from repro.utils.errors import ValidationError
 
+from nx_oracles import dependency_to_networkx
+
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "hot_path_reference.json").read_text(
         encoding="utf-8"
@@ -120,16 +122,17 @@ def _typed_edges(graph: nx.DiGraph):
 
 
 def _assert_equivalent(dag: DependencyGraph, reference: nx.DiGraph) -> None:
-    assert list(dag.graph.nodes) == list(reference.nodes)
-    assert _typed_edges(dag.graph) == _typed_edges(reference)
+    export = dependency_to_networkx(dag)
+    assert list(export.nodes) == list(reference.nodes)
+    assert _typed_edges(export) == _typed_edges(reference)
     # Per-source children keep the reference's insertion order, which is
     # what the topological order's tie-breaks depend on.
     for node in reference.nodes:
-        assert list(dag.graph.successors(node)) == list(reference.successors(node))
+        assert list(export.successors(node)) == list(reference.successors(node))
         assert dag.parents(node) == sorted(reference.predecessors(node))
         assert dag.children(node) == sorted(reference.successors(node))
     order = dag.topological_order()
-    assert order == list(nx.topological_sort(dag.graph))
+    assert order == list(nx.topological_sort(export))
     assert order == list(nx.topological_sort(reference))
     expected_depth = (
         nx.dag_longest_path_length(reference) + 1 if reference.number_of_nodes() else 0
@@ -142,8 +145,9 @@ def _assert_induced_equivalent(dag: DependencyGraph, reference: nx.DiGraph) -> N
     for part in (nodes[::2], nodes[: len(nodes) // 3], nodes[len(nodes) // 4 :]):
         sub = dag.subgraph(part)
         assert sorted(sub.nodes) == sorted(part)
-        assert _typed_edges(sub.graph) == _typed_edges(_reference_induced(reference, part))
-        assert sub.topological_order() == list(nx.topological_sort(sub.graph))
+        export = dependency_to_networkx(sub)
+        assert _typed_edges(export) == _typed_edges(_reference_induced(reference, part))
+        assert sub.topological_order() == list(nx.topological_sort(export))
 
 
 def _golden_pattern(program: str) -> Pattern:
@@ -160,7 +164,7 @@ def test_compile_path_dag_matches_networkx_builder(program):
     _assert_induced_equivalent(computation.dependency, reference)
     part = computation.order[::3]
     sub = computation.induced_subgraph(part)
-    assert _typed_edges(sub.dependency.graph) == _typed_edges(
+    assert _typed_edges(dependency_to_networkx(sub.dependency)) == _typed_edges(
         _reference_induced(reference, part)
     )
 
@@ -174,7 +178,7 @@ def test_unshifted_dag_matches_networkx_builder(program, corrections):
     _assert_equivalent(dag, reference)
     _assert_equivalent(dag.x_only(), _reference_x_only(reference))
     unshifted = computation_graph_from_pattern(pattern, apply_signal_shifting=False)
-    assert _typed_edges(unshifted.dependency.graph) == _typed_edges(
+    assert _typed_edges(dependency_to_networkx(unshifted.dependency)) == _typed_edges(
         _reference_x_only(_reference_build(pattern))
     )
 
@@ -270,10 +274,11 @@ def test_from_edges_keeps_node_and_successor_order():
     graph.add_edge(7, 5, kind="X")
     assert dag.labels.tolist() == [5, 3, 9, 1, 7]
     assert dag.topological_order() == list(nx.topological_sort(graph))
-    assert _typed_edges(dag.graph) == _typed_edges(graph)
+    export = dependency_to_networkx(dag)
+    assert _typed_edges(export) == _typed_edges(graph)
     for node in graph.nodes:
-        assert list(dag.graph.successors(node)) == list(graph.successors(node))
-    assert dag.graph.edges[5, 1]["kind"] == "XZ"
+        assert list(export.successors(node)) == list(graph.successors(node))
+    assert export.edges[5, 1]["kind"] == "XZ"
 
 
 def test_cycles_are_reported():
@@ -284,7 +289,7 @@ def test_cycles_are_reported():
 
 
 def test_compile_and_replay_never_build_the_networkx_export(monkeypatch):
-    """The compile path and the runtime replay read only the DAG's arrays."""
+    """The compile path and the runtime replay never read the DAG's networkx export."""
     from repro.core.compiler import DCMBQCCompiler
     from repro.core.config import DCMBQCConfig
     from repro.runtime.executor import DistributedRuntime
@@ -292,7 +297,7 @@ def test_compile_and_replay_never_build_the_networkx_export(monkeypatch):
     def refuse(self):
         raise AssertionError("the networkx export was built")
 
-    monkeypatch.setattr(DependencyGraph, "_export", refuse)
+    monkeypatch.setattr(DependencyGraph, "graph", property(refuse))
     config = DCMBQCConfig(num_qpus=4, grid_size=6, seed=3)
     result, _ = DCMBQCCompiler(config).compile_run(
         build_benchmark("QFT", 16, seed=GOLDEN_SEED), store=None, use_cache=False
@@ -301,8 +306,6 @@ def test_compile_and_replay_never_build_the_networkx_export(monkeypatch):
     runtime.validate()
     trace = runtime.run()
     assert trace.total_cycles == result.execution_time
-    with pytest.raises(AssertionError, match="export"):
-        result.computation.dependency.graph
 
 
 

@@ -15,7 +15,8 @@ not just the same edge set:
   order, edge weights, node weights, projection) equals the hierarchy the
   adjacency-list partitioner built from the networkx graph: level 0 by
   ``add_edge`` over ``graph.edges``, coarser levels by its ``_contract``;
-* a compile and its runtime replay never build the networkx export.
+* a compile and its runtime replay never build the dependency DAG's
+  networkx export (the fusion graph has none).
 
 The nine benchmark families at the golden seed and random graphs (random
 node and edge insertion orders, repeated edges, self-loops) serve as inputs.
@@ -37,6 +38,7 @@ from hypothesis import strategies as st
 from repro.compiler.compgraph import computation_graph_from_pattern
 from repro.core import DCMBQCConfig
 from repro.core.compiler import DCMBQCCompiler
+from repro.mbqc.dependency import DependencyGraph
 from repro.mbqc.signal_shift import signal_shift
 from repro.mbqc.translate import circuit_to_pattern
 from repro.partition.graph import FusionGraph
@@ -46,6 +48,8 @@ from repro.partition.types import PartitionResult
 from repro.programs.registry import build_benchmark, paper_grid_size
 from repro.runtime.executor import DistributedRuntime
 from repro.utils.rng import make_rng
+
+from nx_oracles import fusion_from_networkx, fusion_to_networkx
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "hot_path_reference.json").read_text(
@@ -276,7 +280,7 @@ def family(request):
 def test_csr_order_equals_networkx_adjacency(family):
     computation, reference = family
     _assert_same_adjacency(computation.fusion, reference)
-    _assert_same_adjacency(computation.fusion, computation.fusion.graph)
+    _assert_same_adjacency(computation.fusion, fusion_to_networkx(computation.fusion))
     assert computation.nodes() == sorted(reference.nodes)
     assert computation.edges() == sorted((min(a, b), max(a, b)) for a, b in reference.edges)
     for node in computation.order[:50]:
@@ -304,7 +308,7 @@ def test_array_modularity_and_cut_match_networkx(family, num_parts):
         reference, assignment
     )
     assert modularity(computation.fusion, assignment) == _reference_modularity(
-        computation.fusion.graph, assignment
+        fusion_to_networkx(computation.fusion), assignment
     )
     result = PartitionResult(assignment, num_parts)
     expected_cut = _reference_cut_edges(reference, assignment)
@@ -316,7 +320,7 @@ def test_array_modularity_and_cut_match_networkx(family, num_parts):
 def test_multilevel_on_csr_equals_networkx_input(family):
     """The hierarchy equals the one the old partitioner built from the nx graph."""
     computation, reference = family
-    converted = FusionGraph.from_networkx(reference)
+    converted = fusion_from_networkx(reference)
     for num_parts, seed in ((2, 0), (4, 3), (8, 1)):
         levels = MultilevelPartitioner(num_parts, seed=seed).coarsen(computation.fusion)
         target = max(4 * num_parts, 32)
@@ -352,7 +356,7 @@ def random_graphs(draw):
 @settings(max_examples=120, deadline=None)
 def test_random_graphs_match_networkx(case, data):
     graph, edges = case
-    fusion = FusionGraph.from_networkx(graph)
+    fusion = fusion_from_networkx(graph)
     _assert_same_adjacency(fusion, graph)
 
     nodes = list(graph.nodes)
@@ -362,8 +366,9 @@ def test_random_graphs_match_networkx(case, data):
     expected.add_edges_from(edges)
     _assert_same_adjacency(built, expected)
     # The export re-adds the edges in ``edges`` order: same nodes and edges.
-    assert list(built.graph.nodes) == list(expected.nodes)
-    assert list(built.graph.edges) == list(expected.edges)
+    export = fusion_to_networkx(built)
+    assert list(export.nodes) == list(expected.nodes)
+    assert list(export.edges) == list(expected.edges)
 
     subset = data.draw(st.lists(st.sampled_from(nodes), unique=True))
     _assert_same_adjacency(fusion.subgraph(set(subset)), graph.subgraph(set(subset)).copy())
@@ -390,7 +395,7 @@ def hierarchy_graphs(draw):
 @given(graph=hierarchy_graphs(), seed=st.integers(0, 50), num_parts=st.integers(1, 4))
 @settings(max_examples=80, deadline=None)
 def test_random_hierarchies_match_reference(graph, seed, num_parts):
-    fusion = FusionGraph.from_networkx(graph)
+    fusion = fusion_from_networkx(graph)
     levels = MultilevelPartitioner(num_parts, seed=seed).coarsen(fusion)
     target = max(4 * num_parts, 32)
     _assert_same_hierarchy(levels, _reference_coarsen(graph, seed, target))
@@ -407,7 +412,8 @@ def test_compile_and_replay_never_build_the_networkx_export(monkeypatch):
     def forbidden(self):
         raise AssertionError("the compile path built the networkx export")
 
-    monkeypatch.setattr(FusionGraph, "graph", property(forbidden))
+    assert not hasattr(FusionGraph, "graph")
+    monkeypatch.setattr(DependencyGraph, "graph", property(forbidden))
     config = DCMBQCConfig(num_qpus=4, grid_size=paper_grid_size(16))
     result, _ = DCMBQCCompiler(config).compile_run(
         build_benchmark("QFT", 16), store=None, use_cache=False
@@ -419,7 +425,7 @@ def test_compile_and_replay_never_build_the_networkx_export(monkeypatch):
 
 def test_pickles_hold_arrays_not_the_export():
     computation = computation_graph_from_pattern(_golden_pattern("GHZ"))
-    export = computation.fusion.graph
+    export = fusion_to_networkx(computation.fusion)
     thawed = pickle.loads(pickle.dumps(computation))
     assert b"networkx" not in pickle.dumps(computation)
     _assert_same_adjacency(thawed.fusion, export)

@@ -95,7 +95,7 @@ def _record(computation: ComputationGraph, config: MapperConfig) -> Dict[str, ob
         ],
         "fusee_pairs": [list(pair) for pair in schedule.fusee_pairs],
         "overflow_nodes": sorted(
-            set(computation.fusion.graph.nodes) - set(schedule.node_layer_index())
+            set(computation.fusion.labels.tolist()) - set(schedule.node_layer_index())
         ),
         "cell_probes": counters.get("mapper.cell_probes", 0),
         "placements": counters.get("mapper.placements", 0),

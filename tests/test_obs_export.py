@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.obs.export import (
     chrome_trace,
     load_chrome_trace,
@@ -93,6 +95,17 @@ class TestChromeTrace:
         write_chrome_trace(path_b, _sample_spans(), deterministic=True)
         assert path_a.read_bytes() == path_b.read_bytes()
         json.loads(path_a.read_text())  # valid JSON
+
+    @pytest.mark.parametrize(
+        "event",
+        [{"ph": "X", "args": [1]}, {"ph": "X", "ts": "soon"}, {"ph": "X", "args": {"ops.x": None}}],
+        ids=["args-list", "ts-text", "ops-none"],
+    )
+    def test_malformed_event_is_a_value_error_naming_it(self, tmp_path, event):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"traceEvents": [{"ph": "M"}, event]}))
+        with pytest.raises(ValueError, match="malformed trace event 1"):
+            load_chrome_trace(path)
 
     def test_empty_buffer(self, tmp_path):
         document = chrome_trace([])

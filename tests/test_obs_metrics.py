@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
@@ -13,6 +14,7 @@ from repro.obs.metrics import (
     Histogram,
     HistogramSummary,
     MetricsRegistry,
+    check_dump,
     is_volatile_metric,
     registry_from_dump,
 )
@@ -345,6 +347,26 @@ class TestDumpRoundTrip:
     def test_registry_from_dump_rejects_unknown_schema(self):
         with pytest.raises(ValueError):
             registry_from_dump({"schema": "bogus/9"})
+
+    @pytest.mark.parametrize(
+        "kind, entry",
+        [
+            ("counters", {"value": 1}),
+            ("gauges", {"name": "g", "value": None}),
+            ("counters", {"name": "c", "value": 1, "labels": [["k"]]}),
+            ("histograms", {"name": "h", "total": 1.0}),
+            ("histograms", {"name": "h", "count": 1, "total": 1.0, "buckets": [["x", 1]]}),
+            ("histograms", {"name": "h", "count": 1, "total": 1.0, "max": "big"}),
+        ],
+        ids=["no-name", "null-value", "short-label", "no-count", "bad-bucket", "bad-max"],
+    )
+    def test_check_dump_names_the_malformed_entry(self, kind, entry):
+        doc = json.loads(json.dumps(self._populated().dump()))
+        assert check_dump(doc) is doc
+        doc[kind].append(entry)
+        index = len(doc[kind]) - 1
+        with pytest.raises(ValueError, match=rf"{kind}\[{index}\] is malformed"):
+            check_dump(doc)
 
 
 def test_histogram_summary_dataclass():

@@ -13,6 +13,8 @@ from repro.pipeline.hashing import partition_hash
 from repro.programs import build_benchmark
 from repro.utils.errors import PartitionError
 
+from nx_oracles import fusion_from_networkx
+
 
 def _clustered_graph() -> FusionGraph:
     """Four 8-node clusters joined in a ring — clear community structure."""
@@ -24,7 +26,7 @@ def _clustered_graph() -> FusionGraph:
                 graph.add_edge(offset + i, offset + j)
     for cluster in range(4):
         graph.add_edge(cluster * 8, ((cluster + 1) % 4) * 8)
-    return FusionGraph.from_networkx(graph)
+    return fusion_from_networkx(graph)
 
 
 class TestConfig:

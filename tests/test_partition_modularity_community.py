@@ -3,23 +3,24 @@
 import networkx as nx
 import pytest
 
-from repro.partition.graph import FusionGraph
 from repro.partition.modularity import modularity
+
+from nx_oracles import fusion_from_networkx
 
 
 def _two_cliques(size=6, bridge=True):
     graph = nx.disjoint_union(nx.complete_graph(size), nx.complete_graph(size))
     if bridge:
         graph.add_edge(0, size)
-    return FusionGraph.from_networkx(graph)
+    return fusion_from_networkx(graph)
 
 
 class TestModularity:
     def test_empty_graph(self):
-        assert modularity(FusionGraph.from_networkx(nx.Graph()), {}) == 0.0
+        assert modularity(fusion_from_networkx(nx.Graph()), {}) == 0.0
 
     def test_single_community_is_zero(self):
-        graph = FusionGraph.from_networkx(nx.complete_graph(5))
+        graph = fusion_from_networkx(nx.complete_graph(5))
         assignment = {node: 0 for node in graph.labels.tolist()}
         assert modularity(graph, assignment) == pytest.approx(0.0)
 
@@ -43,5 +44,5 @@ class TestModularity:
         ]
         # A FusionGraph has unit edge weights; the karate club's are dropped.
         expected = nx.community.modularity(graph, communities, weight=None)
-        fusion = FusionGraph.from_networkx(graph)
+        fusion = fusion_from_networkx(graph)
         assert modularity(fusion, assignment) == pytest.approx(expected, abs=1e-9)

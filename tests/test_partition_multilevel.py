@@ -3,10 +3,11 @@
 import networkx as nx
 import pytest
 
-from repro.partition.graph import FusionGraph
 from repro.partition.multilevel import MultilevelPartitioner, partition_graph
 from repro.partition.types import PartitionResult
 from repro.utils.errors import PartitionError
+
+from nx_oracles import fusion_from_networkx
 
 
 class TestBasicInvariants:
@@ -25,17 +26,17 @@ class TestBasicInvariants:
         assert result.imbalance() <= 1.1 + 4 / (qft8_computation.num_nodes / 4)
 
     def test_single_part(self):
-        graph = FusionGraph.from_networkx(nx.path_graph(10))
+        graph = fusion_from_networkx(nx.path_graph(10))
         result = partition_graph(graph, 1)
         assert result.part_sizes() == [10]
         assert result.cut_size(graph) == 0
 
     def test_too_many_parts_rejected(self):
         with pytest.raises(PartitionError):
-            partition_graph(FusionGraph.from_networkx(nx.path_graph(3)), 5)
+            partition_graph(fusion_from_networkx(nx.path_graph(3)), 5)
 
     def test_empty_graph(self):
-        result = partition_graph(FusionGraph.from_networkx(nx.Graph()), 3)
+        result = partition_graph(fusion_from_networkx(nx.Graph()), 3)
         assert result.assignment == {}
 
     def test_deterministic_per_seed(self, qft8_computation):
@@ -54,17 +55,17 @@ class TestCutQuality:
     def test_two_cliques_cut_at_the_bridge(self):
         graph = nx.disjoint_union(nx.complete_graph(8), nx.complete_graph(8))
         graph.add_edge(0, 8)
-        graph = FusionGraph.from_networkx(graph)
+        graph = fusion_from_networkx(graph)
         result = partition_graph(graph, 2)
         assert result.cut_size(graph) == 1
 
     def test_path_graph_cut_is_small(self):
-        graph = FusionGraph.from_networkx(nx.path_graph(64))
+        graph = fusion_from_networkx(nx.path_graph(64))
         result = partition_graph(graph, 4, imbalance=1.2)
         assert result.cut_size(graph) <= 6
 
     def test_grid_graph_cut_reasonable(self):
-        graph = FusionGraph.from_networkx(
+        graph = fusion_from_networkx(
             nx.convert_node_labels_to_integers(nx.grid_2d_graph(8, 8))
         )
         result = partition_graph(graph, 4, imbalance=1.3)
@@ -104,7 +105,7 @@ class TestPartitionResult:
         assert result.part_sizes() == [2, 1]
 
     def test_validate_covers_detects_mismatch(self):
-        graph = FusionGraph.from_networkx(nx.path_graph(3))
+        graph = fusion_from_networkx(nx.path_graph(3))
         result = PartitionResult({0: 0, 1: 0}, 2)
         with pytest.raises(PartitionError):
             result.validate_covers(graph)

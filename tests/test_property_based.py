@@ -13,10 +13,11 @@ from repro.mbqc.dependency import build_dependency_graph
 from repro.mbqc.simulator import simulate_pattern
 from repro.mbqc.translate import circuit_to_pattern
 from repro.metrics.lifetime import fusee_lifetime, required_photon_lifetime
-from repro.partition.graph import FusionGraph
 from repro.partition.modularity import modularity
 from repro.partition.multilevel import partition_graph
 from repro.utils.grid import GridPoint, l_shaped_path, manhattan_distance
+
+from nx_oracles import fusion_from_networkx
 
 # --------------------------------------------------------------------------- #
 # Strategies
@@ -130,7 +131,7 @@ class TestPartitionProperties:
     def test_partition_invariants(self, graph, parts, imbalance):
         if graph.number_of_nodes() < parts:
             return
-        fusion = FusionGraph.from_networkx(graph)
+        fusion = fusion_from_networkx(graph)
         result = partition_graph(fusion, parts, imbalance=imbalance, seed=1)
         result.validate_covers(fusion)
         assert len(result.part_sizes()) == parts
